@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from sqkd3 import ChannelScenario, find_threshold, key_rate
+from sqkd3 import find_threshold, key_rate_curve
 
 SCENARIOS = [("phi1", "dependent"), ("phi1", "independent"),
              ("phi2", "dependent"), ("phi2", "independent")]
@@ -30,15 +30,12 @@ def main() -> None:
 
     print(f"{'variant':8s} {'model':12s} {'threshold':>10s}")
     for variant, model in SCENARIOS:
-        rows = []
-        for q in np.linspace(0.0, args.q_max, args.steps):
-            rep = key_rate(ChannelScenario(q=float(q), model=model,
-                                           variant=variant))
-            rows.append((q, rep.r))
+        curve = key_rate_curve(np.linspace(0.0, args.q_max, args.steps),
+                               model=model, variant=variant)
         path = outdir / f"keyrate_{variant}_{model}.csv"
         with open(path, "w") as fh:
             fh.write("Q,r\n")
-            for q, r in rows:
+            for q, r in zip(curve["Q"], curve["r"]):
                 fh.write(f"{q:.9g},{r:.9g}\n")
         thr = find_threshold(variant, model)
         print(f"{variant:8s} {model:12s} {thr:10.4f}   -> {path}")

@@ -7,9 +7,9 @@ from .attack import (AttackModel, ChannelScenario, VectorFamilies,
                      identity_attack, pauli_twirl_attack, pauli_twirl_isometry,
                      random_attack, ternary_channel_apply, vector_families)
 from .keyrate import (KeyRateReport, Sigma1Decomposition, find_threshold,
-                      key_rate, key_rate_from_table, lemma1_check,
-                      p_lower_bound, s_bec, s_ec_upper, sigma1_eigenvalues,
-                      x_bound)
+                      key_rate, key_rate_curve, key_rate_from_table,
+                      lemma1_check, p_lower_bound, s_bec, s_ec_upper,
+                      sigma1_eigenvalues, x_bound)
 from .linalg import (BasisSet, basis_vectors, shannon_entropy3, tensor,
                      von_neumann_entropy3)
 from .sim import RoundRecord, SimulationResult, measure_in_basis, run_protocol
@@ -23,7 +23,8 @@ __all__ = [
     "KeyRateReport", "RoundRecord", "Sigma1Decomposition", "SimulationResult",
     "StatTable", "VectorFamilies", "basis_error_direct",
     "basis_error_expanded", "basis_vectors", "find_threshold",
-    "identity_attack", "joint_and_marginal", "key_rate", "key_rate_from_table",
+    "identity_attack", "joint_and_marginal", "key_rate", "key_rate_curve",
+    "key_rate_from_table",
     "lemma1_check", "measure_in_basis", "p_lower_bound", "p_table_from_attack",
     "p_table_symmetric", "pauli_twirl_attack", "pauli_twirl_isometry",
     "random_attack", "run_protocol", "s_bec", "s_ec_upper",

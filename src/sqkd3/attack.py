@@ -22,6 +22,10 @@ from .linalg import OMEGA, basis_vectors, haar_isometry
 
 ISOMETRY_TOL = 1e-12
 
+#: Largest per-pair flip probability of the analytic scenarios: the twirl
+#: weight 1 - 8Q/3 of the error-free pattern stays nonnegative up to 3/8.
+Q_MAX = 0.375
+
 
 def shift_matrix() -> np.ndarray:
     """Generalized Pauli X: |k> -> |k+1 mod 3>."""
@@ -116,35 +120,44 @@ class ChannelScenario:
     p_mode: str = "as-printed"                 # as-printed | corrected
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 0.375:
+        if not 0.0 <= self.q <= Q_MAX:
             raise ValueError(f"q={self.q} outside [0, 3/8]")
-        if self.model not in ("dependent", "independent"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.variant not in ("phi1", "phi2"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.basis_noise_convention not in ("per-pair", "total"):
-            raise ValueError("convention must be per-pair or total")
-        if self.joint_weighting not in ("as-printed", "normalized"):
-            raise ValueError("weighting must be as-printed or normalized")
-        if self.p_mode not in ("as-printed", "corrected"):
-            raise ValueError("p_mode must be as-printed or corrected")
+        check_conventions(self.model, self.variant, self.basis_noise_convention,
+                          self.joint_weighting, self.p_mode)
 
     def basis_error_value(self) -> float:
         """Per-pair alternative-basis error probability for this scenario."""
-        q = self.q
-        if self.model == "dependent":
-            value = q
-        else:
-            value = 2.0 * q * (2.0 - 3.0 * q)
-        if self.basis_noise_convention == "total":
-            value /= 2.0
-        return value
+        return alternative_basis_error(self.q, self.model,
+                                       self.basis_noise_convention)
 
     def flags(self) -> dict:
         return {"variant": self.variant, "model": self.model,
                 "basis_noise_convention": self.basis_noise_convention,
                 "joint_weighting": self.joint_weighting,
                 "p_mode": self.p_mode}
+
+
+def check_conventions(model: str, variant: str, basis_noise_convention: str,
+                      joint_weighting: str, p_mode: str) -> None:
+    """Reject unknown convention flags of a noise scenario."""
+    if model not in ("dependent", "independent"):
+        raise ValueError(f"unknown model {model!r}")
+    if variant not in ("phi1", "phi2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if basis_noise_convention not in ("per-pair", "total"):
+        raise ValueError("convention must be per-pair or total")
+    if joint_weighting not in ("as-printed", "normalized"):
+        raise ValueError("weighting must be as-printed or normalized")
+    if p_mode not in ("as-printed", "corrected"):
+        raise ValueError("p_mode must be as-printed or corrected")
+
+
+def alternative_basis_error(q, model: str, basis_noise_convention: str):
+    """Per-pair alternative-basis error probability at noise q (scalar or array)."""
+    value = q if model == "dependent" else 2.0 * q * (2.0 - 3.0 * q)
+    if basis_noise_convention == "total":
+        value = value / 2.0
+    return value
 
 
 def ternary_channel_apply(rho: np.ndarray, q: float) -> np.ndarray:
@@ -157,7 +170,7 @@ def ternary_channel_apply(rho: np.ndarray, q: float) -> np.ndarray:
 
 def twirl_weights(q: float) -> np.ndarray:
     """3x3 weights over shift/clock error patterns realizing the channel."""
-    if not 0.0 <= q <= 0.375:
+    if not 0.0 <= q <= Q_MAX:
         raise ValueError(f"twirl weight would be negative for q={q}")
     w = np.full((3, 3), q / 3.0)
     w[0, 0] = 1.0 - 8.0 * q / 3.0

@@ -2,22 +2,19 @@
 run the Monte Carlo simulator, and run the self-check suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-SQKD3_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import verify
 from .term_tables import BASIS_ERROR_ORDER
-from .attack import ChannelScenario, pauli_twirl_attack
-from .keyrate import find_threshold, key_rate
+from .attack import Q_MAX, ChannelScenario, pauli_twirl_attack
+from .keyrate import find_threshold, key_rate, key_rate_curve
 from .sim import run_protocol
 from .stats import stat_table_from_attack
 
@@ -41,44 +38,27 @@ def _add_convention_flags(p: argparse.ArgumentParser, with_model=True):
                    default="per-pair")
 
 
-def _scenario(args, q: float) -> ChannelScenario:
-    return ChannelScenario(
-        q=q, model=_MODEL[args.model], variant=args.variant,
-        basis_noise_convention=args.basis_convention,
-        joint_weighting=_WEIGHT[args.weighting], p_mode=_PMODE[args.p_mode])
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _max_workers() -> int:
-    env = os.environ.get("SQKD3_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+def _conventions(args) -> dict:
+    return dict(model=_MODEL[args.model], variant=args.variant,
+                basis_noise_convention=args.basis_convention,
+                joint_weighting=_WEIGHT[args.weighting], p_mode=_PMODE[args.p_mode])
 
 
 def cmd_sweep(args) -> int:
-    if not (0.0 <= args.q_min < args.q_max <= 0.375 and args.steps >= 2):
+    if not (0.0 <= args.q_min < args.q_max <= Q_MAX and args.steps >= 2):
         print("sweep needs 0 <= q-min < q-max <= 0.375 and steps >= 2",
               file=sys.stderr)
         return 2
     grid = np.linspace(args.q_min, args.q_max, args.steps)
-
-    def evaluate(q):
-        rep = key_rate(_scenario(args, float(q)))
-        return [q, rep.r, *rep.t, rep.X, rep.p_lower, rep.lambda1,
-                rep.lambda2, rep.S_BEC, rep.S_EC_upper, rep.H_B_given_A]
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(evaluate, grid))
+    cols = key_rate_curve(grid, **_conventions(args))
+    rows = np.column_stack([cols[name] for name in SWEEP_COLUMNS]).tolist()
+    row_format = ",".join(["%.9g"] * len(SWEEP_COLUMNS))
 
     header = (f"# sqkd3 sweep variant={args.variant} model={_MODEL[args.model]}"
               f" p_mode={_PMODE[args.p_mode]} weighting={_WEIGHT[args.weighting]}"
               f" basis_convention={args.basis_convention}")
     lines = [header, ",".join(SWEEP_COLUMNS)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [row_format % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     try:
         if args.out == "-":
@@ -93,10 +73,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    thr = find_threshold(
-        variant=args.variant, model=_MODEL[args.model],
-        basis_noise_convention=args.basis_convention,
-        joint_weighting=_WEIGHT[args.weighting], p_mode=_PMODE[args.p_mode])
+    thr = find_threshold(**_conventions(args))
     doc = {"variant": args.variant, "model": _MODEL[args.model],
            "convention": {"p_mode": _PMODE[args.p_mode],
                           "weighting": _WEIGHT[args.weighting],
@@ -107,7 +84,7 @@ def cmd_threshold(args) -> int:
     else:
         doc["threshold"] = thr
         doc["report_at_threshold"] = json.loads(
-            key_rate(_scenario(args, thr)).to_json())
+            key_rate(ChannelScenario(q=thr, **_conventions(args))).to_json())
     print(json.dumps(doc, indent=2))
     return 0
 

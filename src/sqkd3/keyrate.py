@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import term_tables as tables
-from .attack import ChannelScenario, VectorFamilies
-from .linalg import LN3, shannon_entropy3, von_neumann_entropy3
-from .stats import (JointDistribution, StatTable, joint_and_marginal,
-                    stat_table_for_scenario, t_values)
-
-Q_MAX = 0.375
+from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
+                     alternative_basis_error, check_conventions)
+from .linalg import LN3, entropy3, shannon_entropy3, von_neumann_entropy3
+from .stats import (JointDistribution, StatTable, check_p_tables, joint_tables,
+                    p_table_symmetric, stat_table_for_scenario, t_value_array)
 
 
 @dataclass(frozen=True)
@@ -88,19 +87,56 @@ class Sigma1Decomposition:
         return m / (self.p000 + self.p111 + self.p222)
 
 
+#: Flat indices (n_terms, 2) of the two cells of each square-root term of X.
+_X_POS, _X_NEG = (np.ravel_multi_index(np.transpose(pairs), (3, 3, 3)).T
+                  for pairs in (tables.X_SQRT_POS, tables.X_SQRT_NEG))
+
+
+def _sqrt_product_sum(flat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sum of sqrt(p_a p_b) over the cell pairs, added in list order."""
+    terms = np.sqrt(flat[..., pairs[:, 0]] * flat[..., pairs[:, 1]])
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _x_stat(p: np.ndarray, basis_err: np.ndarray, variant: str) -> np.ndarray:
+    flat = p.reshape(p.shape[:-3] + (27,))
+    c54 = tables.X54_COEFFICIENT[variant]
+    return (3.0 - 1.5 * basis_err.sum(axis=-1)
+            + c54 * _sqrt_product_sum(flat, _X_POS) - _sqrt_product_sum(flat, _X_NEG))
+
+
 def x_bound(table: StatTable) -> float:
     """The observable statistic bounding the no-error block overlaps."""
-    p = table.p
-    c54 = tables.X54_COEFFICIENT[table.variant]
-    pos = sum(np.sqrt(p[a] * p[b]) for a, b in tables.X_SQRT_POS)
-    neg = sum(np.sqrt(p[a] * p[b]) for a, b in tables.X_SQRT_NEG)
-    return float(3.0 - 1.5 * table.basis_err.sum() + c54 * pos - neg)
+    return float(_x_stat(table.p, table.basis_err, table.variant))
+
+
+def _square(x):
+    # libm pow, as scalar `x ** 2` computes it; an array `x ** 2` is an
+    # exact product, which differs from pow in the last bit on some inputs.
+    return np.float_power(x, 2)
+
+
+def _clamped_square(x):
+    return _square(np.maximum(x, 0.0))
+
+
+def _ceiling(p: np.ndarray) -> np.ndarray:
+    p000, p111, p222 = p[..., 0, 0, 0], p[..., 1, 1, 1], p[..., 2, 2, 2]
+    return p000 * p111 + p000 * p222 + p111 * p222
 
 
 def feasibility_ceiling(table: StatTable) -> float:
     """Largest overlap sum compatible with the three diagonal entries."""
-    p000, p111, p222 = table.p[0, 0, 0], table.p[1, 1, 1], table.p[2, 2, 2]
-    return float(p000 * p111 + p000 * p222 + p111 * p222)
+    return float(_ceiling(table.p))
+
+
+def _p_lower(x, p: np.ndarray, mode: str) -> np.ndarray:
+    s = _clamped_square(x)
+    if mode == "as-printed":
+        return np.minimum(s, _ceiling(p))
+    if mode == "corrected":
+        return np.minimum(s / 3.0, _ceiling(p))
+    raise ValueError(f"unknown p mode {mode!r}")
 
 
 def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
@@ -111,17 +147,27 @@ def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float
     feasibility ceiling.  Note the replication path in key_rate feeds the
     eigenvalue forms the uncapped square instead (see module docstring).
     """
-    s = max(x, 0.0) ** 2
-    if mode == "as-printed":
-        return min(s, feasibility_ceiling(table))
-    if mode == "corrected":
-        return min(s / 3.0, feasibility_ceiling(table))
-    raise ValueError(f"unknown p mode {mode!r}")
+    return float(_p_lower(x, table.p, mode))
 
 
-def _discriminant(p000: float, p111: float, p222: float, p: float) -> float:
-    return (4.0 * p + p000**2 - 2.0 * p000 * p111 + p111**2
-            - 2.0 * p000 * p222 - 2.0 * p111 * p222 + p222**2)
+def _block_total(p000, p111, p222):
+    total = p000 + p111 + p222
+    if np.any(total <= 0):
+        raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
+    return total
+
+
+def _discriminant(p000, p111, p222, p):
+    return (4.0 * p + _square(p000) - 2.0 * p000 * p111 + _square(p111)
+            - 2.0 * p000 * p222 - 2.0 * p111 * p222 + _square(p222))
+
+
+def _sigma1_eigenvalues(p000, p111, p222, p):
+    total = _block_total(p000, p111, p222)
+    disc = np.maximum(_discriminant(p000, p111, p222, p), 0.0)
+    half_spread = np.sqrt(disc) / (2.0 * total)
+    return (np.minimum(np.maximum(0.5 + half_spread, 0.0), 1.0),
+            np.minimum(np.maximum(0.5 - half_spread, 0.0), 1.0))
 
 
 def sigma1_eigenvalues(p000: float, p111: float, p222: float,
@@ -131,87 +177,130 @@ def sigma1_eigenvalues(p000: float, p111: float, p222: float,
     Discriminant floored at zero, results clamped to [0, 1]; the third
     eigenvalue is identically zero.
     """
-    total = p000 + p111 + p222
-    if total <= 0:
-        raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
-    disc = max(_discriminant(p000, p111, p222, p), 0.0)
-    half_spread = np.sqrt(disc) / (2.0 * total)
-    lam1 = min(max(0.5 + half_spread, 0.0), 1.0)
-    lam2 = min(max(0.5 - half_spread, 0.0), 1.0)
+    lam1, lam2 = _sigma1_eigenvalues(p000, p111, p222, p)
     return float(lam1), float(lam2)
 
 
-def _entropy_term_analytic(lam: complex) -> float:
+def _eigenvalue_entropy(lam) -> np.ndarray:
+    """-lam log3 lam of real eigenvalues in [0, 1], elementwise."""
+    return entropy3(np.asarray(lam)[..., None])
+
+
+def _entropy_term_analytic(lam: np.ndarray) -> np.ndarray:
     """Re(-lam log3 lam), principal branch; 0 at lam = 0."""
-    if lam == 0:
-        return 0.0
-    return float((-lam * np.log(complex(lam))).real / LN3)
+    zero = lam == 0
+    return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
+
+
+def _sigma1_terms(p000, p111, p222, p, mode: str):
+    if mode == "corrected":
+        lam1, lam2 = _sigma1_eigenvalues(p000, p111, p222, p)
+        return lam1, lam2, _eigenvalue_entropy(lam1) + _eigenvalue_entropy(lam2)
+    if mode != "as-printed":
+        raise ValueError(f"unknown p mode {mode!r}")
+    total = _block_total(p000, p111, p222)
+    disc = np.asarray(_discriminant(p000, p111, p222, p), dtype=complex)
+    half_spread = np.sqrt(disc) / (2 * total)
+    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
+    return (lam1.real, lam2.real,
+            _entropy_term_analytic(lam1) + _entropy_term_analytic(lam2))
 
 
 def sigma1_entropy_terms(p000: float, p111: float, p222: float, p: float,
                          mode: str) -> tuple[float, float, float]:
     """(lambda1, lambda2, entropy term sum) under the chosen semantics."""
-    if mode == "corrected":
-        lam1, lam2 = sigma1_eigenvalues(p000, p111, p222, p)
-        ent = shannon_entropy3([lam1]) + shannon_entropy3([lam2])
-        return lam1, lam2, ent
-    if mode != "as-printed":
-        raise ValueError(f"unknown p mode {mode!r}")
-    total = p000 + p111 + p222
-    if total <= 0:
-        raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
-    half_spread = np.sqrt(complex(_discriminant(p000, p111, p222, p))) / (2 * total)
-    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
-    ent = _entropy_term_analytic(lam1) + _entropy_term_analytic(lam2)
-    return float(lam1.real), float(lam2.real), ent
+    lam1, lam2, ent = _sigma1_terms(p000, p111, p222, p, mode)
+    return float(lam1), float(lam2), float(ent)
+
+
+def _s_bec(p: np.ndarray) -> np.ndarray:
+    return entropy3(p.reshape(p.shape[:-3] + (27,)) / 3.0)
 
 
 def s_bec(table: StatTable) -> float:
     """Entropy of the full record ensemble: H3 of the 27 entries over 3."""
-    return shannon_entropy3(table.p.ravel() / 3.0)
+    return float(_s_bec(table.p))
+
+
+def _s_ec_upper(t: np.ndarray, ent) -> np.ndarray:
+    """s_ec_upper for t (..., 4) with eigenvalue entropy terms ent."""
+    return (entropy3(t / 3) + (t[..., 1] + t[..., 2] + t[..., 3]) / 3.0
+            + t[..., 0] / 3.0 * ent)
 
 
 def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
     """Upper-bound expression for the conditioned eavesdropper entropy."""
-    t1, t2, t3, t4 = t
-    return (shannon_entropy3([t1 / 3, t2 / 3, t3 / 3, t4 / 3])
-            + (t2 + t3 + t4) / 3.0
-            + t1 / 3.0 * (shannon_entropy3([lam1]) + shannon_entropy3([lam2])))
+    ent = _eigenvalue_entropy(lam1) + _eigenvalue_entropy(lam2)
+    return float(_s_ec_upper(np.asarray(t, dtype=float), ent))
+
+
+def _h_b_given_a(joint: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    return entropy3(joint.reshape(joint.shape[:-2] + (9,))) - entropy3(marginal)
 
 
 def h_b_given_a(jd: JointDistribution) -> float:
     """Conditional entropy H(B|A) = H(joint) - H(marginal of A)."""
-    return shannon_entropy3(jd.joint.ravel()) - shannon_entropy3(jd.marginal_a)
+    return float(_h_b_given_a(jd.joint, jd.marginal_a))
+
+
+def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
+              weighting: str, p_mode: str) -> dict:
+    """The key-rate bound on tables p (N, 3, 3, 3) with errors (N, 6).
+
+    Returns one length-N array per intermediate, keyed as the sweep columns
+    (t1..t4, X, p_lower, lambda1, lambda2, S_BEC, S_EC_upper, H_B_given_A,
+    r) plus S_clamped.
+    """
+    t = t_value_array(p)
+    x = _x_stat(p, basis_err, variant)
+    s_clamped = _clamped_square(x)
+    # as-printed feeds the eigenvalue forms the uncapped square
+    p_low = s_clamped if p_mode == "as-printed" else _p_lower(x, p, p_mode)
+    lam1, lam2, ent = _sigma1_terms(p[:, 0, 0, 0], p[:, 1, 1, 1], p[:, 2, 2, 2],
+                                    p_low, p_mode)
+    bec = _s_bec(p)
+    ec_upper = _s_ec_upper(t, ent)
+    hba = _h_b_given_a(*joint_tables(p, weighting))
+    return {"t1": t[:, 0], "t2": t[:, 1], "t3": t[:, 2], "t4": t[:, 3], "X": x,
+            "S_clamped": s_clamped, "p_lower": p_low, "lambda1": lam1,
+            "lambda2": lam2, "S_BEC": bec, "S_EC_upper": ec_upper,
+            "H_B_given_A": hba, "r": bec - ec_upper - hba}
+
+
+def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
+                   basis_noise_convention: str = "per-pair",
+                   joint_weighting: str = "as-printed",
+                   p_mode: str = "as-printed") -> dict:
+    """Key-rate bound of symmetric-noise scenarios over a 1-d array of q.
+
+    One numpy pass over all points; entry i of every array equals the
+    field of key_rate(ChannelScenario(q[i], ...)) bit for bit.  Returns
+    one array per key: Q, t1..t4, X, S_clamped, p_lower, lambda1, lambda2,
+    S_BEC, S_EC_upper, H_B_given_A and r.
+    """
+    check_conventions(model, variant, basis_noise_convention, joint_weighting,
+                      p_mode)
+    q = np.asarray(q, dtype=float)
+    p = p_table_symmetric(q, q)
+    check_p_tables(p)
+    err = alternative_basis_error(q, model, basis_noise_convention)
+    cols = _evaluate(p, np.repeat(err[:, None], 6, axis=1), variant,
+                     joint_weighting, p_mode)
+    return {"Q": q, **cols}
 
 
 def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
                         p_mode: str = "as-printed",
                         convention_flags: dict | None = None) -> KeyRateReport:
     """Evaluate the key-rate bound on an explicit statistics table."""
-    t = t_values(table.p)
-    x = x_bound(table)
-    if p_mode == "as-printed":
-        p_low = max(x, 0.0) ** 2
-    else:
-        p_low = p_lower_bound(x, table, p_mode)
-    p000, p111, p222 = table.p[0, 0, 0], table.p[1, 1, 1], table.p[2, 2, 2]
-    lam1, lam2, ent = sigma1_entropy_terms(p000, p111, p222, p_low, p_mode)
-    bec = s_bec(table)
-    if p_mode == "corrected":
-        ec_upper = s_ec_upper(t, lam1, lam2)
-    else:
-        # entropy terms carry the analytic continuation, not clamped values
-        ec_upper = (shannon_entropy3([t[0] / 3, t[1] / 3, t[2] / 3, t[3] / 3])
-                    + (t[1] + t[2] + t[3]) / 3.0 + t[0] / 3.0 * ent)
-    jd = joint_and_marginal(table.p, weighting)
-    hba = h_b_given_a(jd)
+    cols = {k: v[0].item() for k, v in _evaluate(
+        table.p[None], table.basis_err[None], table.variant, weighting,
+        p_mode).items()}
     flags = dict(convention_flags or {})
     flags.setdefault("joint_weighting", weighting)
     flags.setdefault("p_mode", p_mode)
-    return KeyRateReport(t=t, X=x, S_clamped=max(x, 0.0) ** 2, p_lower=p_low,
-                         lambda1=lam1, lambda2=lam2, S_BEC=bec,
-                         S_EC_upper=ec_upper, H_B_given_A=hba,
-                         r=bec - ec_upper - hba, convention_flags=flags)
+    return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
+                         convention_flags=flags, **cols)
 
 
 def key_rate(scenario: ChannelScenario) -> KeyRateReport:
@@ -228,30 +317,24 @@ def find_threshold(variant: str, model: str,
                    tol: float = 1e-6, grid_points: int = 400) -> float | None:
     """Smallest noise level at which the key-rate bound hits zero.
 
-    Scans a grid over [0, 3/8] for the first sign change, then bisects to
-    |dQ| < tol.  Returns None when the rate stays positive on the whole
-    range.
+    Evaluates a grid over [0, 3/8] in one pass, takes its first sign
+    change, then bisects to |dQ| < tol.  Returns None when the rate stays
+    positive on the whole range.
     """
-    def rate(q: float) -> float:
-        return key_rate(ChannelScenario(
-            q=q, model=model, variant=variant,
-            basis_noise_convention=basis_noise_convention,
-            joint_weighting=joint_weighting, p_mode=p_mode)).r
+    def rate(q):
+        return key_rate_curve(q, model, variant, basis_noise_convention,
+                              joint_weighting, p_mode)["r"]
 
     grid = np.linspace(0.0, Q_MAX, grid_points)
-    prev = rate(grid[0])
-    lo = hi = None
-    for q in grid[1:]:
-        cur = rate(q)
-        if prev > 0.0 >= cur:
-            lo, hi = q - (grid[1] - grid[0]), q
-            break
-        prev = cur
-    if lo is None:
+    r = rate(grid)
+    down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
+    if down.size == 0:
         return None
+    hi = grid[down[0] + 1]
+    lo = hi - (grid[1] - grid[0])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
+        if rate([mid])[0] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -7,6 +7,7 @@ the 3-dimensional qutrit space and the composite eavesdropper spaces
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +64,47 @@ def basis_vectors(basis_id: str) -> BasisSet:
     return BasisSet(basis_id, _BASES[basis_id].copy())
 
 
+def entropy3(probs) -> np.ndarray:
+    """Base-3 Shannon entropy of each row (last axis) of an array.
+
+    -sum p_i log3 p_i with 0 log 0 := 0; the result has the input's shape
+    without its last axis.  Rows are used as given: no renormalisation.
+    Entries in [-1e-12, 0) count as 0; more negative entries raise.
+
+    Each row is summed over exactly its positive entries, in their order,
+    so its value is that of the 1-d sum over those entries and does not
+    depend on the other rows or on where its zeros sit.
+    """
+    p = np.asarray(probs, dtype=float)
+    if (p < -1e-12).any():
+        raise ValueError(f"negative probability {p.min()} in entropy argument")
+    rows = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
+    keep = rows > 0
+    if keep.all():
+        return _positive_entropy3(rows).reshape(p.shape[:-1])
+    out = np.empty(len(rows))
+    pending = np.ones(len(rows), dtype=bool)
+    while pending.any():  # once per distinct pattern of positive entries
+        mask = keep[pending.argmax()]
+        group = pending & (keep == mask).all(axis=1)
+        pending &= ~group
+        out[group] = _positive_entropy3(rows[group][:, mask])
+    return out.reshape(p.shape[:-1])
+
+
+def _positive_entropy3(rows: np.ndarray) -> np.ndarray:
+    # row-major, so numpy sums each row pairwise as it sums a 1-d array
+    v = np.ascontiguousarray(rows)
+    return -(v * np.log(v)).sum(axis=1) / LN3
+
+
 def shannon_entropy3(probs) -> float:
     """Base-3 Shannon entropy -sum p_i log3 p_i with 0 log 0 := 0.
 
     The input is used as given: no renormalisation. Entries may sum to
     anything nonnegative; entries in [-1e-12, 0) are clamped to 0.
     """
-    p = np.asarray(probs, dtype=float).ravel()
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability {p.min()} in entropy argument")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum() / LN3)
+    return float(entropy3(np.ravel(probs)))
 
 
 def von_neumann_entropy3(rho: np.ndarray) -> float:

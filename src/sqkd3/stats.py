@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import term_tables as tables
-from .attack import AttackModel, ChannelScenario, VectorFamilies, vector_families
+from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
+                     vector_families)
 from .linalg import OMEGA
 
 ROW_SUM_TOL = 1e-9
@@ -34,11 +35,7 @@ class StatTable:
         p = self.p
         if p.shape != (3, 3, 3):
             raise ValueError("p must be a 3x3x3 table")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-            raise ValueError("table entries outside [0, 1]")
-        rows = p.sum(axis=(1, 2))
-        if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-            raise ValueError(f"per-input sums {rows} differ from 1")
+        check_p_tables(p)
         if self.basis_err.shape != (6,):
             raise ValueError("basis_err must have six entries")
 
@@ -56,6 +53,17 @@ class StatTable:
         p = np.array(doc["p"], dtype=float).reshape(3, 3, 3)
         return cls(p, np.array(doc["basis_err"], dtype=float),
                    doc["variant"].lower())
+
+
+def check_p_tables(p: np.ndarray) -> None:
+    """Reject tables p (..., 3, 3, 3) with an entry outside [0, 1] or an
+    input row whose probabilities do not sum to 1."""
+    if (p < -1e-12).any() or (p > 1 + 1e-12).any():
+        raise ValueError("table entries outside [0, 1]")
+    rows = p.sum(axis=(-2, -1))
+    bad = np.abs(rows - 1.0).max(axis=-1) > ROW_SUM_TOL
+    if bad.any():
+        raise ValueError(f"per-input sums {rows[bad][0]} differ from 1")
 
 
 @dataclass(frozen=True)
@@ -78,24 +86,29 @@ def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
     return p
 
 
-def p_table_symmetric(q_forward: float, q_reverse: float) -> np.ndarray:
-    """Analytic table for ternary symmetric noise in each direction."""
-    for q in (q_forward, q_reverse):
-        if not 0.0 <= q <= 1.0 / 3.0:
-            raise ValueError(f"per-pair flip probability {q} outside [0, 1/3]")
+def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
+    """Analytic table for ternary symmetric noise in each direction.
+
+    Scalar flip probabilities give one (3, 3, 3) table; arrays give one
+    table per (broadcast) entry, shape (..., 3, 3, 3).  Each probability
+    must lie in [0, 3/8], where the twirl attack realises the channel.
+    """
+    qf, qr = np.broadcast_arrays(np.asarray(q_forward, dtype=float),
+                                 np.asarray(q_reverse, dtype=float))
+    for q in (qf, qr):
+        outside = ~((q >= 0.0) & (q <= Q_MAX))
+        if np.any(outside):
+            raise ValueError(f"per-pair flip probability {q[outside][0]} "
+                             "outside [0, 3/8]")
 
     def trans(q):
-        m = np.full((3, 3), q)
-        np.fill_diagonal(m, 1.0 - 2.0 * q)
+        m = np.empty(q.shape + (3, 3))
+        m[...] = q[..., None, None]
+        m[..., range(3), range(3)] = (1.0 - 2.0 * q)[..., None]
         return m
 
-    tf, tr = trans(q_forward), trans(q_reverse)
-    p = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                p[i, j, k] = tf[i, j] * tr[j, k]
-    return p
+    # p[..., i, j, k] = tf[..., i, j] * tr[..., j, k]
+    return trans(qf)[..., :, :, None] * trans(qr)[..., None, :, :]
 
 
 def basis_error_direct(fams: VectorFamilies, variant: str) -> np.ndarray:
@@ -134,17 +147,44 @@ def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
     return out
 
 
+#: Flat indices of the (i, j, k) cells of the first three error patterns,
+#: in the order they are added.
+_T_CELLS = [np.ravel_multi_index(np.transpose(cells), (3, 3, 3)) for cells in (
+    [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+    [(1, 0, 0), (2, 0, 0), (0, 1, 1), (2, 1, 1), (0, 2, 2), (1, 2, 2)],
+    [(0, 0, 1), (0, 0, 2), (1, 1, 0), (1, 1, 2), (2, 2, 0), (2, 2, 1)])]
+
+
+def t_value_array(p: np.ndarray) -> np.ndarray:
+    """t_values of tables p (..., 3, 3, 3), stacked on a last axis of 4."""
+    flat = p.reshape(p.shape[:-3] + (27,))
+    t1, t2, t3 = (np.add.accumulate(flat[..., cells], axis=-1)[..., -1]
+                  for cells in _T_CELLS)
+    return np.stack([t1, t2, t3, flat.sum(axis=-1) - t1 - t2 - t3], axis=-1)
+
+
 def t_values(p: np.ndarray) -> tuple[float, float, float, float]:
     """Total probabilities of the four error patterns of a round.
 
     t1: no error either way; t2: outbound error only; t3: return error
     only; t4: errors both ways.  They sum to 3 (one per prepared state).
     """
-    t1 = p[0, 0, 0] + p[1, 1, 1] + p[2, 2, 2]
-    t2 = p[1, 0, 0] + p[2, 0, 0] + p[0, 1, 1] + p[2, 1, 1] + p[0, 2, 2] + p[1, 2, 2]
-    t3 = p[0, 0, 1] + p[0, 0, 2] + p[1, 1, 0] + p[1, 1, 2] + p[2, 2, 0] + p[2, 2, 1]
-    t4 = float(p.sum() - t1 - t2 - t3)
-    return float(t1), float(t2), float(t3), t4
+    return tuple(t_value_array(np.asarray(p, dtype=float)).tolist())
+
+
+_JOINT_WEIGHTS = np.where(np.eye(3, dtype=bool), 1.0 / 3.0, 2.0 / 3.0)
+
+
+def joint_tables(p: np.ndarray, weighting: str = "as-printed"
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Joint raw-key distributions (..., 3, 3), index [b, a], of tables p
+    (..., 3, 3, 3), with their sender marginals (..., 3)."""
+    if weighting not in ("as-printed", "normalized"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    joint = _JOINT_WEIGHTS * p.sum(axis=-3)
+    if weighting == "normalized":
+        joint = joint / joint.sum(axis=(-2, -1))[..., None, None]
+    return joint, joint.sum(axis=-2)
 
 
 def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed") -> JointDistribution:
@@ -155,16 +195,8 @@ def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed") -> JointDis
     1 + 2Q for the symmetric channel); "normalized" rescales by the total
     mass.  Both are exposed because the two disagree on H(B|A).
     """
-    if weighting not in ("as-printed", "normalized"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    joint = np.zeros((3, 3))
-    for b in range(3):
-        for a in range(3):
-            w = (1.0 / 3.0) if b == a else (2.0 / 3.0)
-            joint[b, a] = w * p[:, b, a].sum()
-    if weighting == "normalized":
-        joint = joint / joint.sum()
-    return JointDistribution(joint, joint.sum(axis=0), weighting)
+    joint, marginal = joint_tables(np.asarray(p, dtype=float), weighting)
+    return JointDistribution(joint, marginal, weighting)
 
 
 def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:

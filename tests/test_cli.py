@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import sqkd3.term_tables as tables
 import sqkd3.linalg as linalg
-from sqkd3 import verify
+from sqkd3 import ChannelScenario, key_rate, verify
 from sqkd3.cli import main
 
 
@@ -147,9 +148,38 @@ def test_verify_detects_corrupted_term_table(capsys, monkeypatch):
                for line in out.splitlines())
 
 
-def test_threads_env_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SQKD3_THREADS", "1")
-    out = tmp_path / "t.csv"
-    code, _, _ = run_cli(capsys, "sweep", "--steps", "5", "--out", str(out))
+def test_sweep_repeatable_and_rows_equal_key_rate(tmp_path, capsys):
+    flags = ["--variant", "phi2", "--model", "indep", "--p-mode", "corrected",
+             "--weighting", "normalized", "--basis-convention", "total",
+             "--q-min", "0", "--q-max", "0.3", "--steps", "31"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(capsys, "sweep", *flags, "--out", str(a))[0] == 0
+    assert run_cli(capsys, "sweep", *flags, "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    rows = a.read_text().strip().split("\n")[2:]
+    assert len(rows) == 31
+    for q, row in zip(np.linspace(0.0, 0.3, 31), rows):
+        rep = key_rate(ChannelScenario(
+            q=float(q), model="independent", variant="phi2",
+            basis_noise_convention="total", joint_weighting="normalized",
+            p_mode="corrected"))
+        assert row.split(",")[1] == f"{rep.r:.9g}"
+
+
+def test_sweep_accepts_noise_up_to_three_eighths(tmp_path, capsys):
+    out = tmp_path / "high.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--q-max", "0.36", "--out", str(out))
     assert code == 0
-    assert len(out.read_text().strip().split("\n")) == 2 + 5
+    last = out.read_text().strip().split("\n")[-1].split(",")
+    assert float(last[0]) == 0.36
+
+
+def test_threshold_past_one_third(capsys):
+    flags = ["threshold", "--variant", "phi1", "--model", "dep",
+             "--weighting", "normalized"]
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0
+    assert json.loads(out)["threshold"] == pytest.approx(0.3476, abs=1e-4)
+    code, out, _ = run_cli(capsys, *flags, "--basis-convention", "total")
+    assert code == 0
+    assert json.loads(out)["threshold"] is None

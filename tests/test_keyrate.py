@@ -1,21 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
 from sqkd3.attack import ChannelScenario, pauli_twirl_attack, random_attack, \
     vector_families
-from sqkd3.keyrate import (KeyRateReport, Sigma1Decomposition,
-                           conditional_entropies, feasibility_ceiling,
-                           find_threshold, h_b_given_a, key_rate,
-                           key_rate_from_table, lemma1_check, p_lower_bound,
-                           s_bec, s_ec_upper, sigma1_eigenvalues, x_bound)
-from sqkd3.linalg import haar_unitary
+from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
+                           feasibility_ceiling, find_threshold, h_b_given_a,
+                           key_rate, key_rate_curve, key_rate_from_table,
+                           lemma1_check, p_lower_bound, s_bec, s_ec_upper,
+                           sigma1_eigenvalues, sigma1_entropy_terms, x_bound)
+from sqkd3.linalg import haar_unitary, shannon_entropy3
 from sqkd3.stats import (StatTable, joint_and_marginal, p_table_symmetric,
-                         stat_table_for_scenario, stat_table_from_attack)
+                         stat_table_for_scenario, stat_table_from_attack,
+                         t_values)
 
 LOG3_2 = 0.6309297535714574
 S_BEC_Q005 = 1.7179924992930606  # frozen 40-digit oracle, symmetric q=0.05
@@ -199,12 +201,89 @@ def test_corrected_mode_entropy_terms_nonnegative():
 
 
 def test_find_threshold_reports_absence(monkeypatch):
-    always_positive = KeyRateReport(
-        t=(3, 0, 0, 0), X=3.0, S_clamped=9.0, p_lower=3.0, lambda1=1.0,
-        lambda2=0.0, S_BEC=1.0, S_EC_upper=0.0, H_B_given_A=0.0, r=1.0,
-        convention_flags={})
-    monkeypatch.setattr(keyrate, "key_rate", lambda s: always_positive)
+    monkeypatch.setattr(keyrate, "key_rate_curve",
+                        lambda q, *conventions: {"r": np.ones(len(q))})
     assert find_threshold("phi1", "dependent") is None
+
+
+def test_find_threshold_reports_absence_unpatched():
+    # phi1 under the normalized weighting with halved basis noise stays
+    # positive on the whole of [0, 3/8]
+    assert find_threshold("phi1", "dependent", "total", "normalized") is None
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the scalar stage functions
+# ---------------------------------------------------------------------------
+
+CONVENTIONS = list(itertools.product(
+    ("phi1", "phi2"), ("dependent", "independent"), ("per-pair", "total"),
+    ("as-printed", "normalized"), ("as-printed", "corrected")))
+
+#: Scalar `x ** 2` is libm pow, an array `x ** 2` an exact product; at this
+#: point they differ, and phi1/dependent/corrected prints lambda2 = 2**-54
+#: where an exact square gives 0.
+POW_TRAP_Q = float(np.linspace(0.0, 1 / 3, 5001)[335])
+
+
+def scalar_recomposition(scn: ChannelScenario) -> dict:
+    """key_rate(scn) rebuilt from the public stage functions, one call each."""
+    table = stat_table_for_scenario(scn)
+    t = t_values(table.p)
+    x = x_bound(table)
+    if scn.p_mode == "as-printed":
+        p_low = max(x, 0.0) ** 2
+    else:
+        p_low = p_lower_bound(x, table, scn.p_mode)
+    p = table.p
+    lam1, lam2, ent = sigma1_entropy_terms(p[0, 0, 0], p[1, 1, 1], p[2, 2, 2],
+                                           p_low, scn.p_mode)
+    bec = s_bec(table)
+    if scn.p_mode == "corrected":
+        ec_upper = s_ec_upper(t, lam1, lam2)
+    else:
+        ec_upper = (shannon_entropy3([t[0] / 3, t[1] / 3, t[2] / 3, t[3] / 3])
+                    + (t[1] + t[2] + t[3]) / 3.0 + t[0] / 3.0 * ent)
+    hba = h_b_given_a(joint_and_marginal(p, scn.joint_weighting))
+    return {"t1": t[0], "t2": t[1], "t3": t[2], "t4": t[3], "X": x,
+            "S_clamped": max(x, 0.0) ** 2, "p_lower": p_low, "lambda1": lam1,
+            "lambda2": lam2, "S_BEC": bec, "S_EC_upper": ec_upper,
+            "H_B_given_A": hba, "r": bec - ec_upper - hba}
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=Q_MAX), min_size=1,
+                max_size=12),
+       st.sampled_from(CONVENTIONS))
+@example([POW_TRAP_Q], ("phi1", "dependent", "per-pair", "as-printed", "corrected"))
+@example([0.0, 1 / 3, Q_MAX], ("phi2", "independent", "total", "normalized",
+                                "as-printed"))
+@settings(max_examples=80, deadline=None)
+def test_kernel_rows_equal_scalar_recomposition(qs, conv):
+    variant, model, basis, weighting, p_mode = conv
+    cols = key_rate_curve(np.array(qs), model, variant, basis, weighting, p_mode)
+    for i, q in enumerate(qs):
+        scn = ChannelScenario(q=q, model=model, variant=variant,
+                              basis_noise_convention=basis,
+                              joint_weighting=weighting, p_mode=p_mode)
+        for name, value in scalar_recomposition(scn).items():
+            assert float(cols[name][i]).hex() == float(value).hex(), (name, q)
+        assert float(cols["r"][i]).hex() == float(key_rate(scn).r).hex()
+
+
+def test_kernel_keeps_scalar_pow_rounding():
+    cols = key_rate_curve(np.linspace(0.0, 1 / 3, 5001), p_mode="corrected")
+    assert cols["Q"][335] == POW_TRAP_Q
+    assert f"{cols['lambda2'][335]:.9g}" == "5.55111512e-17"
+    assert cols["lambda2"][335] == 2.0 ** -54
+
+
+def test_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        key_rate_curve(np.array([0.1, 0.4]))
+    with pytest.raises(ValueError):
+        key_rate_curve(np.array([0.1, np.nan]))
+    with pytest.raises(ValueError):
+        key_rate_curve(np.array([0.1]), model="bogus")
 
 
 def test_lemma1_check_examples():

@@ -37,7 +37,7 @@ def test_symmetric_table_values():
 
 
 @pytest.mark.parametrize("qf,qr", [(0.0, 0.0), (0.05, 0.05), (0.1, 0.2),
-                                   (0.3, 0.05)])
+                                   (0.3, 0.05), (0.34, 0.34), (0.375, 0.375)])
 def test_twirl_matches_symmetric_table(qf, qr):
     analytic = p_table_symmetric(qf, qr)
     from_attack = p_table_from_attack(vector_families(pauli_twirl_attack(qf, qr)))

@@ -90,6 +90,10 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not (0.0 <= args.q <= Q_MAX and args.n >= 1 and args.seed >= 0):
+        print("simulate needs 0 <= q <= 0.375, n >= 1 and seed >= 0",
+              file=sys.stderr)
+        return 2
     attack = pauli_twirl_attack(args.q, args.q)
     result = run_protocol(args.n, attack, args.variant, args.seed)
     table = stat_table_from_attack(attack, args.variant)

@@ -145,11 +145,13 @@ def _p_lower(x, p: np.ndarray, mode: str) -> np.ndarray:
 
 
 def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
-    """Lower bound on the overlap quantity entering the eigenvalue forms.
+    """The overlap quantity fed to the eigenvalue forms.
 
-    as-printed: max(x, 0)^2; corrected: max(x, 0)^2 / 3, which is a valid
-    bound on the sum of squared overlap moduli.  Both are capped at the
-    feasibility ceiling.  Note the replication path in key_rate feeds the
+    as-printed: max(x, 0)^2; corrected: max(x, 0)^2 / 3.  Both are capped
+    at the feasibility ceiling.  Neither is a lower bound on the no-error
+    overlap sum (no_error_overlap): on the symmetric twirl the corrected
+    value is 2.548 against an exact 2.342 at Q = 0.02, and 1.968 against
+    1.566 at Q = 0.05.  Note the replication path in key_rate feeds the
     eigenvalue forms the uncapped square instead (see module docstring).
     """
     return float(_p_lower(x, table.p, mode))
@@ -449,19 +451,21 @@ def rho_be(fams: VectorFamilies) -> np.ndarray:
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
-    """Same state with the four-dimensional error-pattern register attached."""
+    """Same state with the four-dimensional error-pattern register attached.
+
+    Index order (j, e, c): each record adds its outer product to the one
+    (j, c) block it lives in; every other entry stays zero.
+    """
     dim_e = fams.ekij[(0, 0, 0)].shape[0]
-    dim = 3 * dim_e * 4
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((3 * dim_e * 4, 3 * dim_e * 4), dtype=complex)
+    # a view of rho, indexed [j, e, c, j', e', c']
+    blocks = rho.reshape(3, dim_e, 4, 3, dim_e, 4)
     for j in range(3):
         for i in range(3):
             for k in range(3):
                 v = fams.ekij[(k, j, 3 * i + j)]
                 c = _c_register_index(i, j, k)
-                big = np.zeros(dim, dtype=complex)
-                start = (j * dim_e) * 4 + c
-                big[start:start + dim_e * 4:4] = v
-                rho += np.outer(big, big.conj()) / 3.0
+                blocks[j, :, c, j, :, c] += np.outer(v, v.conj()) / 3.0
     return rho
 
 
@@ -472,7 +476,13 @@ def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
 
 
 def conditional_entropies(fams: VectorFamilies) -> dict:
-    """S(B|E) and S(B|EC) from the explicitly assembled states."""
+    """S(B|E) and S(B|EC) from the explicitly assembled states.
+
+    Also returns S(EC).  The states are block-diagonal (in the receiver
+    symbol j, and for rho_bec also in the error-pattern register c), and
+    von_neumann_entropy3 eigendecomposes each block on its own: on the
+    twirl the 972-dimensional rho_bec has 243 nonzero rows in 27 blocks.
+    """
     be = rho_be(fams)
     dim_e = be.shape[0] // 3
     e = trace_out_receiver(be, dim_e)

@@ -110,19 +110,53 @@ def shannon_entropy3(probs) -> float:
 def von_neumann_entropy3(rho: np.ndarray) -> float:
     """Base-3 von Neumann entropy of a density matrix.
 
-    The input is Hermitized as (M + M^dag)/2 before eigendecomposition;
-    eigenvalues in [-1e-10, 0) are clamped to 0.
+    The input is Hermitized as (M + M^dag)/2.  Its exactly-zero rows and
+    columns, which only add zero eigenvalues, are dropped; the rest is
+    split into the connected components of its nonzero pattern, which are
+    diagonal blocks up to a permutation, and each block is
+    eigendecomposed on its own (all blocks of one size in one batched
+    call).  A fully linked operator is one block.
+    Eigenvalues in [-1e-10, 0) are clamped to 0.
     """
     rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("operator is not Hermitian within tolerance")
+    adjoint = rho.conj().T
+    # a non-finite entry makes the deviation NaN, which fails this test
+    if not np.max(np.abs(rho - adjoint)) <= HERMITICITY_TOL:
+        raise ValueError("operator is not Hermitian within tolerance, "
+                         "or has a non-finite entry")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {np.trace(rho)} is not 1 within tolerance")
-    herm = (rho + rho.conj().T) / 2
-    evals = np.linalg.eigvalsh(herm)
+    herm = (rho + adjoint) / 2
+    evals = np.sort(np.concatenate([
+        np.linalg.eigvalsh(herm[idx[:, :, None], idx[:, None, :]]).ravel()
+        for idx in _linked_blocks(herm != 0)]))
     if evals.min() < -EIGENVALUE_CLAMP:
         raise ValueError(f"negative eigenvalue {evals.min()} beyond tolerance")
     return shannon_entropy3(np.clip(evals, 0.0, None))
+
+
+def _linked_blocks(linked: np.ndarray) -> list:
+    """Connected components of a symmetric boolean pattern, leaving out
+    rows with no True entry, as one (k, m) index array per block size m.
+
+    Breadth-first search that expands each row once, so O(n^2) in all.
+    A pattern with no False entry is one block at the cost of one check,
+    so a small dense operator pays a few numpy calls over its eigvalsh.
+    """
+    if linked.all():
+        return [np.arange(len(linked))[None]]
+    unseen = linked.any(axis=1)
+    blocks = []
+    while unseen.any():
+        frontier = unseen.argmax(keepdims=True)
+        block = []
+        while frontier.size:
+            block.append(frontier)
+            unseen[frontier] = False
+            frontier = (linked[frontier].any(axis=0) & unseen).nonzero()[0]
+        blocks.append(np.sort(np.concatenate(block)))
+    return [np.array([b for b in blocks if len(b) == m])
+            for m in sorted({len(b) for b in blocks})]
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,6 +35,10 @@ class StatTable:
         p = self.p
         if p.shape != (3, 3, 3):
             raise ValueError("p must be a 3x3x3 table")
+        if self.variant not in tables.X54_COEFFICIENT:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if not (np.isfinite(p).all() and np.isfinite(self.basis_err).all()):
+            raise ValueError("table entries must be finite")
         check_p_tables(p)
         if self.basis_err.shape != (6,):
             raise ValueError("basis_err must have six entries")

@@ -83,6 +83,15 @@ def test_sweep_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--q", "0.5"], ["--q", "-0.1"], ["--q", "nan"],
+                                  ["--n", "0"], ["--seed", "-1"]])
+def test_simulate_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("simulate needs") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--variant", "phi3"])

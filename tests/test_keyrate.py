@@ -14,8 +14,9 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            feasibility_ceiling, find_threshold, h_b_given_a,
                            key_rate, key_rate_curve, key_rate_from_table,
                            lemma1_check, no_error_overlap, p_lower_bound,
-                           s_bec, s_ec_bound, s_ec_upper, sigma1_eigenvalues,
-                           sigma1_entropy_terms, x_bound)
+                           rho_be, rho_bec, s_bec, s_ec_bound, s_ec_upper,
+                           sigma1_eigenvalues, sigma1_entropy_terms,
+                           trace_out_receiver, x_bound)
 from sqkd3.linalg import haar_unitary, shannon_entropy3
 from sqkd3.stats import (StatTable, joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
@@ -97,6 +98,19 @@ def test_p_lower_bound_modes():
     assert p_lower_bound(3.0, table, "as-printed") == pytest.approx(3.0)
     with pytest.raises(ValueError):
         p_lower_bound(1.0, table, "bogus")
+
+
+@pytest.mark.parametrize("q,p_low,overlap", [(0.02, 2.548, 2.342),
+                                              (0.05, 1.968, 1.566)])
+def test_corrected_p_lower_exceeds_twirl_overlap(q, p_low, overlap):
+    # the corrected p_lower is not a lower bound on the no-error overlap
+    # sum: on the twirl's own statistics it lies above the exact value
+    table = stat_table_for_scenario(ChannelScenario(q=q, p_mode="corrected"))
+    value = p_lower_bound(x_bound(table), table, "corrected")
+    exact = no_error_overlap(vector_families(pauli_twirl_attack(q, q)))
+    assert value == pytest.approx(p_low, abs=1e-3)
+    assert exact == pytest.approx(overlap, abs=1e-3)
+    assert value > exact
 
 
 def test_sigma1_eigenvalue_closed_forms():
@@ -317,6 +331,50 @@ def test_twirl_exact_conditioned_entropy_pieces():
     ents = conditional_entropies(fams)
     assert ents["S_B_given_E"] == pytest.approx(ents["S_B_given_EC"], abs=1e-9)
     assert ents["S_EC_exact"] > 0
+
+
+def _rho_bec_outer_products(fams):
+    """rho_bec as a sum of 27 outer products of full-length vectors."""
+    dim_e = fams.ekij[(0, 0, 0)].shape[0]
+    dim = 3 * dim_e * 4
+    rho = np.zeros((dim, dim), dtype=complex)
+    for j, i, k in itertools.product(range(3), repeat=3):
+        flips = int(i != j) + int(j != k)
+        c = (0 if flips == 0 else 1) if j == k else (2 if flips == 1 else 3)
+        big = np.zeros(dim, dtype=complex)
+        big[j * dim_e * 4 + c::4][:dim_e] = fams.ekij[(k, j, 3 * i + j)]
+        rho += np.outer(big, big.conj()) / 3.0
+    return rho
+
+
+@pytest.mark.parametrize("attack", [pauli_twirl_attack(0.05, 0.05),
+                                    random_attack(3, 9, seed=17)],
+                         ids=["twirl", "random"])
+def test_rho_bec_bit_equal_to_outer_products(attack):
+    fams = vector_families(attack)
+    assert rho_bec(fams).tobytes() == _rho_bec_outer_products(fams).tobytes()
+
+
+def _full_spectrum_entropy(rho):
+    return shannon_entropy3(np.clip(np.linalg.eigvalsh(rho), 0.0, None))
+
+
+@pytest.mark.parametrize("attack", [
+    pauli_twirl_attack(0.02, 0.02), pauli_twirl_attack(0.05, 0.05),
+    random_attack(3, 3, seed=41), random_attack(9, 9, seed=42)],
+    ids=["twirl-0.02", "twirl-0.05", "random-3-3", "random-9-9"])
+def test_conditional_entropies_match_full_spectra(attack):
+    fams = vector_families(attack)
+    be, bec = rho_be(fams), rho_bec(fams)
+    dim_e = be.shape[0] // 3
+    s_e = _full_spectrum_entropy(trace_out_receiver(be, dim_e))
+    s_ec = _full_spectrum_entropy(trace_out_receiver(bec, dim_e * 4))
+    ref = {"S_B_given_E": _full_spectrum_entropy(be) - s_e,
+           "S_B_given_EC": _full_spectrum_entropy(bec) - s_ec,
+           "S_EC_exact": s_ec}
+    ents = conditional_entropies(fams)
+    for key, value in ref.items():
+        assert abs(ents[key] - value) < 1e-12, key
 
 
 # ---------------------------------------------------------------------------

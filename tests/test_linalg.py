@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd3.linalg import (basis_vectors, haar_unitary, shannon_entropy3,
@@ -122,3 +122,69 @@ def test_shannon_equals_von_neumann_on_diagonals(seed):
     probs = rng.dirichlet(np.ones(3))
     assert von_neumann_entropy3(np.diag(probs).astype(complex)) == pytest.approx(
         shannon_entropy3(probs), abs=1e-10)
+
+
+def _block_diagonal_state(sizes, n_zero, rng, chains=False):
+    """Density matrix with blocks of the given sizes on its diagonal,
+    followed by n_zero zero rows.  Blocks are dense, or with chains=True
+    randomly dense or tridiagonal (linked only through a path)."""
+    weights = rng.dirichlet(np.ones(len(sizes)))
+    dim = sum(sizes) + n_zero
+    rho = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for w, size in zip(weights, sizes):
+        if chains and rng.random() < 0.5:
+            b = np.diag(rng.normal(size=size) + 1j * rng.normal(size=size))
+            b += np.diag(rng.normal(size=size - 1) + 1.0, k=-1)
+            block = b @ b.conj().T
+            block /= block.trace().real
+        else:
+            u = haar_unitary(size, rng)
+            block = u @ np.diag(rng.dirichlet(np.ones(size))).astype(complex) \
+                @ u.conj().T
+        rho[start:start + size, start:start + size] = w * block
+        start += size
+    return rho
+
+
+def _full_spectrum_entropy(rho):
+    return shannon_entropy3(np.clip(np.linalg.eigvalsh(rho), 0.0, None))
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=5))
+@example(0, [9], 0)   # dense: one block, no zero row
+@example(1, [1], 6)   # one live row
+@settings(max_examples=60, deadline=None)
+def test_von_neumann_blockwise_equals_full_spectrum(seed, sizes, n_zero):
+    rng = np.random.default_rng(seed)
+    rho = _block_diagonal_state(sizes, n_zero, rng, chains=True)
+    perm = rng.permutation(len(rho))
+    rho = rho[np.ix_(perm, perm)]
+    assert abs(von_neumann_entropy3(rho) - _full_spectrum_entropy(rho)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("fault,message", [
+    ("non-hermitian", "not Hermitian"),
+    ("trace", "trace"),
+    ("negative", "negative eigenvalue"),
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+])
+def test_von_neumann_rejects_fault_inside_one_block(fault, message):
+    rng = np.random.default_rng(5)
+    rho = _block_diagonal_state([3, 3], 0, rng)
+    if fault == "non-hermitian":
+        rho[4, 5] += 1e-3
+    elif fault == "trace":
+        rho[3:, 3:] *= 1.5
+    elif fault == "negative":
+        rho[3:, 3:] = np.diag([rho[3:, 3:].trace().real + 0.01, 0.0, -0.01])
+    else:
+        rho[4, 5] = rho[5, 4] = np.nan if fault == "nan" else np.inf
+    big = np.zeros((8, 8), dtype=complex)   # two zero rows, blocks at 1..6
+    big[1:7, 1:7] = rho
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy3(big)

@@ -149,6 +149,24 @@ def test_stat_table_validation_and_json():
         StatTable(bad, table.basis_err, "phi1")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("variant", "phi3"),
+    ("basis_err", np.nan),
+    ("basis_err", np.inf),
+    ("p", np.nan),
+])
+def test_stat_table_rejects_unknown_variant_and_non_finite_entries(field, value):
+    table = stat_table_from_attack(pauli_twirl_attack(0.1, 0.1), "phi1")
+    args = {"p": table.p.copy(), "basis_err": table.basis_err.copy(),
+            "variant": table.variant}
+    if field == "variant":
+        args[field] = value
+    else:
+        args[field].flat[0] = value
+    with pytest.raises(ValueError):
+        StatTable(**args)
+
+
 def test_scenario_table_uses_convention():
     s = ChannelScenario(q=0.05, model="independent", variant="phi2")
     table = stat_table_for_scenario(s)

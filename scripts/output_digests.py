@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Print one sha256 digest per output that a refactor must keep byte-identical.
+
+The outputs are:
+
+* the `sweep` CSV of each of the 32 conventions, 301 steps over [0, 3/8];
+* the 8 `threshold` JSONs of the README (both p-modes, default weighting
+  and basis convention);
+* seeded `simulate` JSONs for both variants at three noise levels;
+* the `verify` text;
+* `stat_table_from_attack` of one seeded random attack per
+  (d_f, d_r) in {1, 3, 9}^2, for both variants.
+
+Compare two source trees by running it on each and diffing the outputs:
+
+    PYTHONPATH=<tree>/src python scripts/output_digests.py > <tree>.txt
+"""
+import contextlib
+import hashlib
+import io
+import itertools
+
+from sqkd3 import verify
+from sqkd3.attack import random_attack
+from sqkd3.cli import main
+from sqkd3.stats import stat_table_from_attack
+
+CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
+               "--p-mode": ("printed", "corrected"),
+               "--weighting": ("printed", "normalized"),
+               "--basis-convention": ("per-pair", "total")}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_output(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def outputs():
+    for values in itertools.product(*CONVENTIONS.values()):
+        flags = [x for pair in zip(CONVENTIONS, values) for x in pair]
+        yield "sweep " + " ".join(flags), cli_output(
+            ["sweep", *flags, "--q-min", "0", "--q-max", "0.375",
+             "--steps", "301"])
+    for variant, model, p_mode in itertools.product(
+            *(CONVENTIONS[k] for k in ("--variant", "--model", "--p-mode"))):
+        flags = ["--variant", variant, "--model", model, "--p-mode", p_mode]
+        yield "threshold " + " ".join(flags), cli_output(["threshold", *flags])
+    for variant, q, seed in itertools.product(("phi1", "phi2"),
+                                              ("0.02", "0.1", "0.3"), (0, 7)):
+        argv = ["simulate", "--n", "200000", "--q", q, "--variant", variant,
+                "--seed", str(seed)]
+        yield " ".join(argv), cli_output(argv)
+    lines = []
+    verify.run_all(report=lines.append)
+    yield "verify", "\n".join(lines)
+    for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
+        attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
+        for variant in ("phi1", "phi2"):
+            table = stat_table_from_attack(attack, variant)
+            yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",
+                   table.p.tobytes().hex() + table.basis_err.tobytes().hex())
+
+
+if __name__ == "__main__":
+    for name, text in outputs():
+        print(digest(text), name)

@@ -86,20 +86,24 @@ class AttackModel:
 
 @dataclass(frozen=True)
 class VectorFamilies:
-    """Eve's unnormalized record vectors for one attack.
+    """Eve's unnormalized record vectors for one attack, as complex arrays.
 
-    e[3i+j]      : forward record when |i> was sent and |j> arrives.
-    ekij[(k,i,j)]: record after the reverse stage maps |i, e_j> onto |k>.
-    f[3i+j]      : records of the composed round trip V|i,0>.
-    g[3i+j]      : same, expressed on the T basis (all nine computed).
-    h[3i+j]      : same, expressed on the K basis (all nine computed).
+    Each record is a vector along the last axis; D = d_f * d_r.
+
+    e    (9, d_f)       e[3i+j]: forward record when |i> was sent and |j>
+                        arrives.
+    ekij (3, 3, 9, D)   ekij[k, i, j]: record after the reverse stage maps
+                        |i, e_j> onto |k> (j indexes e, so 0 <= j < 9).
+    f    (9, D)         f[3i+j]: records of the composed round trip V|i,0>.
+    g    (9, D)         g[3i+j]: same, expressed on the T basis.
+    h    (9, D)         h[3i+j]: same, expressed on the K basis.
     """
 
-    e: list = field(repr=False)
-    ekij: dict = field(repr=False)
-    f: list = field(repr=False)
-    g: list = field(repr=False)
-    h: list = field(repr=False)
+    e: np.ndarray = field(repr=False)
+    ekij: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -231,68 +235,31 @@ def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
     return AttackModel(fw, rv, d_f, d_r)
 
 
-def extract_e(attack: AttackModel) -> list:
-    """Forward records: e[3i+j] = (<j| x I) forward |i>, each of dim d_f."""
-    return [attack.forward[:, i].reshape(3, attack.d_f)[j]
-            for i in range(3) for j in range(3)]
-
-
-def extract_ekij(attack: AttackModel) -> dict:
-    """Reverse records e^k_{i,j} = (<k| x I) reverse (|i> x e_j)."""
-    e = extract_e(attack)
-    d_f, d_r = attack.d_f, attack.d_r
-    out = {}
-    for i in range(3):
-        for j in range(9):
-            vin = np.zeros(3 * d_f, dtype=complex)
-            vin[i * d_f:(i + 1) * d_f] = e[j]
-            blocks = (attack.reverse @ vin).reshape(3, d_f * d_r)
-            for k in range(3):
-                out[(k, i, j)] = blocks[k]
-    return out
-
-
-def compose_f(attack: AttackModel) -> list:
-    """Round-trip records: V|i,0> = sum_j |j, f_{3i+j}>."""
-    v = attack.composed()
-    dim = attack.d_f * attack.d_r
-    return [v[:, i].reshape(3, dim)[j] for i in range(3) for j in range(3)]
-
-
-def _compose_on_basis(f: list, basis: np.ndarray) -> list:
+def _on_basis(f: np.ndarray, basis_id: str) -> np.ndarray:
     """Express the round-trip records on an alternative basis.
 
     If V|i,0> = sum_j |j, f_{3i+j}> on the canonical basis, then on a basis
     with kets b_i the same operator reads V|b_i,0> = sum_j |b_j, v_{3i+j}>
-    with v_{3i+j} = sum_{a,b} B[a,i] conj(B[b,j]) f_{3a+b}.
+    with v_{3i+j} = sum_{a,c} B[a,i] conj(B[c,j]) f_{3a+c}.
     """
-    out = []
-    for i in range(3):
-        for j in range(3):
-            vec = np.zeros_like(f[0])
-            for a in range(3):
-                coeff_row = basis[a, i]
-                for b in range(3):
-                    c = coeff_row * np.conj(basis[b, j])
-                    if c != 0:
-                        vec = vec + c * f[3 * a + b]
-            out.append(vec)
-    return out
-
-
-def compose_g(f: list) -> list:
-    """T-basis round-trip records (all nine, index 3i+j)."""
-    return _compose_on_basis(f, basis_vectors("T").vectors)
-
-
-def compose_h(f: list) -> list:
-    """K-basis round-trip records (all nine, index 3i+j)."""
-    return _compose_on_basis(f, basis_vectors("K").vectors)
+    b = basis_vectors(basis_id).vectors
+    # scalar coefficient products and a sequential sum over (a, c): numpy's
+    # array complex multiply and pairwise sums would round differently
+    coeff = np.array([[b[a, i] * np.conj(b[c, j])
+                       for a in range(3) for c in range(3)]
+                      for i in range(3) for j in range(3)])
+    return np.add.accumulate(coeff[:, :, None] * f, axis=1)[:, -1]
 
 
 def vector_families(attack: AttackModel) -> VectorFamilies:
     """Extract every record family of an attack in one pass."""
-    e = extract_e(attack)
-    ekij = extract_ekij(attack)
-    f = compose_f(attack)
-    return VectorFamilies(e=e, ekij=ekij, f=f, g=compose_g(f), h=compose_h(f))
+    d_f, dim = attack.d_f, attack.d_f * attack.d_r
+    e = attack.forward.T.reshape(9, d_f)
+    # vin[i, j] = |i> x e_j, mapped by the reverse stage one matrix-vector
+    # product per input (an einsum would round differently)
+    vin = np.zeros((3, 9, 3, d_f), dtype=complex)
+    vin[range(3), :, range(3)] = e
+    out = np.matmul(attack.reverse, vin.reshape(27, 3 * d_f, 1))
+    ekij = out.reshape(3, 9, 3, dim).transpose(2, 0, 1, 3)
+    f = attack.composed().T.reshape(9, dim)
+    return VectorFamilies(e, ekij, f, _on_basis(f, "T"), _on_basis(f, "K"))

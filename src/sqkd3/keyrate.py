@@ -487,9 +487,9 @@ def conditional_entropies(fams: VectorFamilies) -> dict:
     dim_e = be.shape[0] // 3
     e = trace_out_receiver(be, dim_e)
     bec = rho_bec(fams)
-    ec = trace_out_receiver(bec, dim_e * 4)
+    s_ec = von_neumann_entropy3(trace_out_receiver(bec, dim_e * 4))
     return {
         "S_B_given_E": von_neumann_entropy3(be) - von_neumann_entropy3(e),
-        "S_B_given_EC": von_neumann_entropy3(bec) - von_neumann_entropy3(ec),
-        "S_EC_exact": von_neumann_entropy3(ec),
+        "S_B_given_EC": von_neumann_entropy3(bec) - s_ec,
+        "S_EC_exact": s_ec,
     }

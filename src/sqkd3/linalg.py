@@ -98,6 +98,15 @@ def _positive_entropy3(rows: np.ndarray) -> np.ndarray:
     return -(v * np.log(v)).sum(axis=1) / LN3
 
 
+def sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared norms <v|v> over the last axis of a stack of vectors.
+
+    One stacked 1 x n by n x 1 product per vector, which gives each norm
+    the bits of np.vdot(v, v).real.
+    """
+    return np.matmul(v.conj()[..., None, :], v[..., :, None])[..., 0, 0].real
+
+
 def shannon_entropy3(probs) -> float:
     """Base-3 Shannon entropy -sum p_i log3 p_i with 0 log 0 := 0.
 
@@ -126,7 +135,8 @@ def von_neumann_entropy3(rho: np.ndarray) -> float:
                          "or has a non-finite entry")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {np.trace(rho)} is not 1 within tolerance")
-    herm = (rho + adjoint) / 2
+    herm = rho + adjoint
+    herm *= 0.5
     evals = np.sort(np.concatenate([
         np.linalg.eigvalsh(herm[idx[:, :, None], idx[:, None, :]]).ravel()
         for idx in _linked_blocks(herm != 0)]))
@@ -162,10 +172,6 @@ def _linked_blocks(linked: np.ndarray) -> list:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor most significant (row-major indexing)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

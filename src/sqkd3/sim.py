@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .term_tables import BASIS_ERROR_ORDER
-from .attack import AttackModel, extract_e, vector_families
-from .linalg import BasisSet, basis_vectors
+from .attack import AttackModel, vector_families
+from .linalg import BasisSet, basis_vectors, sq_norms
+from .stats import alt_basis_table, measure_records, p_table_from_attack
 
 
 @dataclass(frozen=True)
@@ -108,47 +109,13 @@ def _conditional_tables(attack: AttackModel, variant: str) -> dict:
     """
     fams = vector_families(attack)
     alt = _alt_basis(variant).vectors
-    d_f = attack.d_f
-    e = extract_e(attack)
-
-    am = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                v = fams.ekij[(k, j, 3 * i + j)]
-                am[i, j, k] = np.vdot(v, v).real
-
-    ar = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(3):
-            v = fams.f[3 * i + k]
-            ar[i, k] = np.vdot(v, v).real
-
-    alt_m = np.zeros((3, 3, 3))
-    for i_alt in range(3):
-        # forward record for an alternative-basis input, per receiver outcome
-        for j in range(3):
-            rec = np.zeros(d_f, dtype=complex)
-            for a in range(3):
-                rec = rec + alt[a, i_alt] * e[3 * a + j]
-            vin = np.zeros(3 * d_f, dtype=complex)
-            vin[j * d_f:(j + 1) * d_f] = rec
-            blocks = (attack.reverse @ vin).reshape(3, d_f * attack.d_r)
-            for k_alt in range(3):
-                amp = np.zeros(d_f * attack.d_r, dtype=complex)
-                for b in range(3):
-                    amp = amp + np.conj(alt[b, k_alt]) * blocks[b]
-                alt_m[i_alt, j, k_alt] = np.vdot(amp, amp).real
-
-    alt_r = np.zeros((3, 3))
-    family = fams.g if variant == "phi1" else fams.h
-    for i_alt in range(3):
-        for k_alt in range(3):
-            v = family[3 * i_alt + k_alt]
-            alt_r[i_alt, k_alt] = np.vdot(v, v).real
-
-    return {("A", "M"): am, ("A", "R"): ar,
-            ("alt", "M"): alt_m, ("alt", "R"): alt_r}
+    # by linearity, sending alt ket i and measuring alt ket k on the way
+    # back leaves sum_ab alt[a,i] conj(alt[b,k]) e^b_{j,3a+j}
+    alt_m = sq_norms(np.einsum("ai,bk,ajbd->ijkd", alt, alt.conj(),
+                               measure_records(fams)))
+    return {("A", "M"): p_table_from_attack(fams),
+            ("A", "R"): sq_norms(fams.f).reshape(3, 3),
+            ("alt", "M"): alt_m, ("alt", "R"): alt_basis_table(fams, variant)}
 
 
 def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",

@@ -15,7 +15,7 @@ import numpy as np
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
                      vector_families)
-from .linalg import OMEGA
+from .linalg import OMEGA, sq_norms
 
 ROW_SUM_TOL = 1e-9
 
@@ -79,15 +79,24 @@ class JointDistribution:
     weighting: str          # as-printed | normalized
 
 
+_I, _J, _K = np.indices((3, 3, 3))
+
+
+def measure_records(fams: VectorFamilies) -> np.ndarray:
+    """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
+    (sent |i>, receiver found |j>, sender finds |k>), (3, 3, 3, D) at [i, j, k]."""
+    return fams.ekij[_K, _J, 3 * _I + _J]
+
+
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
     """27 probabilities from the record vectors: squared norms of e^k_{j, 3i+j}."""
-    p = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                v = fams.ekij[(k, j, 3 * i + j)]
-                p[i, j, k] = np.vdot(v, v).real
-    return p
+    return sq_norms(measure_records(fams))
+
+
+def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
+    """P(final | sent) (3, 3) of the alternative-basis reflection rounds:
+    squared norms of the T-basis (phi1) or K-basis (phi2) round-trip records."""
+    return sq_norms(fams.g if variant == "phi1" else fams.h).reshape(3, 3)
 
 
 def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
@@ -115,23 +124,17 @@ def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
     return trans(qf)[..., :, :, None] * trans(qr)[..., None, :, :]
 
 
+_ERROR_CELLS = tuple(np.transpose(tables.BASIS_ERROR_ORDER))
+
+
 def basis_error_direct(fams: VectorFamilies, variant: str) -> np.ndarray:
     """Six alternative-basis error probabilities as direct squared norms."""
-    family = fams.g if variant == "phi1" else fams.h
-    out = np.empty(6)
-    for idx, (i, j) in enumerate(tables.BASIS_ERROR_ORDER):
-        v = family[3 * i + j]
-        out[idx] = np.vdot(v, v).real
-    return out
+    return alt_basis_table(fams, variant)[_ERROR_CELLS]
 
 
 def f_gram(fams: VectorFamilies) -> np.ndarray:
     """9x9 Gram matrix <f_m|f_n> of the round-trip record vectors."""
-    g = np.zeros((9, 9), dtype=complex)
-    for m in range(9):
-        for n in range(9):
-            g[m, n] = np.vdot(fams.f[m], fams.f[n])
-    return g
+    return fams.f.conj() @ fams.f.T
 
 
 def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:

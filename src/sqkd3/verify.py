@@ -16,7 +16,7 @@ from .attack import (pauli_twirl_attack, random_attack, ternary_channel_apply,
 from .keyrate import (Sigma1Decomposition, conditional_entropies, lemma1_check,
                       no_error_overlap, s_ec_bound, s_ec_upper,
                       sigma1_eigenvalues)
-from .linalg import basis_vectors, haar_unitary
+from .linalg import basis_vectors, haar_unitary, sq_norms
 from .stats import (basis_error_direct, basis_error_expanded, f_gram,
                     p_table_from_attack, t_values)
 
@@ -44,21 +44,13 @@ def check_sum_rules(n_attacks: int = 200, seed: int = 1000) -> tuple[bool, str]:
                             seed + 1 + trial)
         fams = vector_families(att)
         for vecs in (fams.e, fams.f):
-            for row in range(3):
-                s = sum(np.vdot(vecs[3 * row + j], vecs[3 * row + j]).real
-                        for j in range(3))
-                worst = max(worst, abs(s - 1.0))
-            for r1, r2 in ((0, 1), (1, 2), (0, 2)):
-                s = sum(np.vdot(vecs[3 * r1 + j], vecs[3 * r2 + j])
-                        for j in range(3))
-                worst = max(worst, abs(s))
+            # row i holds the records 3i+j end to end: the Gram sums over j
+            rows = vecs.reshape(3, -1)
+            gram = rows.conj() @ rows.T
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
         # reverse stage preserves each forward record's norm
-        for i in range(3):
-            for j in range(9):
-                total = sum(np.vdot(fams.ekij[(k, i, j)],
-                                    fams.ekij[(k, i, j)]).real for k in range(3))
-                ref = np.vdot(fams.e[j], fams.e[j]).real
-                worst = max(worst, abs(total - ref))
+        kept = sq_norms(fams.ekij).sum(axis=0) - sq_norms(fams.e)
+        worst = max(worst, float(np.max(np.abs(kept))))
     return worst < 1e-10, f"{n_attacks} attacks, max violation {worst:.3e}"
 
 

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkd3.attack import (AttackModel, ChannelScenario, compose_f, compose_g,
-                          compose_h, extract_e, extract_ekij, identity_attack,
+from sqkd3.attack import (AttackModel, ChannelScenario, identity_attack,
                           pauli_twirl_attack, pauli_twirl_isometry,
                           random_attack, ternary_channel_apply,
                           vector_families)
-from sqkd3.linalg import haar_unitary
+from sqkd3.linalg import basis_vectors, haar_unitary
+from sqkd3.sim import _conditional_tables
+from sqkd3.stats import basis_error_direct, p_table_from_attack
+from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
 
@@ -18,7 +20,7 @@ def norm2(v):
 
 
 def test_identity_attack_forward_records():
-    e = extract_e(identity_attack())
+    e = vector_families(identity_attack()).e
     for idx in range(9):
         expected = 1.0 if idx in (0, 4, 8) else 0.0
         assert norm2(e[idx]) == pytest.approx(expected, abs=1e-14)
@@ -26,23 +28,23 @@ def test_identity_attack_forward_records():
 
 def test_twirl_forward_record_norm():
     q = 0.12
-    e = extract_e(pauli_twirl_attack(q, q))
+    e = vector_families(pauli_twirl_attack(q, q)).e
     assert norm2(e[0]) == pytest.approx(1 - 2 * q, abs=1e-12)
 
 
 def test_identity_attack_reverse_records():
-    ek = extract_ekij(identity_attack())
+    ek = vector_families(identity_attack()).ekij
     assert norm2(ek[(0, 0, 0)]) == pytest.approx(1.0, abs=1e-14)
     assert norm2(ek[(1, 1, 4)]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_twirl_reverse_record_norm():
-    ek = extract_ekij(pauli_twirl_attack(0.1, 0.1))
+    ek = vector_families(pauli_twirl_attack(0.1, 0.1)).ekij
     assert norm2(ek[(0, 0, 0)]) == pytest.approx(0.64, abs=1e-12)
 
 
 def test_identity_attack_round_trip_records():
-    f = compose_f(identity_attack())
+    f = vector_families(identity_attack()).f
     for idx in range(9):
         expected = 1.0 if idx in (0, 4, 8) else 0.0
         assert norm2(f[idx]) == pytest.approx(expected, abs=1e-14)
@@ -72,9 +74,8 @@ def test_record_sum_rules(seed, d_f, d_r):
 @given(st.integers(min_value=0, max_value=10_000), DIMS, DIMS)
 @settings(max_examples=20, deadline=None)
 def test_reverse_stage_preserves_record_norms(seed, d_f, d_r):
-    attack = random_attack(d_f, d_r, seed)
-    e = extract_e(attack)
-    ek = extract_ekij(attack)
+    fams = vector_families(random_attack(d_f, d_r, seed))
+    e, ek = fams.e, fams.ekij
     for i in range(3):
         for j in range(9):
             total = sum(norm2(ek[(k, i, j)]) for k in range(3))
@@ -84,9 +85,8 @@ def test_reverse_stage_preserves_record_norms(seed, d_f, d_r):
 @given(st.integers(min_value=0, max_value=10_000), DIMS, DIMS)
 @settings(max_examples=20, deadline=None)
 def test_round_trip_records_two_paths_agree(seed, d_f, d_r):
-    attack = random_attack(d_f, d_r, seed)
-    f = compose_f(attack)
-    ek = extract_ekij(attack)
+    fams = vector_families(random_attack(d_f, d_r, seed))
+    f, ek = fams.f, fams.ekij
     for i in range(3):
         for j in range(3):
             alt = ek[(j, 0, 3 * i)] + ek[(j, 1, 3 * i + 1)] + ek[(j, 2, 3 * i + 2)]
@@ -96,10 +96,90 @@ def test_round_trip_records_two_paths_agree(seed, d_f, d_r):
 @given(st.integers(min_value=0, max_value=10_000), DIMS, DIMS)
 @settings(max_examples=20, deadline=None)
 def test_alternative_basis_records_total_mass(seed, d_f, d_r):
-    f = compose_f(random_attack(d_f, d_r, seed))
-    for family in (compose_g(f), compose_h(f)):
+    fams = vector_families(random_attack(d_f, d_r, seed))
+    for family in (fams.g, fams.h):
         total = sum(norm2(v) for v in family)
         assert total == pytest.approx(3.0, abs=1e-10)
+
+
+def reference_records(attack):
+    """Record families built one vector at a time, with np.vdot norms."""
+    d_f, dim = attack.d_f, attack.d_f * attack.d_r
+    e = [attack.forward[:, i].reshape(3, d_f)[j]
+         for i in range(3) for j in range(3)]
+    ek = np.empty((3, 3, 9, dim), dtype=complex)
+    for i in range(3):
+        for j in range(9):
+            vin = np.zeros(3 * d_f, dtype=complex)
+            vin[i * d_f:(i + 1) * d_f] = e[j]
+            ek[:, i, j] = (attack.reverse @ vin).reshape(3, dim)
+    v = attack.composed()
+    f = [v[:, i].reshape(3, dim)[j] for i in range(3) for j in range(3)]
+
+    def on_basis(b):
+        out = []
+        for i in range(3):
+            for j in range(3):
+                vec = np.zeros(dim, dtype=complex)
+                for a in range(3):
+                    for c in range(3):
+                        vec = vec + b[a, i] * np.conj(b[c, j]) * f[3 * a + c]
+                out.append(vec)
+        return np.array(out)
+
+    g = on_basis(basis_vectors("T").vectors)
+    h = on_basis(basis_vectors("K").vectors)
+    p = np.array([[[norm2(ek[k, j, 3 * i + j]) for k in range(3)]
+                   for j in range(3)] for i in range(3)])
+    return e, ek, f, g, h, p
+
+
+ATTACKS = st.one_of(
+    st.builds(random_attack, DIMS, DIMS, st.integers(0, 10_000)),
+    st.builds(lambda q: pauli_twirl_attack(q, q),
+              st.sampled_from([0.02, 0.1, 0.3])))
+
+
+@given(ATTACKS)
+@settings(max_examples=30, deadline=None)
+def test_record_arrays_bit_equal_to_per_vector_reference(attack):
+    e, ek, f, g, h, p = reference_records(attack)
+    fams = vector_families(attack)
+    for got, ref in ((fams.e, e), (fams.ekij, ek), (fams.f, f),
+                     (fams.g, g), (fams.h, h)):
+        assert np.array_equal(got, np.array(ref))
+    assert np.array_equal(p_table_from_attack(fams), p)
+    for variant, family in (("phi1", g), ("phi2", h)):
+        ref = [norm2(family[3 * i + j]) for i, j in BASIS_ERROR_ORDER]
+        assert np.array_equal(basis_error_direct(fams, variant), ref)
+
+        alt = basis_vectors("T" if variant == "phi1" else "K").vectors
+        alt_m = np.empty((3, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                # alt ket i sent, |j> found and resent, alt ket k measured
+                vin = np.zeros(3 * attack.d_f, dtype=complex)
+                vin[j * attack.d_f:(j + 1) * attack.d_f] = sum(
+                    alt[a, i] * e[3 * a + j] for a in range(3))
+                out = (attack.reverse @ vin).reshape(3, -1)
+                for k in range(3):
+                    alt_m[i, j, k] = norm2(alt[:, k].conj() @ out)
+        expected = {
+            ("A", "M"): p,
+            ("A", "R"): [[norm2(f[3 * i + k]) for k in range(3)]
+                         for i in range(3)],
+            ("alt", "M"): alt_m,
+            ("alt", "R"): [[norm2(family[3 * i + k]) for k in range(3)]
+                           for i in range(3)]}
+        tabs = _conditional_tables(attack, variant)
+        for key, ref in expected.items():
+            assert np.max(np.abs(tabs[key] - np.array(ref))) < 1e-12, key
+            rows = tabs[key].reshape(3, -1).sum(axis=1)
+            assert np.max(np.abs(rows - 1.0)) < 1e-12, key
+        # the counted rounds draw from these two, so their bits fix the
+        # seeded run_protocol output
+        for key in (("A", "M"), ("alt", "R")):
+            assert np.array_equal(tabs[key], expected[key]), key
 
 
 def test_ternary_channel_basics():

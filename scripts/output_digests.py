@@ -7,9 +7,12 @@ The outputs are:
 * the 8 `threshold` JSONs of the README (both p-modes, default weighting
   and basis convention);
 * seeded `simulate` JSONs for both variants at three noise levels;
+* seeded `run_protocol` JSONs of 1 and 5 rounds, for both variants, where
+  most categories are empty;
 * the `verify` text;
-* `stat_table_from_attack` of one seeded random attack per
-  (d_f, d_r) in {1, 3, 9}^2, for both variants.
+* `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON of
+  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2, for both
+  variants.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -21,8 +24,9 @@ import io
 import itertools
 
 from sqkd3 import verify
-from sqkd3.attack import random_attack
+from sqkd3.attack import pauli_twirl_attack, random_attack
 from sqkd3.cli import main
+from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
 
 CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
@@ -57,6 +61,10 @@ def outputs():
         argv = ["simulate", "--n", "200000", "--q", q, "--variant", variant,
                 "--seed", str(seed)]
         yield " ".join(argv), cli_output(argv)
+    for variant, n in itertools.product(("phi1", "phi2"), (1, 5)):
+        yield (f"run_protocol({n}, twirl 0.1) {variant}",
+               run_protocol(n, pauli_twirl_attack(0.1, 0.1), variant,
+                            seed=3).to_json())
     lines = []
     verify.run_all(report=lines.append)
     yield "verify", "\n".join(lines)
@@ -66,6 +74,8 @@ def outputs():
             table = stat_table_from_attack(attack, variant)
             yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",
                    table.p.tobytes().hex() + table.basis_err.tobytes().hex())
+            yield (f"run_protocol(2000, random_attack({d_f}, {d_r})) {variant}",
+                   run_protocol(2000, attack, variant, seed=d_f * d_r).to_json())
 
 
 if __name__ == "__main__":

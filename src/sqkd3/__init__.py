@@ -12,7 +12,8 @@ from .keyrate import (KeyRateReport, Sigma1Decomposition, find_threshold,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues, x_bound)
 from .linalg import (BasisSet, basis_vectors, shannon_entropy3, tensor,
                      von_neumann_entropy3)
-from .sim import RoundRecord, SimulationResult, measure_in_basis, run_protocol
+from .sim import (RoundRecord, SimulationResult, max_deviation_sigma,
+                  run_protocol)
 from .stats import (JointDistribution, StatTable, basis_error_direct,
                     basis_error_expanded, joint_and_marginal,
                     p_table_from_attack, p_table_symmetric,
@@ -25,7 +26,7 @@ __all__ = [
     "basis_error_expanded", "basis_vectors", "find_threshold",
     "identity_attack", "joint_and_marginal", "key_rate", "key_rate_curve",
     "key_rate_from_table",
-    "lemma1_check", "measure_in_basis", "no_error_overlap", "p_lower_bound",
+    "lemma1_check", "max_deviation_sigma", "no_error_overlap", "p_lower_bound",
     "p_table_from_attack", "p_table_symmetric", "pauli_twirl_attack",
     "pauli_twirl_isometry",
     "random_attack", "run_protocol", "s_bec", "s_ec_bound", "s_ec_upper",

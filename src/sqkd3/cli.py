@@ -12,10 +12,9 @@ import sys
 import numpy as np
 
 from . import verify
-from .term_tables import BASIS_ERROR_ORDER
 from .attack import Q_MAX, ChannelScenario, pauli_twirl_attack
 from .keyrate import find_threshold, key_rate, key_rate_curve
-from .sim import run_protocol
+from .sim import max_deviation_sigma, run_protocol
 from .stats import stat_table_from_attack
 
 _MODEL = {"dep": "dependent", "indep": "independent"}
@@ -97,32 +96,10 @@ def cmd_simulate(args) -> int:
     attack = pauli_twirl_attack(args.q, args.q)
     result = run_protocol(args.n, attack, args.variant, args.seed)
     table = stat_table_from_attack(attack, args.variant)
-
-    def sigma_dev(freq, p, n_cat):
-        if n_cat == 0:
-            return 0.0
-        sd = np.sqrt(p * (1 - p) / n_cat)
-        diff = abs(freq - p)
-        if sd == 0:
-            return 0.0 if diff == 0 else float("inf")
-        return diff / sd
-
-    per_sent = result.counts_p.sum(axis=(1, 2))
-    max_sigma = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                max_sigma = max(max_sigma, sigma_dev(
-                    result.empirical_p[i, j, k], table.p[i, j, k], per_sent[i]))
-    for idx, (i, _j) in enumerate(BASIS_ERROR_ORDER):
-        max_sigma = max(max_sigma, sigma_dev(
-            result.empirical_basis_err[idx], table.basis_err[idx],
-            result.noise_rounds_per_sent[i]))
-
     doc = json.loads(result.to_json())
     doc["analytic_p"] = table.p.ravel().tolist()
     doc["analytic_basis_err"] = table.basis_err.tolist()
-    doc["max_deviation_sigma"] = max_sigma
+    doc["max_deviation_sigma"] = max_deviation_sigma(result, table)
     print(json.dumps(doc))
     return 0
 

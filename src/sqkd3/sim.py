@@ -14,14 +14,17 @@ seed, results are reproducible byte for byte (numpy PCG64 generator).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .term_tables import BASIS_ERROR_ORDER
 from .attack import AttackModel, vector_families
 from .linalg import BasisSet, basis_vectors, sq_norms
-from .stats import alt_basis_table, measure_records, p_table_from_attack
+from .stats import (StatTable, alt_basis_table, measure_records,
+                    p_table_from_attack)
+
+_ERR_SENT, _ERR_FINAL = np.array(BASIS_ERROR_ORDER).T
 
 
 @dataclass(frozen=True)
@@ -41,21 +44,39 @@ class RoundRecord:
 
 @dataclass
 class SimulationResult:
+    """Aggregated statistics of one seeded run.
+
+    counts_p counts the raw-key rounds (canonical basis, measured) by
+    (sent, bob, final) and empirical_p normalizes it per sent value.
+    counts_basis_err counts the noise-estimation rounds (alternative basis,
+    reflected) in BASIS_ERROR_ORDER, empirical_basis_err normalizes them by
+    noise_rounds_per_sent of their sent value.  n_sifted, sifted_fraction
+    and raw_key_error_rate (bob != final) are derived from counts_p; an
+    empty frequency row is all zeros.
+    """
+
     n_rounds: int
     counts_p: np.ndarray          # (3,3,3) counts over (sent, bob, final)
-    empirical_p: np.ndarray       # frequencies, normalized per sent value
-    counts_basis_err: np.ndarray  # (6,) counts in BASIS_ERROR_ORDER
-    empirical_basis_err: np.ndarray
-    noise_rounds_per_sent: np.ndarray  # (3,) alt-basis reflect rounds per state
-    sifted_fraction: float
-    raw_key_pairs: np.ndarray = field(repr=False)  # (n_sifted, 2) of (bob, alice)
+    empirical_p: np.ndarray       # (3,3,3)
+    counts_basis_err: np.ndarray  # (6,)
+    empirical_basis_err: np.ndarray  # (6,)
+    noise_rounds_per_sent: np.ndarray  # (3,)
     seed: int = 0
 
     @property
+    def n_sifted(self) -> int:
+        return int(self.counts_p.sum())
+
+    @property
+    def sifted_fraction(self) -> float:
+        return self.n_sifted / self.n_rounds
+
+    @property
     def raw_key_error_rate(self) -> float:
-        if len(self.raw_key_pairs) == 0:
+        if self.n_sifted == 0:
             return 0.0
-        return float(np.mean(self.raw_key_pairs[:, 0] != self.raw_key_pairs[:, 1]))
+        agree = int(np.trace(self.counts_p, axis1=1, axis2=2).sum())
+        return (self.n_sifted - agree) / self.n_sifted
 
     def to_json(self) -> str:
         return json.dumps({
@@ -67,7 +88,7 @@ class SimulationResult:
             "empirical_basis_err": self.empirical_basis_err.tolist(),
             "noise_rounds_per_sent": self.noise_rounds_per_sent.astype(int).tolist(),
             "sifted_fraction": self.sifted_fraction,
-            "n_sifted": int(len(self.raw_key_pairs)),
+            "n_sifted": self.n_sifted,
             "raw_key_error_rate": self.raw_key_error_rate,
         })
 
@@ -80,20 +101,6 @@ class SimulationResult:
         for idx, (i, j) in enumerate(BASIS_ERROR_ORDER):
             lines.append(f"basis_err,{i},,{j},{int(self.counts_basis_err[idx])}")
         return "\n".join(lines) + "\n"
-
-
-def measure_in_basis(state: np.ndarray, basis: BasisSet,
-                     rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Projective measurement of a pure qutrit state onto a basis."""
-    state = np.asarray(state, dtype=complex)
-    norm = np.vdot(state, state).real
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {norm} deviates from 1")
-    amps = basis.vectors.conj().T @ state
-    probs = np.abs(amps) ** 2
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(3, p=probs))
-    return outcome, basis.vectors[:, outcome].copy()
 
 
 def _alt_basis(variant: str) -> BasisSet:
@@ -118,6 +125,21 @@ def _conditional_tables(attack: AttackModel, variant: str) -> dict:
             ("alt", "M"): alt_m, ("alt", "R"): alt_basis_table(fams, variant)}
 
 
+def _category_sizes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rounds per category over n rounds, keyed sent*4 + alt*2 + reflect.
+
+    The flags are drawn as three int64 arrays in the order alternative
+    basis, reflect, sent; the stream depends on that order.
+    """
+    key = rng.integers(0, 2, size=n)
+    key *= 2
+    key += rng.integers(0, 2, size=n)
+    sent = rng.integers(0, 3, size=n)
+    sent *= 4
+    key += sent
+    return np.bincount(key, minlength=12)
+
+
 def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
                  seed: int = 0) -> SimulationResult:
     """Simulate n rounds and aggregate the protocol statistics."""
@@ -126,70 +148,54 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     rng = np.random.default_rng(seed)
     tabs = _conditional_tables(attack, variant)
 
-    basis_is_alt = rng.integers(0, 2, size=n).astype(bool)
-    op_is_reflect = rng.integers(0, 2, size=n).astype(bool)
-    sent = rng.integers(0, 3, size=n)
+    sizes = _category_sizes(rng, n)
+    # per sent value, in key order: canonical basis measured (raw key) and
+    # reflected, alternative basis measured and reflected (noise
+    # estimation); the two discarded categories are sampled all the same,
+    # since the seeded stream depends on their draws
+    kinds = [tabs[c].reshape(3, -1) for c in
+             (("A", "M"), ("A", "R"), ("alt", "M"), ("alt", "R"))]
+    counts = np.zeros((3, 4, 9), dtype=np.int64)
+    for c in np.flatnonzero(sizes):
+        i, kind = divmod(int(c), 4)
+        probs = kinds[kind][i]
+        draws = rng.choice(probs.size, size=sizes[c], p=probs / probs.sum())
+        counts[i, kind, :probs.size] = np.bincount(draws, minlength=probs.size)
 
-    counts_p = np.zeros((3, 3, 3), dtype=np.int64)
-    counts_alt_reflect = np.zeros((3, 3), dtype=np.int64)
-    raw_bob, raw_alice = [], []
-
-    for i in range(3):
-        # raw-key rounds: canonical basis, measure-and-resend
-        sel = (~basis_is_alt) & (~op_is_reflect) & (sent == i)
-        m = int(sel.sum())
-        if m:
-            probs = tabs[("A", "M")][i].ravel()
-            draws = rng.choice(9, size=m, p=probs / probs.sum())
-            js, ks = draws // 3, draws % 3
-            np.add.at(counts_p[i], (js, ks), 1)
-            raw_bob.append(js)
-            raw_alice.append(ks)
-        # canonical basis, reflected (not used in statistics, still sampled)
-        sel = (~basis_is_alt) & op_is_reflect & (sent == i)
-        m = int(sel.sum())
-        if m:
-            probs = tabs[("A", "R")][i]
-            rng.choice(3, size=m, p=probs / probs.sum())
-        # alternative basis, measured (discarded at sifting, still sampled)
-        sel = basis_is_alt & (~op_is_reflect) & (sent == i)
-        m = int(sel.sum())
-        if m:
-            probs = tabs[("alt", "M")][i].ravel()
-            rng.choice(9, size=m, p=probs / probs.sum())
-        # alternative basis, reflected: noise-estimation rounds
-        sel = basis_is_alt & op_is_reflect & (sent == i)
-        m = int(sel.sum())
-        if m:
-            probs = tabs[("alt", "R")][i]
-            draws = rng.choice(3, size=m, p=probs / probs.sum())
-            np.add.at(counts_alt_reflect[i], draws, 1)
-
-    per_sent = counts_p.sum(axis=(1, 2))
-    empirical_p = np.zeros((3, 3, 3))
-    for i in range(3):
-        if per_sent[i]:
-            empirical_p[i] = counts_p[i] / per_sent[i]
-
-    counts_basis_err = np.zeros(6, dtype=np.int64)
-    empirical_basis_err = np.zeros(6)
-    alt_sent_totals = counts_alt_reflect.sum(axis=1)
-    for idx, (i, j) in enumerate(BASIS_ERROR_ORDER):
-        counts_basis_err[idx] = counts_alt_reflect[i, j]
-        if alt_sent_totals[i]:
-            empirical_basis_err[idx] = counts_alt_reflect[i, j] / alt_sent_totals[i]
-
-    bob = np.concatenate(raw_bob) if raw_bob else np.empty(0, dtype=np.int64)
-    alice = np.concatenate(raw_alice) if raw_alice else np.empty(0, dtype=np.int64)
-    sifted = np.stack([bob, alice], axis=1) if len(bob) else np.empty((0, 2), int)
-
+    counts_p = counts[:, 0].reshape(3, 3, 3)
+    per_sent = counts_p.sum(axis=(1, 2))[:, None, None]
+    alt_reflect = counts[:, 3, :3]
+    noise_rounds = alt_reflect.sum(axis=1)
+    counts_basis_err = alt_reflect[_ERR_SENT, _ERR_FINAL]
     return SimulationResult(
-        n_rounds=n, counts_p=counts_p, empirical_p=empirical_p,
+        n_rounds=n, counts_p=counts_p,
+        empirical_p=np.divide(counts_p, per_sent, out=np.zeros((3, 3, 3)),
+                              where=per_sent > 0),
         counts_basis_err=counts_basis_err,
-        empirical_basis_err=empirical_basis_err,
-        noise_rounds_per_sent=alt_sent_totals,
-        sifted_fraction=float(len(bob)) / n,
-        raw_key_pairs=sifted, seed=seed)
+        empirical_basis_err=np.divide(
+            counts_basis_err, noise_rounds[_ERR_SENT], out=np.zeros(6),
+            where=noise_rounds[_ERR_SENT] > 0),
+        noise_rounds_per_sent=noise_rounds, seed=seed)
+
+
+def max_deviation_sigma(result: SimulationResult, table: StatTable) -> float:
+    """Worst deviation of the 27 raw-key and 6 basis-error frequencies from
+    the analytic StatTable, in binomial standard errors.
+
+    A cell with no rounds counts 0; a cell whose analytic standard error
+    is 0 counts 0 if it matches exactly and inf otherwise; a NaN cell (an
+    analytic probability that rounding put outside [0, 1]) is skipped.
+    """
+    n = np.concatenate([np.repeat(result.counts_p.sum(axis=(1, 2)), 9),
+                        result.noise_rounds_per_sent[_ERR_SENT]])
+    p = np.concatenate([table.p.ravel(), table.basis_err])
+    diff = np.abs(np.concatenate([result.empirical_p.ravel(),
+                                  result.empirical_basis_err]) - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = diff / np.sqrt(p * (1 - p) / n)
+    # a cell with no rounds gives 0 or NaN, an exact zero-variance match
+    # 0/0 = NaN; fmax skips NaN
+    return float(np.fmax.reduce(dev, initial=0.0))
 
 
 def simulate_round(attack: AttackModel, variant: str,

@@ -1,11 +1,15 @@
+import itertools
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sqkd3.attack import identity_attack, pauli_twirl_attack
-from sqkd3.linalg import basis_vectors
-from sqkd3.sim import (RoundRecord, measure_in_basis, run_protocol,
-                       simulate_round)
+from sqkd3.attack import identity_attack, pauli_twirl_attack, random_attack
+from sqkd3.sim import (RoundRecord, SimulationResult, _conditional_tables,
+                       max_deviation_sigma, run_protocol, simulate_round)
 from sqkd3.stats import stat_table_from_attack
+from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 
 def test_round_record_invariant():
@@ -15,31 +19,6 @@ def test_round_record_invariant():
         RoundRecord("A", 0, "M", None, 2)
     with pytest.raises(ValueError):
         RoundRecord("A", 0, "R", 1, 2)
-
-
-def test_measure_in_basis_deterministic_cases():
-    rng = np.random.default_rng(0)
-    a = basis_vectors("A")
-    outcome, collapsed = measure_in_basis(a.ket(0), a, rng)
-    assert outcome == 0 and np.allclose(collapsed, a.ket(0))
-    t = basis_vectors("T")
-    outcome, _ = measure_in_basis(t.ket(0), t, rng)
-    assert outcome == 0
-    with pytest.raises(ValueError):
-        measure_in_basis(2.0 * a.ket(0), a, rng)
-
-
-def test_measure_in_basis_unbiased_statistics():
-    rng = np.random.default_rng(42)
-    t = basis_vectors("T")
-    ket0 = basis_vectors("A").ket(0)
-    n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        outcome, _ = measure_in_basis(ket0, t, rng)
-        counts[outcome] += 1
-    sd = np.sqrt((1 / 3) * (2 / 3) / n)
-    assert np.max(np.abs(counts / n - 1 / 3)) < 3 * sd
 
 
 def test_identity_attack_statistics():
@@ -55,7 +34,6 @@ def test_determinism_byte_for_byte():
     a = run_protocol(50_000, attack, "phi1", seed=7)
     b = run_protocol(50_000, attack, "phi1", seed=7)
     assert np.array_equal(a.counts_p, b.counts_p)
-    assert np.array_equal(a.raw_key_pairs, b.raw_key_pairs)
     assert np.array_equal(a.counts_basis_err, b.counts_basis_err)
     assert a.to_json() == b.to_json()
     c = run_protocol(50_000, attack, "phi1", seed=8)
@@ -71,7 +49,7 @@ def test_sifted_fraction_converges():
 def test_raw_key_error_rate_converges():
     q = 0.1
     res = run_protocol(200_000, pauli_twirl_attack(q, q), "phi1", seed=5)
-    n = len(res.raw_key_pairs)
+    n = res.n_sifted
     sd = np.sqrt(2 * q * (1 - 2 * q) / n)
     assert abs(res.raw_key_error_rate - 2 * q) < 3 * sd
 
@@ -128,3 +106,108 @@ def test_json_and_csv_exports():
     assert len(lines) == 1 + 27 + 6
     assert sum(int(l.split(",")[-1]) for l in lines[1:28]) == \
         res.counts_p.sum()
+
+
+def _reference_json(n, attack, variant, seed):
+    """run_protocol written with one boolean mask per category, drawing
+    (A,M), (A,R), (alt,M), (alt,R) per sent value and skipping empty ones."""
+    rng = np.random.default_rng(seed)
+    tabs = _conditional_tables(attack, variant)
+    basis_is_alt = rng.integers(0, 2, size=n).astype(bool)
+    op_is_reflect = rng.integers(0, 2, size=n).astype(bool)
+    sent = rng.integers(0, 3, size=n)
+    counts_p = np.zeros((3, 3, 3), dtype=np.int64)
+    alt_reflect = np.zeros((3, 3), dtype=np.int64)
+    bob, final = [], []
+    for i in range(3):
+        for alt, reflect in itertools.product((False, True), repeat=2):
+            m = int(((basis_is_alt == alt) & (op_is_reflect == reflect)
+                     & (sent == i)).sum())
+            if not m:
+                continue
+            probs = tabs[("alt" if alt else "A", "R" if reflect else "M")][i].ravel()
+            draws = rng.choice(len(probs), size=m, p=probs / probs.sum())
+            if not alt and not reflect:
+                np.add.at(counts_p[i], (draws // 3, draws % 3), 1)
+                bob.extend(draws // 3)
+                final.extend(draws % 3)
+            elif alt and reflect:
+                np.add.at(alt_reflect[i], draws, 1)
+    empirical_p = np.zeros((3, 3, 3))
+    for i in range(3):
+        if counts_p[i].sum():
+            empirical_p[i] = counts_p[i] / counts_p[i].sum()
+    totals = alt_reflect.sum(axis=1)
+    counts_err = [int(alt_reflect[i, j]) for i, j in BASIS_ERROR_ORDER]
+    emp_err = [alt_reflect[i, j] / totals[i] if totals[i] else 0.0
+               for i, j in BASIS_ERROR_ORDER]
+    bob, final = np.array(bob), np.array(final)
+    return json.dumps({
+        "n_rounds": n, "seed": seed,
+        "counts_p": counts_p.ravel().tolist(),
+        "empirical_p": empirical_p.ravel().tolist(),
+        "counts_basis_err": counts_err,
+        "empirical_basis_err": [float(x) for x in emp_err],
+        "noise_rounds_per_sent": totals.tolist(),
+        "sifted_fraction": float(len(bob)) / n,
+        "n_sifted": len(bob),
+        "raw_key_error_rate": float(np.mean(bob != final)) if len(bob) else 0.0,
+    })
+
+
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+@pytest.mark.parametrize("d_f,d_r", list(itertools.product((1, 3, 9), repeat=2)))
+def test_stream_and_category_order_match_mask_reference(d_f, d_r, variant):
+    attack = random_attack(d_f, d_r, seed=100 + 10 * d_f + d_r)
+    for n in (1, 2, 7, 3000):
+        seed = 1000 * d_f + 10 * d_r + n
+        assert run_protocol(n, attack, variant, seed).to_json() == \
+            _reference_json(n, attack, variant, seed)
+
+
+def _reference_max_sigma(result, table):
+    """The per-cell deviation loop, with Python's max skipping NaN cells."""
+    def sigma_dev(freq, p, n_cat):
+        if n_cat == 0:
+            return 0.0
+        sd = np.sqrt(p * (1 - p) / n_cat)
+        diff = abs(freq - p)
+        if sd == 0:
+            return 0.0 if diff == 0 else float("inf")
+        return diff / sd
+
+    per_sent = result.counts_p.sum(axis=(1, 2))
+    worst = 0.0
+    for i, j, k in itertools.product(range(3), repeat=3):
+        worst = max(worst, sigma_dev(result.empirical_p[i, j, k],
+                                     table.p[i, j, k], per_sent[i]))
+    for idx, (i, _j) in enumerate(BASIS_ERROR_ORDER):
+        worst = max(worst, sigma_dev(result.empirical_basis_err[idx],
+                                     table.basis_err[idx],
+                                     result.noise_rounds_per_sent[i]))
+    return worst
+
+
+def test_max_deviation_sigma_matches_per_cell_loop():
+    for q, n, seed in [(0.0, 2000, 1), (0.1, 50, 2), (0.3, 20_000, 3)]:
+        attack = pauli_twirl_attack(q, q)
+        res = run_protocol(n, attack, "phi2", seed)
+        table = stat_table_from_attack(attack, "phi2")
+        assert max_deviation_sigma(res, table) == _reference_max_sigma(res, table)
+    # no rounds for sent value 0, zero-variance cells that match (0) and
+    # miss (inf), and a NaN cell from a probability just above 1
+    counts_p = np.zeros((3, 3, 3), dtype=np.int64)
+    counts_p[1, 1, 1] = counts_p[2, 2, 2] = counts_p[2, 2, 0] = 4
+    empirical_p = np.zeros((3, 3, 3))
+    empirical_p[1, 1, 1], empirical_p[2, 2, 2] = 1.0, 0.5
+    res = SimulationResult(4, counts_p, empirical_p, np.zeros(6, np.int64),
+                           np.zeros(6), np.array([0, 3, 5]))
+    table = SimpleNamespace(p=np.zeros((3, 3, 3)), basis_err=np.full(6, 0.25))
+    table.p[1, 1, 1] = table.p[2, 2, 2] = 1.0
+    assert max_deviation_sigma(res, table) == _reference_max_sigma(res, table) \
+        == float("inf")
+    table.p[2, 2, 2] = 1.0 + 2**-52
+    with np.errstate(invalid="ignore"):
+        expected = _reference_max_sigma(res, table)
+    assert max_deviation_sigma(res, table) == expected == \
+        max(0.25 / np.sqrt(0.25 * 0.75 / n) for n in (3, 5))

@@ -10,6 +10,8 @@ The outputs are:
 * seeded `run_protocol` JSONs of 1 and 5 rounds, for both variants, where
   most categories are empty;
 * the `verify` text;
+* the forward and reverse isometries of `pauli_twirl_attack(q, q)` and its
+  five record families, at q in {0, 0.1, 3/8};
 * `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON of
   one seeded random attack per (d_f, d_r) in {1, 3, 9}^2, for both
   variants.
@@ -24,7 +26,7 @@ import io
 import itertools
 
 from sqkd3 import verify
-from sqkd3.attack import pauli_twirl_attack, random_attack
+from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
 from sqkd3.cli import main
 from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
@@ -68,6 +70,13 @@ def outputs():
     lines = []
     verify.run_all(report=lines.append)
     yield "verify", "\n".join(lines)
+    for q in (0.0, 0.1, 0.375):
+        attack = pauli_twirl_attack(q, q)
+        fams = vector_families(attack)
+        yield f"pauli_twirl_attack({q}, {q})", "".join(
+            arr.tobytes().hex() for arr in (attack.forward, attack.reverse,
+                                            fams.e, fams.ekij, fams.f, fams.g,
+                                            fams.h))
     for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
         attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
         for variant in ("phi1", "phi2"):

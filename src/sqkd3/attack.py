@@ -165,9 +165,9 @@ def alternative_basis_error(q, model: str, basis_noise_convention: str):
 
 
 def ternary_channel_apply(rho: np.ndarray, q: float) -> np.ndarray:
-    """Apply the ternary symmetric channel rho -> (1-3q) rho + q I."""
-    if not 0.0 <= q <= 1.0 / 3.0:
-        raise ValueError(f"channel parameter {q} outside [0, 1/3]")
+    """Ternary symmetric channel rho -> (1-3q) rho + q I, for q in [0, 3/8]."""
+    if not 0.0 <= q <= Q_MAX:
+        raise ValueError(f"channel parameter {q} outside [0, 3/8]")
     rho = np.asarray(rho, dtype=complex)
     return (1.0 - 3.0 * q) * rho + q * np.eye(3)
 
@@ -202,23 +202,12 @@ def pauli_twirl_isometry(q: float) -> np.ndarray:
 def pauli_twirl_attack(q_forward: float, q_reverse: float) -> AttackModel:
     """Symmetric two-stage attack: a Pauli twirl in each direction."""
     fw = pauli_twirl_isometry(q_forward)            # (27, 3), d_f = 9
-    w = twirl_weights(q_reverse)
-    x, z = shift_matrix(), clock_matrix()
-    d_f = 9
-    rv = np.zeros((3 * d_f * 9, 3 * d_f), dtype=complex)
-    for c in range(3):
-        for d in range(3):
-            op = np.sqrt(w[c, d]) * np.linalg.matrix_power(x, c) \
-                @ np.linalg.matrix_power(z, d)
-            for qout in range(3):
-                for qin in range(3):
-                    if op[qout, qin] == 0:
-                        continue
-                    for af in range(d_f):
-                        row = (qout * d_f + af) * 9 + (c * 3 + d)
-                        col = qin * d_f + af
-                        rv[row, col] += op[qout, qin]
-    return AttackModel(fw, rv, d_f, 9)
+    # the reverse twirl dilates the qutrit and passes the forward ancilla
+    # through, [qout, af, ab, qin, af]; += onto zeros stores -0.0 as +0.0
+    rv = np.zeros((3, 9, 9, 3, 9), dtype=complex)
+    af = np.arange(9)
+    rv[:, af, :, :, af] += pauli_twirl_isometry(q_reverse).reshape(3, 9, 3)
+    return AttackModel(fw, rv.reshape(243, 27), 9, 9)
 
 
 def identity_attack() -> AttackModel:
@@ -242,7 +231,7 @@ def _on_basis(f: np.ndarray, basis_id: str) -> np.ndarray:
     with kets b_i the same operator reads V|b_i,0> = sum_j |b_j, v_{3i+j}>
     with v_{3i+j} = sum_{a,c} B[a,i] conj(B[c,j]) f_{3a+c}.
     """
-    b = basis_vectors(basis_id).vectors
+    b = basis_vectors(basis_id)
     # scalar coefficient products and a sequential sum over (a, c): numpy's
     # array complex multiply and pairwise sums would round differently
     coeff = np.array([[b[a, i] * np.conj(b[c, j])

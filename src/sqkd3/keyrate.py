@@ -31,7 +31,8 @@ from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
                      alternative_basis_error, check_conventions)
 from .linalg import LN3, entropy3, shannon_entropy3, von_neumann_entropy3
 from .stats import (JointDistribution, StatTable, check_p_tables, joint_tables,
-                    p_table_symmetric, stat_table_for_scenario, t_value_array)
+                    measure_records, p_table_symmetric,
+                    stat_table_for_scenario, t_value_array)
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,8 @@ _ERROR_CELLS = np.setdiff1d(np.arange(27), _NO_ERROR_CELLS)
 
 def no_error_overlap(fams: VectorFamilies) -> float:
     """Sum over a < b of |<e_aaa|e_bbb>|^2, the no-error block's overlaps."""
-    vecs = [fams.ekij[(a, a, 4 * a)] for a in range(3)]
+    recs = measure_records(fams)
+    vecs = [recs[a, a, a] for a in range(3)]
     return float(sum(abs(np.vdot(vecs[a], vecs[b])) ** 2
                      for a, b in ((0, 1), (0, 2), (1, 2))))
 
@@ -373,26 +375,25 @@ def key_rate(scenario: ChannelScenario) -> KeyRateReport:
 def find_threshold(variant: str, model: str,
                    basis_noise_convention: str = "per-pair",
                    joint_weighting: str = "as-printed",
-                   p_mode: str = "as-printed",
-                   tol: float = 1e-6, grid_points: int = 400) -> float | None:
+                   p_mode: str = "as-printed") -> float | None:
     """Smallest noise level at which the key-rate bound hits zero.
 
-    Evaluates a grid over [0, 3/8] in one pass, takes its first sign
-    change, then bisects to |dQ| < tol.  Returns None when the rate stays
-    positive on the whole range.
+    Evaluates a fixed grid of 400 evenly spaced points over [0, 3/8] in one
+    pass, takes its first sign change, then bisects to |dQ| < 1e-6.
+    Returns None when the rate stays positive on the whole range.
     """
     def rate(q):
         return key_rate_curve(q, model, variant, basis_noise_convention,
                               joint_weighting, p_mode)["r"]
 
-    grid = np.linspace(0.0, Q_MAX, grid_points)
+    grid = np.linspace(0.0, Q_MAX, 400)
     r = rate(grid)
     down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
     if down.size == 0:
         return None
     hi = grid[down[0] + 1]
     lo = hi - (grid[1] - grid[0])
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if rate([mid])[0] > 0.0:
             lo = mid
@@ -438,13 +439,14 @@ def _c_register_index(i: int, j: int, k: int) -> int:
 
 def rho_be(fams: VectorFamilies) -> np.ndarray:
     """Joint receiver/eavesdropper state of the raw-key rounds."""
-    dim_e = fams.ekij[(0, 0, 0)].shape[0]
+    recs = measure_records(fams)
+    dim_e = recs.shape[-1]
     rho = np.zeros((3 * dim_e, 3 * dim_e), dtype=complex)
     for j in range(3):
         block = np.zeros((dim_e, dim_e), dtype=complex)
         for i in range(3):
             for k in range(3):
-                v = fams.ekij[(k, j, 3 * i + j)]
+                v = recs[i, j, k]
                 block += np.outer(v, v.conj())
         rho[j * dim_e:(j + 1) * dim_e, j * dim_e:(j + 1) * dim_e] = block / 3.0
     return rho
@@ -456,14 +458,15 @@ def rho_bec(fams: VectorFamilies) -> np.ndarray:
     Index order (j, e, c): each record adds its outer product to the one
     (j, c) block it lives in; every other entry stays zero.
     """
-    dim_e = fams.ekij[(0, 0, 0)].shape[0]
+    recs = measure_records(fams)
+    dim_e = recs.shape[-1]
     rho = np.zeros((3 * dim_e * 4, 3 * dim_e * 4), dtype=complex)
     # a view of rho, indexed [j, e, c, j', e', c']
     blocks = rho.reshape(3, dim_e, 4, 3, dim_e, 4)
     for j in range(3):
         for i in range(3):
             for k in range(3):
-                v = fams.ekij[(k, j, 3 * i + j)]
+                v = recs[i, j, k]
                 c = _c_register_index(i, j, k)
                 blocks[j, :, c, j, :, c] += np.outer(v, v.conj()) / 3.0
     return rho

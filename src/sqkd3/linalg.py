@@ -8,7 +8,6 @@ the 3-dimensional qutrit space and the composite eavesdropper spaces
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,6 @@ OMEGA = np.exp(2j * np.pi / 3)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """An orthonormal qutrit basis: id in {"A", "T", "K"}, vectors as columns."""
-
-    id: str
-    vectors: np.ndarray  # 3x3 complex, column j = ket j
-
-    def ket(self, j: int) -> np.ndarray:
-        return self.vectors[:, j]
 
 
 def _build_bases() -> dict[str, np.ndarray]:
@@ -52,8 +40,9 @@ def _build_bases() -> dict[str, np.ndarray]:
 _BASES = _build_bases()
 
 
-def basis_vectors(basis_id: str) -> BasisSet:
-    """Return one of the three qutrit bases.
+def basis_vectors(basis_id: str) -> np.ndarray:
+    """Return one of the three qutrit bases as a 3x3 array, column j = ket j
+    (a fresh copy).
 
     "A" is the canonical basis; "T" and "K" are the two alternative bases,
     each mutually unbiased with A (all cross overlaps have squared
@@ -61,7 +50,7 @@ def basis_vectors(basis_id: str) -> BasisSet:
     """
     if basis_id not in _BASES:
         raise ValueError(f"unknown basis id {basis_id!r}, expected A, T or K")
-    return BasisSet(basis_id, _BASES[basis_id].copy())
+    return _BASES[basis_id].copy()
 
 
 def entropy3(probs) -> np.ndarray:
@@ -167,11 +156,6 @@ def _linked_blocks(linked: np.ndarray) -> list:
         blocks.append(np.sort(np.concatenate(block)))
     return [np.array([b for b in blocks if len(b) == m])
             for m in sorted({len(b) for b in blocks})]
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor most significant (row-major indexing)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,26 +20,11 @@ import numpy as np
 
 from .term_tables import BASIS_ERROR_ORDER
 from .attack import AttackModel, vector_families
-from .linalg import BasisSet, basis_vectors, sq_norms
+from .linalg import basis_vectors, sq_norms
 from .stats import (StatTable, alt_basis_table, measure_records,
                     p_table_from_attack)
 
 _ERR_SENT, _ERR_FINAL = np.array(BASIS_ERROR_ORDER).T
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round; bob_result is present iff bob measured."""
-
-    alice_basis: str          # "A" | "alt"
-    alice_sent: int           # trit index within the chosen basis
-    bob_op: str               # "M" | "R"
-    bob_result: int | None
-    alice_final: int
-
-    def __post_init__(self):
-        if (self.bob_result is None) != (self.bob_op == "R"):
-            raise ValueError("bob_result must be present iff bob measured")
 
 
 @dataclass
@@ -92,20 +77,6 @@ class SimulationResult:
             "raw_key_error_rate": self.raw_key_error_rate,
         })
 
-    def category_counts_csv(self) -> str:
-        lines = ["category,sent,bob,final,count"]
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    lines.append(f"raw_key,{i},{j},{k},{int(self.counts_p[i, j, k])}")
-        for idx, (i, j) in enumerate(BASIS_ERROR_ORDER):
-            lines.append(f"basis_err,{i},,{j},{int(self.counts_basis_err[idx])}")
-        return "\n".join(lines) + "\n"
-
-
-def _alt_basis(variant: str) -> BasisSet:
-    return basis_vectors("T" if variant == "phi1" else "K")
-
 
 def _conditional_tables(attack: AttackModel, variant: str) -> dict:
     """Exact outcome distributions for the four round categories.
@@ -115,7 +86,7 @@ def _conditional_tables(attack: AttackModel, variant: str) -> dict:
     alternative basis.
     """
     fams = vector_families(attack)
-    alt = _alt_basis(variant).vectors
+    alt = basis_vectors("T" if variant == "phi1" else "K")
     # by linearity, sending alt ket i and measuring alt ket k on the way
     # back leaves sum_ab alt[a,i] conj(alt[b,k]) e^b_{j,3a+j}
     alt_m = sq_norms(np.einsum("ai,bk,ajbd->ijkd", alt, alt.conj(),
@@ -196,36 +167,3 @@ def max_deviation_sigma(result: SimulationResult, table: StatTable) -> float:
     # a cell with no rounds gives 0 or NaN, an exact zero-variance match
     # 0/0 = NaN; fmax skips NaN
     return float(np.fmax.reduce(dev, initial=0.0))
-
-
-def simulate_round(attack: AttackModel, variant: str,
-                   rng: np.random.Generator) -> RoundRecord:
-    """State-vector simulation of a single round, for record-level checks."""
-    use_alt = bool(rng.integers(0, 2))
-    reflect = bool(rng.integers(0, 2))
-    sent = int(rng.integers(0, 3))
-    basis = _alt_basis(variant) if use_alt else basis_vectors("A")
-
-    state = attack.forward @ basis.ket(sent)          # (3*d_f,)
-    d_f, d_r = attack.d_f, attack.d_r
-    bob_result = None
-    if not reflect:
-        blocks = state.reshape(3, d_f)
-        probs = np.array([np.vdot(b, b).real for b in blocks])
-        j = int(rng.choice(3, p=probs / probs.sum()))
-        bob_result = j
-        collapsed = np.zeros_like(state)
-        collapsed[j * d_f:(j + 1) * d_f] = blocks[j] / np.sqrt(probs[j])
-        state = collapsed
-    state = attack.reverse @ state                    # (3*d_f*d_r,)
-    blocks = state.reshape(3, d_f * d_r)
-    amps = np.zeros((3, d_f * d_r), dtype=complex)
-    for k in range(3):
-        for b in range(3):
-            amps[k] += np.conj(basis.vectors[b, k]) * blocks[b]
-    probs = np.array([np.vdot(a, a).real for a in amps])
-    final = int(rng.choice(3, p=probs / probs.sum()))
-
-    return RoundRecord(alice_basis="alt" if use_alt else "A",
-                       alice_sent=sent, bob_op="R" if reflect else "M",
-                       bob_result=bob_result, alice_final=final)

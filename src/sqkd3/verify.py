@@ -25,18 +25,19 @@ _DIMS = (1, 3, 9)
 
 def check_mub() -> tuple[bool, str]:
     worst = 0.0
-    a = basis_vectors("A").vectors
+    a = basis_vectors("A")
     for bid in ("A", "T", "K"):
-        v = basis_vectors(bid).vectors
+        v = basis_vectors(bid)
         worst = max(worst, float(np.max(np.abs(v.conj().T @ v - np.eye(3)))))
     for bid in ("T", "K"):
-        v = basis_vectors(bid).vectors
+        v = basis_vectors(bid)
         overlaps = np.abs(a.conj().T @ v) ** 2
         worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / 3.0))))
     return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
-def check_sum_rules(n_attacks: int = 200, seed: int = 1000) -> tuple[bool, str]:
+def check_sum_rules() -> tuple[bool, str]:
+    n_attacks, seed = 200, 1000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(n_attacks):
@@ -69,7 +70,7 @@ def check_channel_dilation() -> tuple[bool, str]:
                 reduced - ternary_channel_apply(rho, q)))))
         # covariance: the induced channel in the T and K bases is identical
         for bid in ("T", "K"):
-            b = basis_vectors(bid).vectors
+            b = basis_vectors(bid)
             for col in range(3):
                 rho = np.outer(b[:, col], b[:, col].conj())
                 big = fw @ rho @ fw.conj().T
@@ -81,7 +82,8 @@ def check_channel_dilation() -> tuple[bool, str]:
     return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
-def check_lemma1(n_cases: int = 50, seed: int = 2000) -> tuple[bool, str]:
+def check_lemma1() -> tuple[bool, str]:
+    n_cases, seed = 50, 2000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -97,8 +99,8 @@ def check_lemma1(n_cases: int = 50, seed: int = 2000) -> tuple[bool, str]:
     return worst < 1e-10, f"{n_cases} cases, max |lhs-rhs| {worst:.3e}"
 
 
-def check_expansion_equivalence(n_attacks: int = 100,
-                               seed: int = 3000) -> tuple[bool, str]:
+def check_expansion_equivalence() -> tuple[bool, str]:
+    n_attacks, seed = 100, 3000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(n_attacks):
@@ -113,8 +115,8 @@ def check_expansion_equivalence(n_attacks: int = 100,
     return worst < 1e-10, f"{n_attacks} attacks, max |direct-expanded| {worst:.3e}"
 
 
-def check_eigenvalue_oracle(n_cases: int = 100,
-                            seed: int = 4000) -> tuple[bool, str]:
+def check_eigenvalue_oracle() -> tuple[bool, str]:
+    n_cases, seed = 100, 4000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):

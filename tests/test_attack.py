@@ -127,8 +127,8 @@ def reference_records(attack):
                 out.append(vec)
         return np.array(out)
 
-    g = on_basis(basis_vectors("T").vectors)
-    h = on_basis(basis_vectors("K").vectors)
+    g = on_basis(basis_vectors("T"))
+    h = on_basis(basis_vectors("K"))
     p = np.array([[[norm2(ek[k, j, 3 * i + j]) for k in range(3)]
                    for j in range(3)] for i in range(3)])
     return e, ek, f, g, h, p
@@ -153,7 +153,7 @@ def test_record_arrays_bit_equal_to_per_vector_reference(attack):
         ref = [norm2(family[3 * i + j]) for i, j in BASIS_ERROR_ORDER]
         assert np.array_equal(basis_error_direct(fams, variant), ref)
 
-        alt = basis_vectors("T" if variant == "phi1" else "K").vectors
+        alt = basis_vectors("T" if variant == "phi1" else "K")
         alt_m = np.empty((3, 3, 3))
         for i in range(3):
             for j in range(3):
@@ -219,6 +219,33 @@ def test_twirl_dilation_reduces_to_channel():
     big = v @ rho0 @ v.conj().T
     reduced = np.einsum("aibi->ab", big.reshape(3, 9, 3, 9))
     assert np.allclose(reduced, np.diag([0.8, 0.1, 0.1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.34, 0.36, 0.375])
+def test_twirl_dilation_matches_channel_above_one_third(q):
+    # the twirl realises the channel up to 3/8, so the channel takes q there
+    v = pauli_twirl_isometry(q)
+    rng = np.random.default_rng(8)
+    u = haar_unitary(3, rng)
+    rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
+    big = v @ rho @ v.conj().T
+    reduced = np.einsum("aibi->ab", big.reshape(3, 9, 3, 9))
+    assert np.max(np.abs(reduced - ternary_channel_apply(rho, q))) < 1e-14
+    with pytest.raises(ValueError, match=r"outside \[0, 3/8\]"):
+        ternary_channel_apply(rho, 0.4)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 1 / 3, 0.375])
+def test_twirl_reverse_is_dilation_on_qutrit(q):
+    # reverse[qout, af, ab, qin, af'] is the dilation's [qout, ab, qin] when
+    # af == af' and +0.0 everywhere else; tobytes tells signed zeros apart
+    rv = pauli_twirl_attack(0.1, q).reverse.reshape(3, 9, 9, 3, 9)
+    iso = pauli_twirl_isometry(q).reshape(3, 9, 3)
+    for af in range(9):
+        assert rv[:, af, :, :, af].tobytes() == iso.tobytes()
+    off = rv.copy()
+    off[:, range(9), :, :, range(9)] = 0.0
+    assert off.tobytes() == np.zeros_like(off).tobytes()
 
 
 def test_attack_model_validation():

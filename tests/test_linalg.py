@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd3.linalg import (basis_vectors, haar_unitary, shannon_entropy3,
-                          tensor, von_neumann_entropy3)
+                          von_neumann_entropy3)
 
 # frozen oracle value: -sum p log3 p at 40 digits (mpmath)
 H3_08_01_01 = 0.5816718657178868
@@ -12,18 +12,18 @@ H3_08_01_01 = 0.5816718657178868
 
 def test_basis_a_is_canonical():
     a = basis_vectors("A")
-    assert np.allclose(a.vectors, np.eye(3))
+    assert np.allclose(a, np.eye(3))
 
 
 def test_basis_t_orthonormal():
-    t = basis_vectors("T").vectors
+    t = basis_vectors("T")
     assert np.max(np.abs(t.conj().T @ t - np.eye(3))) < 1e-12
 
 
 @pytest.mark.parametrize("alt", ["T", "K"])
 def test_mutual_unbiasedness_with_a(alt):
-    v = basis_vectors(alt).vectors
-    overlaps = np.abs(basis_vectors("A").vectors.conj().T @ v) ** 2
+    v = basis_vectors(alt)
+    overlaps = np.abs(basis_vectors("A").conj().T @ v) ** 2
     assert np.max(np.abs(overlaps - 1.0 / 3.0)) < 1e-12
 
 
@@ -73,26 +73,6 @@ def test_von_neumann_rejects_bad_input():
         von_neumann_entropy3(m)
     with pytest.raises(ValueError):
         von_neumann_entropy3(np.eye(3, dtype=complex))  # trace 3
-
-
-def test_tensor_index_convention():
-    e0, e1 = np.eye(3)[0].astype(complex), np.eye(3)[1].astype(complex)
-    out = tensor(e0, e1)
-    expected = np.zeros(9)
-    expected[1] = 1.0
-    assert np.allclose(out, expected)
-    assert np.allclose(tensor(np.eye(3), np.eye(3)), np.eye(9))
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=30, deadline=None)
-def test_tensor_inner_product_factorizes(seed):
-    rng = np.random.default_rng(seed)
-    x, xp = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
-    y, yp = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
-    lhs = np.vdot(tensor(x, y), tensor(xp, yp))
-    rhs = np.vdot(x, xp) * np.vdot(y, yp)
-    assert abs(lhs - rhs) < 1e-10
 
 
 @given(st.integers(min_value=0, max_value=10_000))

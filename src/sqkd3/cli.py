@@ -25,10 +25,9 @@ SWEEP_COLUMNS = ["Q", "r", "t1", "t2", "t3", "t4", "X", "p_lower",
                  "lambda1", "lambda2", "S_BEC", "S_EC_upper", "H_B_given_A"]
 
 
-def _add_convention_flags(p: argparse.ArgumentParser, with_model=True):
+def _add_convention_flags(p: argparse.ArgumentParser):
     p.add_argument("--variant", choices=["phi1", "phi2"], default="phi1")
-    if with_model:
-        p.add_argument("--model", choices=["dep", "indep"], default="dep")
+    p.add_argument("--model", choices=["dep", "indep"], default="dep")
     p.add_argument("--p-mode", choices=["printed", "corrected"],
                    default="printed")
     p.add_argument("--weighting", choices=["printed", "normalized"],

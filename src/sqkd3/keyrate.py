@@ -127,35 +127,31 @@ def _clamped_square(x):
 
 
 def _ceiling(p: np.ndarray) -> np.ndarray:
+    """Largest overlap sum compatible with the three diagonal entries."""
     p000, p111, p222 = p[..., 0, 0, 0], p[..., 1, 1, 1], p[..., 2, 2, 2]
     return p000 * p111 + p000 * p222 + p111 * p222
 
 
-def feasibility_ceiling(table: StatTable) -> float:
-    """Largest overlap sum compatible with the three diagonal entries."""
-    return float(_ceiling(table.p))
-
-
-def _p_lower(x, p: np.ndarray, mode: str) -> np.ndarray:
-    s = _clamped_square(x)
+def _p_lower(s, p: np.ndarray, mode: str) -> np.ndarray:
+    # s is the clamped square max(X, 0)^2
     if mode == "as-printed":
-        return np.minimum(s, _ceiling(p))
+        return s
     if mode == "corrected":
         return np.minimum(s / 3.0, _ceiling(p))
     raise ValueError(f"unknown p mode {mode!r}")
 
 
 def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
-    """The overlap quantity fed to the eigenvalue forms.
+    """The overlap quantity fed to the eigenvalue forms, as key_rate reports
+    it in p_lower.
 
-    as-printed: max(x, 0)^2; corrected: max(x, 0)^2 / 3.  Both are capped
-    at the feasibility ceiling.  Neither is a lower bound on the no-error
-    overlap sum (no_error_overlap): on the symmetric twirl the corrected
-    value is 2.548 against an exact 2.342 at Q = 0.02, and 1.968 against
-    1.566 at Q = 0.05.  Note the replication path in key_rate feeds the
-    eigenvalue forms the uncapped square instead (see module docstring).
+    as-printed: max(x, 0)^2, uncapped; corrected: max(x, 0)^2 / 3 capped
+    at the feasibility ceiling p000 p111 + p000 p222 + p111 p222.  Neither
+    is a lower bound on the no-error overlap sum (no_error_overlap): on
+    the symmetric twirl the corrected value is 2.548 against an exact
+    2.342 at Q = 0.02, and 1.968 against 1.566 at Q = 0.05.
     """
-    return float(_p_lower(x, table.p, mode))
+    return float(_p_lower(_clamped_square(x), table.p, mode))
 
 
 def _block_total(p000, p111, p222):
@@ -316,8 +312,7 @@ def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
     t = t_value_array(p)
     x = _x_stat(p, basis_err, variant)
     s_clamped = _clamped_square(x)
-    # as-printed feeds the eigenvalue forms the uncapped square
-    p_low = s_clamped if p_mode == "as-printed" else _p_lower(x, p, p_mode)
+    p_low = _p_lower(s_clamped, p, p_mode)
     lam1, lam2, ent = _sigma1_terms(p[:, 0, 0, 0], p[:, 1, 1, 1], p[:, 2, 2, 2],
                                     p_low, p_mode)
     bec = _s_bec(p)

@@ -158,16 +158,9 @@ def _linked_blocks(linked: np.ndarray) -> list:
             for m in sorted({len(b) for b in blocks})]
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Random isometry (rows x cols, rows >= cols) with V^dag V = I."""
+    """Haar-random isometry (rows x cols, rows >= cols) with V^dag V = I,
+    a Haar unitary when rows == cols."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
     z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))

@@ -6,10 +6,12 @@ the canonical basis and resends or reflects (uniformly), and the sender
 measures the returning qutrit in her preparation basis.  The attack's
 isometries act on both channel passes.
 
-Per-round outcomes are sampled from the exact amplitude-level conditional
-distributions implied by the attack; the eavesdropper's ancilla is traced
-implicitly since only sender/receiver statistics are collected.  Given a
-seed, results are reproducible byte for byte (numpy PCG64 generator).
+Raw-key and noise-estimation outcomes are sampled from the exact
+amplitude-level conditional distributions implied by the attack; the
+eavesdropper's ancilla is traced implicitly since only sender/receiver
+statistics are collected.  The two kinds of round the protocol discards
+only advance the random stream.  Given a seed, results are reproducible
+byte for byte (numpy PCG64 generator).
 """
 from __future__ import annotations
 
@@ -20,9 +22,7 @@ import numpy as np
 
 from .term_tables import BASIS_ERROR_ORDER
 from .attack import AttackModel, vector_families
-from .linalg import basis_vectors, sq_norms
-from .stats import (StatTable, alt_basis_table, measure_records,
-                    p_table_from_attack)
+from .stats import StatTable, alt_basis_table, p_table_from_attack
 
 _ERR_SENT, _ERR_FINAL = np.array(BASIS_ERROR_ORDER).T
 
@@ -78,24 +78,6 @@ class SimulationResult:
         })
 
 
-def _conditional_tables(attack: AttackModel, variant: str) -> dict:
-    """Exact outcome distributions for the four round categories.
-
-    Keys: ("A","M") -> (3,3,3) P(bob, final | sent); ("A","R") -> (3,3)
-    P(final | sent); ("alt","M") and ("alt","R") analogous in the
-    alternative basis.
-    """
-    fams = vector_families(attack)
-    alt = basis_vectors("T" if variant == "phi1" else "K")
-    # by linearity, sending alt ket i and measuring alt ket k on the way
-    # back leaves sum_ab alt[a,i] conj(alt[b,k]) e^b_{j,3a+j}
-    alt_m = sq_norms(np.einsum("ai,bk,ajbd->ijkd", alt, alt.conj(),
-                               measure_records(fams)))
-    return {("A", "M"): p_table_from_attack(fams),
-            ("A", "R"): sq_norms(fams.f).reshape(3, 3),
-            ("alt", "M"): alt_m, ("alt", "R"): alt_basis_table(fams, variant)}
-
-
 def _category_sizes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Rounds per category over n rounds, keyed sent*4 + alt*2 + reflect.
 
@@ -117,25 +99,29 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     if n < 1:
         raise ValueError("need at least one round")
     rng = np.random.default_rng(seed)
-    tabs = _conditional_tables(attack, variant)
+    fams = vector_families(attack)
+    counts_p = np.zeros((3, 9), dtype=np.int64)
+    alt_reflect = np.zeros((3, 3), dtype=np.int64)
+    # kind = alt*2 + reflect: raw key (canonical basis, measured) and noise
+    # estimation (alternative basis, reflected) with their outcome tables
+    reported = {0: (p_table_from_attack(fams).reshape(3, 9), counts_p),
+                3: (alt_basis_table(fams, variant), alt_reflect)}
 
     sizes = _category_sizes(rng, n)
-    # per sent value, in key order: canonical basis measured (raw key) and
-    # reflected, alternative basis measured and reflected (noise
-    # estimation); the two discarded categories are sampled all the same,
-    # since the seeded stream depends on their draws
-    kinds = [tabs[c].reshape(3, -1) for c in
-             (("A", "M"), ("A", "R"), ("alt", "M"), ("alt", "R"))]
-    counts = np.zeros((3, 4, 9), dtype=np.int64)
     for c in np.flatnonzero(sizes):
         i, kind = divmod(int(c), 4)
-        probs = kinds[kind][i]
+        if kind not in reported:
+            # Generator.choice takes exactly one Generator.random uniform
+            # per round, so a discarded category only advances the stream
+            rng.random(sizes[c])
+            continue
+        table, counts = reported[kind]
+        probs = table[i]
         draws = rng.choice(probs.size, size=sizes[c], p=probs / probs.sum())
-        counts[i, kind, :probs.size] = np.bincount(draws, minlength=probs.size)
+        counts[i] = np.bincount(draws, minlength=probs.size)
 
-    counts_p = counts[:, 0].reshape(3, 3, 3)
+    counts_p = counts_p.reshape(3, 3, 3)
     per_sent = counts_p.sum(axis=(1, 2))[:, None, None]
-    alt_reflect = counts[:, 3, :3]
     noise_rounds = alt_reflect.sum(axis=1)
     counts_basis_err = alt_reflect[_ERR_SENT, _ERR_FINAL]
     return SimulationResult(

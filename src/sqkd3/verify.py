@@ -16,7 +16,7 @@ from .attack import (pauli_twirl_attack, random_attack, ternary_channel_apply,
 from .keyrate import (Sigma1Decomposition, conditional_entropies, lemma1_check,
                       no_error_overlap, s_ec_bound, s_ec_upper,
                       sigma1_eigenvalues)
-from .linalg import basis_vectors, haar_unitary, sq_norms
+from .linalg import basis_vectors, haar_isometry, sq_norms
 from .stats import (basis_error_direct, basis_error_expanded, f_gram,
                     p_table_from_attack, t_values)
 
@@ -36,14 +36,19 @@ def check_mub() -> tuple[bool, str]:
     return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
-def check_sum_rules() -> tuple[bool, str]:
-    n_attacks, seed = 200, 1000
+def _random_families(n_attacks: int, seed: int):
+    """Record families of seeded random attacks, (d_f, d_r) drawn from _DIMS."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for trial in range(n_attacks):
         att = random_attack(int(rng.choice(_DIMS)), int(rng.choice(_DIMS)),
                             seed + 1 + trial)
-        fams = vector_families(att)
+        yield vector_families(att)
+
+
+def check_sum_rules() -> tuple[bool, str]:
+    n_attacks = 200
+    worst = 0.0
+    for fams in _random_families(n_attacks, 1000):
         for vecs in (fams.e, fams.f):
             # row i holds the records 3i+j end to end: the Gram sums over j
             rows = vecs.reshape(3, -1)
@@ -62,7 +67,7 @@ def check_channel_dilation() -> tuple[bool, str]:
         att = pauli_twirl_attack(q, q)
         fw = att.forward
         for _ in range(4):
-            u = haar_unitary(3, rng)
+            u = haar_isometry(3, 3, rng)
             rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
             big = fw @ rho @ fw.conj().T
             reduced = np.einsum("aibi->ab", big.reshape(3, 9, 3, 9))
@@ -91,7 +96,7 @@ def check_lemma1() -> tuple[bool, str]:
         weights = rng.dirichlet(np.ones(n_blocks))
         blocks = []
         for w in weights:
-            u = haar_unitary(3, rng)
+            u = haar_isometry(3, 3, rng)
             rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
             blocks.append((float(w), rho))
         lhs, rhs = lemma1_check(blocks)
@@ -100,13 +105,9 @@ def check_lemma1() -> tuple[bool, str]:
 
 
 def check_expansion_equivalence() -> tuple[bool, str]:
-    n_attacks, seed = 100, 3000
-    rng = np.random.default_rng(seed)
+    n_attacks = 100
     worst = 0.0
-    for trial in range(n_attacks):
-        att = random_attack(int(rng.choice(_DIMS)), int(rng.choice(_DIMS)),
-                            seed + 1 + trial)
-        fams = vector_families(att)
+    for fams in _random_families(n_attacks, 3000):
         gram = f_gram(fams)
         for variant in ("phi1", "phi2"):
             direct = basis_error_direct(fams, variant)

@@ -17,7 +17,7 @@ from sqkd3.attack import (ChannelScenario, pauli_twirl_attack, random_attack,
 from sqkd3.keyrate import (Sigma1Decomposition, conditional_entropies,
                            find_threshold, key_rate, lemma1_check, s_ec_bound,
                            sigma1_eigenvalues)
-from sqkd3.linalg import haar_unitary
+from sqkd3.linalg import haar_isometry
 from sqkd3.sim import run_protocol
 from sqkd3.stats import (basis_error_direct, basis_error_expanded, f_gram,
                          p_table_from_attack, stat_table_from_attack)
@@ -121,7 +121,7 @@ def test_criterion_6_lemma1_oracle():
         weights = rng.dirichlet(np.ones(n_blocks))
         blocks = []
         for w in weights:
-            u = haar_unitary(3, rng)
+            u = haar_isometry(3, 3, rng)
             rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) \
                 @ u.conj().T
             blocks.append((float(w), rho))
@@ -138,7 +138,7 @@ def test_criterion_7_channel_dilation():
     for q in (0.0, 0.05, 0.1, 0.3):
         fw = pauli_twirl_attack(q, q).forward
         for _ in range(5):
-            u = haar_unitary(3, rng)
+            u = haar_isometry(3, 3, rng)
             rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) \
                 @ u.conj().T
             big = fw @ rho @ fw.conj().T

@@ -7,9 +7,9 @@ from sqkd3.attack import (AttackModel, ChannelScenario, identity_attack,
                           pauli_twirl_attack, pauli_twirl_isometry,
                           random_attack, ternary_channel_apply,
                           vector_families)
-from sqkd3.linalg import basis_vectors, haar_unitary
-from sqkd3.sim import _conditional_tables
-from sqkd3.stats import basis_error_direct, p_table_from_attack
+from sqkd3.linalg import basis_vectors, haar_isometry
+from sqkd3.stats import (alt_basis_table, basis_error_direct,
+                         p_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
@@ -148,38 +148,17 @@ def test_record_arrays_bit_equal_to_per_vector_reference(attack):
     for got, ref in ((fams.e, e), (fams.ekij, ek), (fams.f, f),
                      (fams.g, g), (fams.h, h)):
         assert np.array_equal(got, np.array(ref))
+    # run_protocol samples its counted rounds from the canonical table and
+    # the alternative-basis table, so their bits fix its seeded output
     assert np.array_equal(p_table_from_attack(fams), p)
+    assert np.max(np.abs(p.sum(axis=(1, 2)) - 1.0)) < 1e-12
     for variant, family in (("phi1", g), ("phi2", h)):
         ref = [norm2(family[3 * i + j]) for i, j in BASIS_ERROR_ORDER]
         assert np.array_equal(basis_error_direct(fams, variant), ref)
-
-        alt = basis_vectors("T" if variant == "phi1" else "K")
-        alt_m = np.empty((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                # alt ket i sent, |j> found and resent, alt ket k measured
-                vin = np.zeros(3 * attack.d_f, dtype=complex)
-                vin[j * attack.d_f:(j + 1) * attack.d_f] = sum(
-                    alt[a, i] * e[3 * a + j] for a in range(3))
-                out = (attack.reverse @ vin).reshape(3, -1)
-                for k in range(3):
-                    alt_m[i, j, k] = norm2(alt[:, k].conj() @ out)
-        expected = {
-            ("A", "M"): p,
-            ("A", "R"): [[norm2(f[3 * i + k]) for k in range(3)]
-                         for i in range(3)],
-            ("alt", "M"): alt_m,
-            ("alt", "R"): [[norm2(family[3 * i + k]) for k in range(3)]
-                           for i in range(3)]}
-        tabs = _conditional_tables(attack, variant)
-        for key, ref in expected.items():
-            assert np.max(np.abs(tabs[key] - np.array(ref))) < 1e-12, key
-            rows = tabs[key].reshape(3, -1).sum(axis=1)
-            assert np.max(np.abs(rows - 1.0)) < 1e-12, key
-        # the counted rounds draw from these two, so their bits fix the
-        # seeded run_protocol output
-        for key in (("A", "M"), ("alt", "R")):
-            assert np.array_equal(tabs[key], expected[key]), key
+        alt_r = alt_basis_table(fams, variant)
+        assert np.array_equal(alt_r, [[norm2(family[3 * i + k])
+                                       for k in range(3)] for i in range(3)])
+        assert np.max(np.abs(alt_r.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_ternary_channel_basics():
@@ -189,7 +168,7 @@ def test_ternary_channel_basics():
     assert np.allclose(ternary_channel_apply(rho0, q),
                        np.diag([1 - 2 * q, q, q]))
     rng = np.random.default_rng(5)
-    u = haar_unitary(3, rng)
+    u = haar_isometry(3, 3, rng)
     rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
     assert np.allclose(ternary_channel_apply(rho, 0.0), rho)
     assert np.allclose(ternary_channel_apply(rho, 1 / 3), np.eye(3) / 3)
@@ -226,7 +205,7 @@ def test_twirl_dilation_matches_channel_above_one_third(q):
     # the twirl realises the channel up to 3/8, so the channel takes q there
     v = pauli_twirl_isometry(q)
     rng = np.random.default_rng(8)
-    u = haar_unitary(3, rng)
+    u = haar_isometry(3, 3, rng)
     rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
     big = v @ rho @ v.conj().T
     reduced = np.einsum("aibi->ab", big.reshape(3, 9, 3, 9))

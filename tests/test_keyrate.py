@@ -11,13 +11,13 @@ import sqkd3.keyrate as keyrate
 from sqkd3.attack import ChannelScenario, pauli_twirl_attack, random_attack, \
     vector_families
 from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
-                           feasibility_ceiling, find_threshold, h_b_given_a,
+                           find_threshold, h_b_given_a,
                            key_rate, key_rate_curve, key_rate_from_table,
                            lemma1_check, no_error_overlap, p_lower_bound,
                            rho_be, rho_bec, s_bec, s_ec_bound, s_ec_upper,
                            sigma1_eigenvalues, sigma1_entropy_terms,
                            trace_out_receiver, x_bound)
-from sqkd3.linalg import haar_unitary, shannon_entropy3
+from sqkd3.linalg import haar_isometry, shannon_entropy3
 from sqkd3.stats import (StatTable, joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
@@ -90,14 +90,27 @@ def test_x_bound_oracle_on_random_attacks(seed):
 
 def test_p_lower_bound_modes():
     table = noiseless_table()
-    assert feasibility_ceiling(table) == pytest.approx(3.0)
     assert p_lower_bound(3.0, table, "corrected") == pytest.approx(3.0)
+    # 3.3^2 / 3 = 3.63 is capped at the feasibility ceiling 3
+    assert p_lower_bound(3.3, table, "corrected") == pytest.approx(3.0)
     assert p_lower_bound(-0.7, table, "corrected") == 0.0
     assert p_lower_bound(-0.7, table, "as-printed") == 0.0
-    # literal square of 3 would be 9; the op caps at the ceiling
-    assert p_lower_bound(3.0, table, "as-printed") == pytest.approx(3.0)
+    # as-printed is the uncapped square, as key_rate reports it
+    assert p_lower_bound(3.0, table, "as-printed") == pytest.approx(9.0)
     with pytest.raises(ValueError):
         p_lower_bound(1.0, table, "bogus")
+
+
+def test_p_lower_bound_is_the_reported_p_lower():
+    attacks = [pauli_twirl_attack(q, q) for q in (0.0, 0.02, 0.05, 0.1, 0.3)]
+    attacks += [random_attack(d_f, d_r, seed=50 + 10 * d_f + d_r)
+                for d_f, d_r in itertools.product((1, 3, 9), repeat=2)]
+    for attack in attacks:
+        for variant in ("phi1", "phi2"):
+            table = stat_table_from_attack(attack, variant)
+            for mode in ("as-printed", "corrected"):
+                assert p_lower_bound(x_bound(table), table, mode) == \
+                    key_rate_from_table(table, "as-printed", mode).p_lower
 
 
 @pytest.mark.parametrize("q,p_low,overlap", [(0.02, 2.548, 2.342),
@@ -247,10 +260,7 @@ def scalar_recomposition(scn: ChannelScenario) -> dict:
     table = stat_table_for_scenario(scn)
     t = t_values(table.p)
     x = x_bound(table)
-    if scn.p_mode == "as-printed":
-        p_low = max(x, 0.0) ** 2
-    else:
-        p_low = p_lower_bound(x, table, scn.p_mode)
+    p_low = p_lower_bound(x, table, scn.p_mode)
     p = table.p
     lam1, lam2, ent = sigma1_entropy_terms(p[0, 0, 0], p[1, 1, 1], p[2, 2, 2],
                                            p_low, scn.p_mode)
@@ -304,7 +314,7 @@ def test_kernel_rejects_bad_input():
 
 def test_lemma1_check_examples():
     rng = np.random.default_rng(3)
-    u = haar_unitary(3, rng)
+    u = haar_isometry(3, 3, rng)
     rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
     lhs, rhs = lemma1_check([(1.0, rho)])
     assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqkd3.linalg import (basis_vectors, haar_unitary, shannon_entropy3,
+from sqkd3.linalg import (basis_vectors, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
 
 # frozen oracle value: -sum p log3 p at 40 digits (mpmath)
@@ -77,9 +77,10 @@ def test_von_neumann_rejects_bad_input():
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
-def test_haar_unitary_is_unitary(seed):
+def test_haar_isometry_square_is_unitary(seed):
     rng = np.random.default_rng(seed)
-    u = haar_unitary(int(rng.integers(2, 10)), rng)
+    dim = int(rng.integers(2, 10))
+    u = haar_isometry(dim, dim, rng)
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
 
@@ -89,7 +90,7 @@ def test_entropy_invariant_under_conjugation(seed, dim):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(dim))
     rho = np.diag(probs).astype(complex)
-    u = haar_unitary(dim, rng)
+    u = haar_isometry(dim, dim, rng)
     rotated = u @ rho @ u.conj().T
     assert von_neumann_entropy3(rotated) == pytest.approx(
         shannon_entropy3(probs), abs=1e-9)
@@ -119,7 +120,7 @@ def _block_diagonal_state(sizes, n_zero, rng, chains=False):
             block = b @ b.conj().T
             block /= block.trace().real
         else:
-            u = haar_unitary(size, rng)
+            u = haar_isometry(size, size, rng)
             block = u @ np.diag(rng.dirichlet(np.ones(size))).astype(complex) \
                 @ u.conj().T
         rho[start:start + size, start:start + size] = w * block

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sqkd3.attack import identity_attack, pauli_twirl_attack, random_attack
-from sqkd3.sim import (SimulationResult, _conditional_tables,
-                       max_deviation_sigma, run_protocol)
-from sqkd3.stats import stat_table_from_attack
+from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
+                          vector_families)
+from sqkd3.linalg import basis_vectors, sq_norms
+from sqkd3.sim import SimulationResult, max_deviation_sigma, run_protocol
+from sqkd3.stats import (alt_basis_table, measure_records, p_table_from_attack,
+                         stat_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 
@@ -67,11 +69,28 @@ def test_json_and_csv_exports():
     assert sum(fields["counts_p"]) == fields["n_sifted"] == res.counts_p.sum()
 
 
+def _reference_tables(attack, variant):
+    """Exact outcome distributions of the four round categories:
+    ("A","M") -> (3,3,3) P(bob, final | sent); ("A","R") -> (3,3)
+    P(final | sent); ("alt","M") and ("alt","R") analogous in the
+    alternative basis."""
+    fams = vector_families(attack)
+    alt = basis_vectors("T" if variant == "phi1" else "K")
+    # by linearity, sending alt ket i and measuring alt ket k on the way
+    # back leaves sum_ab alt[a,i] conj(alt[b,k]) e^b_{j,3a+j}
+    alt_m = sq_norms(np.einsum("ai,bk,ajbd->ijkd", alt, alt.conj(),
+                               measure_records(fams)))
+    return {("A", "M"): p_table_from_attack(fams),
+            ("A", "R"): sq_norms(fams.f).reshape(3, 3),
+            ("alt", "M"): alt_m, ("alt", "R"): alt_basis_table(fams, variant)}
+
+
 def _reference_json(n, attack, variant, seed):
     """run_protocol written with one boolean mask per category, drawing
-    (A,M), (A,R), (alt,M), (alt,R) per sent value and skipping empty ones."""
+    outcomes of (A,M), (A,R), (alt,M), (alt,R) per sent value with
+    rng.choice and skipping empty ones."""
     rng = np.random.default_rng(seed)
-    tabs = _conditional_tables(attack, variant)
+    tabs = _reference_tables(attack, variant)
     basis_is_alt = rng.integers(0, 2, size=n).astype(bool)
     op_is_reflect = rng.integers(0, 2, size=n).astype(bool)
     sent = rng.integers(0, 3, size=n)

@@ -12,6 +12,8 @@ The outputs are:
 * the `verify` text;
 * the forward and reverse isometries of `pauli_twirl_attack(q, q)` and its
   five record families, at q in {0, 0.1, 3/8};
+* the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
+  `pauli_twirl_attack(q, q)`, at q in {0.02, 0.1, 0.3};
 * `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON of
   one seeded random attack per (d_f, d_r) in {1, 3, 9}^2, for both
   variants.
@@ -28,6 +30,7 @@ import itertools
 from sqkd3 import verify
 from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
 from sqkd3.cli import main
+from sqkd3.keyrate import conditional_entropies, rho_be, rho_bec
 from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
 
@@ -37,8 +40,9 @@ CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
                "--basis-convention": ("per-pair", "total")}
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def digest(text: str | bytes) -> str:
+    data = text if isinstance(text, bytes) else text.encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def cli_output(argv: list) -> str:
@@ -77,6 +81,13 @@ def outputs():
             arr.tobytes().hex() for arr in (attack.forward, attack.reverse,
                                             fams.e, fams.ekij, fams.f, fams.g,
                                             fams.h))
+    for q in (0.02, 0.1, 0.3):
+        fams = vector_families(pauli_twirl_attack(q, q))
+        # rho_bec is 15 MB: hash its bytes, not their hex
+        yield f"rho_be twirl {q}", rho_be(fams).tobytes()
+        yield f"rho_bec twirl {q}", rho_bec(fams).tobytes()
+        yield (f"conditional_entropies twirl {q}",
+               repr(conditional_entropies(fams)))
     for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
         attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
         for variant in ("phi1", "phi2"):

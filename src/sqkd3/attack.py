@@ -27,19 +27,6 @@ ISOMETRY_TOL = 1e-12
 Q_MAX = 0.375
 
 
-def shift_matrix() -> np.ndarray:
-    """Generalized Pauli X: |k> -> |k+1 mod 3>."""
-    x = np.zeros((3, 3), dtype=complex)
-    for k in range(3):
-        x[(k + 1) % 3, k] = 1.0
-    return x
-
-
-def clock_matrix() -> np.ndarray:
-    """Generalized Pauli Z: |k> -> omega^k |k>."""
-    return np.diag([1.0, OMEGA, OMEGA**2]).astype(complex)
-
-
 @dataclass(frozen=True)
 class AttackModel:
     """Eve's forward/reverse isometries with their ancilla dimensions."""
@@ -184,19 +171,20 @@ def twirl_weights(q: float) -> np.ndarray:
 def pauli_twirl_isometry(q: float) -> np.ndarray:
     """Dilation |psi> -> sum_ab sqrt(w_ab) (X^a Z^b |psi>) x |ab>, (27 x 3).
 
-    Tracing out the 9-dimensional ancilla reproduces ternary_channel_apply.
+    X is the shift |i> -> |i+1 mod 3> and Z the clock |i> -> omega^i |i>,
+    so X^a Z^b |i> = z_b[i] |i+a>.  Tracing out the 9-dimensional ancilla
+    reproduces ternary_channel_apply.
     """
     w = twirl_weights(q)
-    x, z = shift_matrix(), clock_matrix()
-    v = np.zeros((27, 3), dtype=complex)
+    z1 = np.array([1.0, OMEGA, OMEGA**2], dtype=complex)
+    # z_2 is the product z1 * z1 that the matrix square Z @ Z forms
+    z = np.stack([np.ones(3, dtype=complex), z1, z1 * z1])
+    i = np.arange(3)
+    v = np.zeros((3, 3, 3, 3), dtype=complex)   # [out, a, b, in]
     for a in range(3):
         for b in range(3):
-            op = np.sqrt(w[a, b]) * np.linalg.matrix_power(x, a) \
-                @ np.linalg.matrix_power(z, b)
-            for qq in range(3):
-                for i in range(3):
-                    v[qq * 9 + (a * 3 + b), i] += op[qq, i]
-    return v
+            v[(i + a) % 3, a, b, i] += np.sqrt(w[a, b]) * z[b]
+    return v.reshape(27, 3)
 
 
 def pauli_twirl_attack(q_forward: float, q_reverse: float) -> AttackModel:

@@ -30,9 +30,9 @@ from . import term_tables as tables
 from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
                      alternative_basis_error, check_conventions)
 from .linalg import LN3, entropy3, shannon_entropy3, von_neumann_entropy3
-from .stats import (JointDistribution, StatTable, check_p_tables, joint_tables,
-                    measure_records, p_table_symmetric,
-                    stat_table_for_scenario, t_value_array)
+from .stats import (ERROR_PATTERN, JointDistribution, StatTable,
+                    check_p_tables, joint_tables, measure_records,
+                    p_table_symmetric, stat_table_for_scenario, t_value_array)
 
 
 @dataclass(frozen=True)
@@ -250,14 +250,13 @@ def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
 
 
 #: Flat indices of the no-error cells (a, a, a) and of the other 24 cells.
-_NO_ERROR_CELLS = np.array([0, 13, 26])
-_ERROR_CELLS = np.setdiff1d(np.arange(27), _NO_ERROR_CELLS)
+_NO_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN == 0)
+_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
 
 
 def no_error_overlap(fams: VectorFamilies) -> float:
     """Sum over a < b of |<e_aaa|e_bbb>|^2, the no-error block's overlaps."""
-    recs = measure_records(fams)
-    vecs = [recs[a, a, a] for a in range(3)]
+    vecs = measure_records(fams).reshape(27, -1)[_NO_ERROR_CELLS]
     return float(sum(abs(np.vdot(vecs[a], vecs[b])) ** 2
                      for a, b in ((0, 1), (0, 2), (1, 2))))
 
@@ -424,47 +423,36 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # Explicit conditioned states for entropy-inequality verification
 # ---------------------------------------------------------------------------
 
-def _c_register_index(i: int, j: int, k: int) -> int:
-    """0: match 0 flips, 1: match 1 flip, 2: mismatch 1 flip, 3: mismatch 2."""
-    flips = int(i != j) + int(j != k)
-    if j == k:
-        return 0 if flips == 0 else 1
-    return 2 if flips == 1 else 3
+def _labelled_state(fams: VectorFamilies, label: np.ndarray) -> np.ndarray:
+    """Receiver/eavesdropper state of the raw-key rounds with a classical
+    register of label.max() + 1 levels, label (3, 3, 3) indexed [i, j, k].
+
+    Index order (j, e, c): each record adds its outer product / 3 to the
+    one (j, label[i, j, k]) block it lives in, in (j, i, k) order; every
+    other entry stays zero.
+    """
+    recs = measure_records(fams)
+    dim_e, dim_c = recs.shape[-1], int(label.max()) + 1
+    rho = np.zeros((3 * dim_e * dim_c, 3 * dim_e * dim_c), dtype=complex)
+    # a view of rho, indexed [j, e, c, j', e', c']
+    blocks = rho.reshape(3, dim_e, dim_c, 3, dim_e, dim_c)
+    for j in range(3):
+        for i in range(3):
+            for k in range(3):
+                v, c = recs[i, j, k], label[i, j, k]
+                blocks[j, :, c, j, :, c] += np.outer(v, v.conj()) / 3.0
+    return rho
 
 
 def rho_be(fams: VectorFamilies) -> np.ndarray:
     """Joint receiver/eavesdropper state of the raw-key rounds."""
-    recs = measure_records(fams)
-    dim_e = recs.shape[-1]
-    rho = np.zeros((3 * dim_e, 3 * dim_e), dtype=complex)
-    for j in range(3):
-        block = np.zeros((dim_e, dim_e), dtype=complex)
-        for i in range(3):
-            for k in range(3):
-                v = recs[i, j, k]
-                block += np.outer(v, v.conj())
-        rho[j * dim_e:(j + 1) * dim_e, j * dim_e:(j + 1) * dim_e] = block / 3.0
-    return rho
+    return _labelled_state(fams, np.zeros_like(ERROR_PATTERN))
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
-    """Same state with the four-dimensional error-pattern register attached.
-
-    Index order (j, e, c): each record adds its outer product to the one
-    (j, c) block it lives in; every other entry stays zero.
-    """
-    recs = measure_records(fams)
-    dim_e = recs.shape[-1]
-    rho = np.zeros((3 * dim_e * 4, 3 * dim_e * 4), dtype=complex)
-    # a view of rho, indexed [j, e, c, j', e', c']
-    blocks = rho.reshape(3, dim_e, 4, 3, dim_e, 4)
-    for j in range(3):
-        for i in range(3):
-            for k in range(3):
-                v = recs[i, j, k]
-                c = _c_register_index(i, j, k)
-                blocks[j, :, c, j, :, c] += np.outer(v, v.conj()) / 3.0
-    return rho
+    """Same state with the four-level error-pattern register attached,
+    index order (j, e, c) with c = stats.ERROR_PATTERN[i, j, k]."""
+    return _labelled_state(fams, ERROR_PATTERN)
 
 
 def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:

@@ -81,6 +81,10 @@ class JointDistribution:
 
 _I, _J, _K = np.indices((3, 3, 3))
 
+#: Error pattern of cell [i, j, k] (sent, receiver found, sender found):
+#: 0 no error, 1 outbound error only, 2 return error only, 3 both.
+ERROR_PATTERN = (_I != _J) + 2 * (_J != _K)
+
 
 def measure_records(fams: VectorFamilies) -> np.ndarray:
     """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
@@ -96,6 +100,8 @@ def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
 def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
     """P(final | sent) (3, 3) of the alternative-basis reflection rounds:
     squared norms of the T-basis (phi1) or K-basis (phi2) round-trip records."""
+    if variant not in ("phi1", "phi2"):
+        raise ValueError(f"unknown variant {variant!r}")
     return sq_norms(fams.g if variant == "phi1" else fams.h).reshape(3, 3)
 
 
@@ -154,12 +160,10 @@ def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
     return out
 
 
-#: Flat indices of the (i, j, k) cells of the first three error patterns,
-#: in the order they are added.
-_T_CELLS = [np.ravel_multi_index(np.transpose(cells), (3, 3, 3)) for cells in (
-    [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
-    [(1, 0, 0), (2, 0, 0), (0, 1, 1), (2, 1, 1), (0, 2, 2), (1, 2, 2)],
-    [(0, 0, 1), (0, 0, 2), (1, 1, 0), (1, 1, 2), (2, 2, 0), (2, 2, 1)])]
+#: Flat indices of the (i, j, k) cells of error patterns 0-2, in the
+#: receiver-major (j, i, k) order they are added.
+_JIK = np.arange(27).reshape(3, 3, 3).transpose(1, 0, 2).ravel()
+_T_CELLS = [_JIK[ERROR_PATTERN.ravel()[_JIK] == c] for c in range(3)]
 
 
 def t_value_array(p: np.ndarray) -> np.ndarray:

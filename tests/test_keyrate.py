@@ -365,6 +365,26 @@ def test_rho_bec_bit_equal_to_outer_products(attack):
     assert rho_bec(fams).tobytes() == _rho_bec_outer_products(fams).tobytes()
 
 
+def _trace_out_register(bec):
+    dim = bec.shape[0] // 4
+    return np.einsum("acbd->ab", bec.reshape(dim, 4, dim, 4))
+
+
+@pytest.mark.parametrize("q", [0.02, 0.1, 0.3])
+def test_rho_be_is_rho_bec_without_register_on_twirl(q):
+    fams = vector_families(pauli_twirl_attack(q, q))
+    assert rho_be(fams).tobytes() == _trace_out_register(rho_bec(fams)).tobytes()
+
+
+@pytest.mark.parametrize("d_f,d_r", itertools.product((1, 3, 9), repeat=2))
+def test_rho_be_is_rho_bec_without_register_on_random_attacks(d_f, d_r):
+    # summed per register level and then over levels, the records of one
+    # receiver symbol add in another order, so bits may differ
+    fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
+    gap = np.abs(rho_be(fams) - _trace_out_register(rho_bec(fams)))
+    assert gap.max() <= 1e-15
+
+
 def _full_spectrum_entropy(rho):
     return shannon_entropy3(np.clip(np.linalg.eigvalsh(rho), 0.0, None))
 

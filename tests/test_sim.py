@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import sqkd3.sim as sim
 from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           vector_families)
 from sqkd3.linalg import basis_vectors, sq_norms
 from sqkd3.sim import SimulationResult, max_deviation_sigma, run_protocol
-from sqkd3.stats import (alt_basis_table, measure_records, p_table_from_attack,
-                         stat_table_from_attack)
+from sqkd3.stats import (alt_basis_table, basis_error_direct, measure_records,
+                         p_table_from_attack, stat_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 
@@ -31,6 +32,19 @@ def test_determinism_byte_for_byte():
     assert a.to_json() == b.to_json()
     c = run_protocol(50_000, attack, "phi1", seed=8)
     assert not np.array_equal(a.counts_p, c.counts_p)
+
+
+@pytest.mark.parametrize("variant", ["PHI1", "phi3"])
+def test_unknown_variant_rejected_before_sampling(variant, monkeypatch):
+    attack = pauli_twirl_attack(0.1, 0.1)
+    with pytest.raises(ValueError, match="unknown variant"):
+        basis_error_direct(vector_families(attack), variant)
+
+    def no_draws(*args):
+        raise AssertionError("run_protocol drew rounds")
+    monkeypatch.setattr(sim, "_category_sizes", no_draws)
+    with pytest.raises(ValueError, match="unknown variant"):
+        run_protocol(100, attack, variant, seed=0)
 
 
 def test_sifted_fraction_converges():

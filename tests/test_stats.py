@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           vector_families)
-from sqkd3.stats import (StatTable, basis_error_direct, basis_error_expanded,
-                         f_gram, joint_and_marginal, p_table_from_attack,
+from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
+                         basis_error_direct, basis_error_expanded, f_gram,
+                         joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
 from sqkd3.attack import ChannelScenario
@@ -104,6 +105,19 @@ def test_t_values_noiseless_and_symmetric():
     assert t[2] == pytest.approx(6 * q * (1 - 2 * q), abs=1e-12)
     assert t[3] == pytest.approx(12 * q * q, abs=1e-12)
     assert sum(t) == pytest.approx(3.0, abs=1e-9)
+
+
+def test_t_cells_from_error_pattern():
+    # the literal cell lists t_values used to add, in their order: the
+    # order fixes the bits of each t sum
+    literal = [
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+        [(1, 0, 0), (2, 0, 0), (0, 1, 1), (2, 1, 1), (0, 2, 2), (1, 2, 2)],
+        [(0, 0, 1), (0, 0, 2), (1, 1, 0), (1, 1, 2), (2, 2, 0), (2, 2, 1)]]
+    for cells, ref in zip(_T_CELLS, literal):
+        assert cells.tolist() == np.ravel_multi_index(
+            np.transpose(ref), (3, 3, 3)).tolist()
+    assert np.bincount(ERROR_PATTERN.ravel()).tolist() == [3, 6, 6, 12]
 
 
 @given(st.integers(min_value=0, max_value=10_000))

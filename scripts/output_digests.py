@@ -14,9 +14,9 @@ The outputs are:
   five record families, at q in {0, 0.1, 3/8};
 * the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
   `pauli_twirl_attack(q, q)`, at q in {0.02, 0.1, 0.3};
-* `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON of
-  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2, for both
-  variants.
+* the `conditional_entropies`, and for both variants the
+  `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON, of
+  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -90,6 +90,8 @@ def outputs():
                repr(conditional_entropies(fams)))
     for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
         attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
+        yield (f"conditional_entropies random_attack({d_f}, {d_r})",
+               repr(conditional_entropies(vector_families(attack))))
         for variant in ("phi1", "phi2"):
             table = stat_table_from_attack(attack, variant)
             yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",

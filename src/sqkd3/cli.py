@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -58,15 +59,11 @@ def cmd_sweep(args) -> int:
     lines = [header, ",".join(SWEEP_COLUMNS)]
     lines += [row_format % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
-    try:
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return 0
 
 
@@ -139,9 +136,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout():
+    # sys.stdout is None when the process was started with stdout closed
+    if sys.stdout is not None:
+        sys.stdout.flush()
+
+
+def _discard_pending_stdout():
+    """Point stdout at devnull if it still cannot take what it holds, so
+    that the interpreter's flush at exit does not fail a second time."""
+    try:
+        _flush_stdout()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        _flush_stdout()
+    except OSError as exc:
+        print(f"sqkd3 {args.command}: cannot write output: {exc}",
+              file=sys.stderr)
+        _discard_pending_stdout()
+        return 3
+    return code
 
 
 if __name__ == "__main__":

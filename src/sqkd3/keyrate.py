@@ -21,6 +21,7 @@ rate does not use yet.  Two evaluation semantics are exposed:
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -126,9 +127,20 @@ def _clamped_square(x):
     return _square(np.maximum(x, 0.0))
 
 
+#: Flat indices of the no-error cells (a, a, a) and of the other 24 cells.
+_NO_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN == 0)
+_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
+
+
+def _no_error_diagonal(p: np.ndarray) -> tuple:
+    """(p000, p111, p222) of tables p (..., 3, 3, 3)."""
+    flat = p.reshape(p.shape[:-3] + (27,))
+    return tuple(flat[..., cell] for cell in _NO_ERROR_CELLS)
+
+
 def _ceiling(p: np.ndarray) -> np.ndarray:
     """Largest overlap sum compatible with the three diagonal entries."""
-    p000, p111, p222 = p[..., 0, 0, 0], p[..., 1, 1, 1], p[..., 2, 2, 2]
+    p000, p111, p222 = _no_error_diagonal(p)
     return p000 * p111 + p000 * p222 + p111 * p222
 
 
@@ -249,11 +261,6 @@ def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
     return float(_s_ec_upper(np.asarray(t, dtype=float), ent))
 
 
-#: Flat indices of the no-error cells (a, a, a) and of the other 24 cells.
-_NO_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN == 0)
-_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
-
-
 def no_error_overlap(fams: VectorFamilies) -> float:
     """Sum over a < b of |<e_aaa|e_bbb>|^2, the no-error block's overlaps."""
     vecs = measure_records(fams).reshape(27, -1)[_NO_ERROR_CELLS]
@@ -312,8 +319,7 @@ def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
     x = _x_stat(p, basis_err, variant)
     s_clamped = _clamped_square(x)
     p_low = _p_lower(s_clamped, p, p_mode)
-    lam1, lam2, ent = _sigma1_terms(p[:, 0, 0, 0], p[:, 1, 1, 1], p[:, 2, 2, 2],
-                                    p_low, p_mode)
+    lam1, lam2, ent = _sigma1_terms(*_no_error_diagonal(p), p_low, p_mode)
     bec = _s_bec(p)
     ec_upper = _s_ec_upper(t, ent)
     hba = _h_b_given_a(*joint_tables(p, weighting))
@@ -423,36 +429,47 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # Explicit conditioned states for entropy-inequality verification
 # ---------------------------------------------------------------------------
 
-def _labelled_state(fams: VectorFamilies, label: np.ndarray) -> np.ndarray:
-    """Receiver/eavesdropper state of the raw-key rounds with a classical
-    register of label.max() + 1 levels, label (3, 3, 3) indexed [i, j, k].
+def _labelled_blocks(fams: VectorFamilies, label: np.ndarray) -> np.ndarray:
+    """Diagonal blocks [j, c] (3, dim_c, dim_e, dim_e) of the receiver /
+    eavesdropper state of the raw-key rounds with a classical register of
+    dim_c = label.max() + 1 levels, label (3, 3, 3) indexed [i, j, k].
 
-    Index order (j, e, c): each record adds its outer product / 3 to the
-    one (j, label[i, j, k]) block it lives in, in (j, i, k) order; every
-    other entry stays zero.
+    Each record adds its outer product / 3 to the one (j, label[i, j, k])
+    block it lives in, in (j, i, k) order.
     """
     recs = measure_records(fams)
     dim_e, dim_c = recs.shape[-1], int(label.max()) + 1
-    rho = np.zeros((3 * dim_e * dim_c, 3 * dim_e * dim_c), dtype=complex)
-    # a view of rho, indexed [j, e, c, j', e', c']
-    blocks = rho.reshape(3, dim_e, dim_c, 3, dim_e, dim_c)
-    for j in range(3):
-        for i in range(3):
-            for k in range(3):
-                v, c = recs[i, j, k], label[i, j, k]
-                blocks[j, :, c, j, :, c] += np.outer(v, v.conj()) / 3.0
-    return rho
+    outer = recs[..., :, None] * recs.conj()[..., None, :]
+    # Scale the real and imaginary parts by 1/3, at half the cost of the
+    # complex x / 3: numpy computes that as (re + im * 0) * (1/3), so the
+    # two differ only in the sign of a zero, and adding onto the +0.0 of a
+    # fresh block turns either zero into +0.0.
+    parts = outer.view(float)
+    parts *= 1.0 / 3.0
+    blocks = np.zeros((3, dim_c, dim_e, dim_e), dtype=complex)
+    for j, i, k in itertools.product(range(3), repeat=3):
+        blocks[j, label[i, j, k]] += outer[i, j, k]
+    return blocks
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The operator with diagonal blocks [j, c], index order (j, e, c)."""
+    _, dim_c, dim_e, _ = blocks.shape
+    rho = np.zeros((3, dim_e, dim_c, 3, dim_e, dim_c), dtype=complex)
+    j, c = np.indices((3, dim_c))
+    rho[j, :, c, j, :, c] = blocks
+    return rho.reshape(3 * dim_e * dim_c, 3 * dim_e * dim_c)
 
 
 def rho_be(fams: VectorFamilies) -> np.ndarray:
     """Joint receiver/eavesdropper state of the raw-key rounds."""
-    return _labelled_state(fams, np.zeros_like(ERROR_PATTERN))
+    return _block_diagonal(_labelled_blocks(fams, np.zeros_like(ERROR_PATTERN)))
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
     """Same state with the four-level error-pattern register attached,
     index order (j, e, c) with c = stats.ERROR_PATTERN[i, j, k]."""
-    return _labelled_state(fams, ERROR_PATTERN)
+    return _block_diagonal(_labelled_blocks(fams, ERROR_PATTERN))
 
 
 def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
@@ -462,20 +479,20 @@ def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
 
 
 def conditional_entropies(fams: VectorFamilies) -> dict:
-    """S(B|E) and S(B|EC) from the explicitly assembled states.
+    """S(B|E) and S(B|EC) of the raw-key rounds, and S(EC).
 
-    Also returns S(EC).  The states are block-diagonal (in the receiver
-    symbol j, and for rho_bec also in the error-pattern register c), and
-    von_neumann_entropy3 eigendecomposes each block on its own: on the
-    twirl the 972-dimensional rho_bec has 243 nonzero rows in 27 blocks.
+    The states are taken as their diagonal blocks, never assembled: rho_be
+    is block-diagonal in the receiver symbol j, rho_bec in j and the
+    error-pattern register c, and tracing out the receiver sums the blocks
+    over j.  The values equal those of von_neumann_entropy3 on rho_be,
+    rho_bec and their trace_out_receiver, bit for bit.
     """
-    be = rho_be(fams)
-    dim_e = be.shape[0] // 3
-    e = trace_out_receiver(be, dim_e)
-    bec = rho_bec(fams)
-    s_ec = von_neumann_entropy3(trace_out_receiver(bec, dim_e * 4))
+    be = _labelled_blocks(fams, np.zeros_like(ERROR_PATTERN))
+    bec = _labelled_blocks(fams, ERROR_PATTERN)
+    s_ec = von_neumann_entropy3(bec[0] + bec[1] + bec[2])
     return {
-        "S_B_given_E": von_neumann_entropy3(be) - von_neumann_entropy3(e),
+        "S_B_given_E": (von_neumann_entropy3(be)
+                        - von_neumann_entropy3(be[0] + be[1] + be[2])),
         "S_B_given_EC": von_neumann_entropy3(bec) - s_ec,
         "S_EC_exact": s_ec,
     }

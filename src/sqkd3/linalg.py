@@ -108,27 +108,37 @@ def shannon_entropy3(probs) -> float:
 def von_neumann_entropy3(rho: np.ndarray) -> float:
     """Base-3 von Neumann entropy of a density matrix.
 
-    The input is Hermitized as (M + M^dag)/2.  Its exactly-zero rows and
-    columns, which only add zero eigenvalues, are dropped; the rest is
-    split into the connected components of its nonzero pattern, which are
-    diagonal blocks up to a permutation, and each block is
-    eigendecomposed on its own (all blocks of one size in one batched
-    call).  A fully linked operator is one block.
+    rho is the (n, n) matrix, or a stack (..., n, n) of the diagonal blocks
+    of a block-diagonal one (a 2-d input is the one-block stack).  Every
+    block must be Hermitian within tolerance and the block traces must sum
+    to 1.  Each block is Hermitized as (M + M^dag)/2.  Its exactly-zero
+    rows and columns, which only add zero eigenvalues, are dropped; the
+    rest is split into the connected components of its nonzero pattern,
+    which are diagonal blocks up to a permutation, and each component is
+    eigendecomposed on its own (the components of one size from all
+    blocks in one batched call).  A fully linked block is one component.
     Eigenvalues in [-1e-10, 0) are clamped to 0.
     """
     rho = np.asarray(rho, dtype=complex)
-    adjoint = rho.conj().T
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    adjoint = stack.conj().swapaxes(-1, -2)
     # a non-finite entry makes the deviation NaN, which fails this test
-    if not np.max(np.abs(rho - adjoint)) <= HERMITICITY_TOL:
+    if not np.max(np.abs(stack - adjoint)) <= HERMITICITY_TOL:
         raise ValueError("operator is not Hermitian within tolerance, "
                          "or has a non-finite entry")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {np.trace(rho)} is not 1 within tolerance")
-    herm = rho + adjoint
+    trace = np.trace(stack, axis1=-2, axis2=-1).sum()
+    if abs(trace.real - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {trace} is not 1 within tolerance")
+    herm = stack + adjoint
     herm *= 0.5
+    components = {}   # size -> list of (k, size, size) stacks
+    for block in herm:
+        for idx in _linked_blocks(block != 0):
+            components.setdefault(idx.shape[1], []).append(
+                block[idx[:, :, None], idx[:, None, :]])
     evals = np.sort(np.concatenate([
-        np.linalg.eigvalsh(herm[idx[:, :, None], idx[:, None, :]]).ravel()
-        for idx in _linked_blocks(herm != 0)]))
+        np.linalg.eigvalsh(np.concatenate(parts)).ravel()
+        for parts in components.values()]))
     if evals.min() < -EIGENVALUE_CLAMP:
         raise ValueError(f"negative eigenvalue {evals.min()} beyond tolerance")
     return shannon_entropy3(np.clip(evals, 0.0, None))

@@ -13,9 +13,9 @@ import numpy as np
 from . import term_tables as tables
 from .attack import (pauli_twirl_attack, random_attack, ternary_channel_apply,
                      vector_families)
-from .keyrate import (Sigma1Decomposition, conditional_entropies, lemma1_check,
-                      no_error_overlap, s_ec_bound, s_ec_upper,
-                      sigma1_eigenvalues)
+from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
+                      conditional_entropies, lemma1_check, no_error_overlap,
+                      s_ec_bound, s_ec_upper, sigma1_eigenvalues)
 from .linalg import basis_vectors, haar_isometry, sq_norms
 from .stats import (basis_error_direct, basis_error_expanded, f_gram,
                     p_table_from_attack, t_values)
@@ -146,8 +146,7 @@ def check_entropy_inequalities() -> tuple[bool, str]:
         p_exact = no_error_overlap(fams)
         slack = s_ec_bound(p_tab, p_exact) - ents["S_EC_exact"]
         ok = ok and gap >= -1e-9 and slack >= -1e-9
-        lam1, lam2 = sigma1_eigenvalues(p_tab[0, 0, 0], p_tab[1, 1, 1],
-                                        p_tab[2, 2, 2], p_exact)
+        lam1, lam2 = sigma1_eigenvalues(*_no_error_diagonal(p_tab), p_exact)
         printed = s_ec_upper(t_values(p_tab), lam1, lam2) - ents["S_EC_exact"]
         notes.append(f"Q={q}: S(B|E)-S(B|EC)={gap:+.3e}; "
                      f"bound slack {slack:+.3e}; printed-expression slack "

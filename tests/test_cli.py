@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +92,22 @@ def test_simulate_bad_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("simulate needs") and err.count("\n") == 1
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--steps", "3"], ["threshold"],
+                                  ["simulate", "--n", "100"], ["verify"]],
+                         ids=lambda argv: argv[0])
+def test_broken_stdout_is_an_io_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"sqkd3 {argv[0]}: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_usage_error_exit_code(capsys):

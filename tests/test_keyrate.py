@@ -17,7 +17,7 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            rho_be, rho_bec, s_bec, s_ec_bound, s_ec_upper,
                            sigma1_eigenvalues, sigma1_entropy_terms,
                            trace_out_receiver, x_bound)
-from sqkd3.linalg import haar_isometry, shannon_entropy3
+from sqkd3.linalg import haar_isometry, shannon_entropy3, von_neumann_entropy3
 from sqkd3.stats import (StatTable, joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
@@ -405,6 +405,43 @@ def test_conditional_entropies_match_full_spectra(attack):
     ents = conditional_entropies(fams)
     for key, value in ref.items():
         assert abs(ents[key] - value) < 1e-12, key
+
+
+def _dense_conditional_entropies(fams):
+    """conditional_entropies recomposed from the assembled states, as the
+    benchmark's traced replay does."""
+    be, bec = rho_be(fams), rho_bec(fams)
+    dim_e = be.shape[0] // 3
+    s_ec = von_neumann_entropy3(trace_out_receiver(bec, dim_e * 4))
+    return {"S_B_given_E": (von_neumann_entropy3(be)
+                            - von_neumann_entropy3(trace_out_receiver(be, dim_e))),
+            "S_B_given_EC": von_neumann_entropy3(bec) - s_ec,
+            "S_EC_exact": s_ec}
+
+
+@given(st.floats(min_value=0.0, max_value=Q_MAX))
+@example(0.01)
+@example(0.3)
+@settings(max_examples=10, deadline=None)
+def test_conditional_entropies_equal_dense_states_on_twirl(q):
+    fams = vector_families(pauli_twirl_attack(q, q))
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+@pytest.mark.parametrize("d_f,d_r", itertools.product((1, 3, 9), repeat=2))
+def test_conditional_entropies_equal_dense_states_on_random_attacks(d_f, d_r):
+    fams = vector_families(random_attack(d_f, d_r, seed=70 + 10 * d_f + d_r))
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+def test_conditional_entropies_assemble_no_dense_state(monkeypatch):
+    fams = vector_families(pauli_twirl_attack(0.05, 0.05))
+    expected = conditional_entropies(fams)
+
+    def refuse(blocks):
+        raise AssertionError("dense state assembled")
+    monkeypatch.setattr(keyrate, "_block_diagonal", refuse)
+    assert conditional_entropies(fams) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,37 @@ def test_von_neumann_blockwise_equals_full_spectrum(seed, sizes, n_zero):
     assert abs(von_neumann_entropy3(rho) - _full_spectrum_entropy(rho)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("fault,message", [
-    ("non-hermitian", "not Hermitian"),
-    ("trace", "trace"),
-    ("negative", "negative eigenvalue"),
-    ("nan", "non-finite"),
-    ("inf", "non-finite"),
-])
-def test_von_neumann_rejects_fault_inside_one_block(fault, message):
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=3), st.booleans())
+@example(0, 1, [4], 0, False)   # one dense block
+@example(1, 3, [2, 1], 2, True)
+@settings(max_examples=40, deadline=None)
+def test_von_neumann_of_block_stack_equals_assembled_matrix(seed, n_blocks, sizes,
+                                                            n_zero, zero_block):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + n_zero
+    stack = np.zeros((n_blocks + zero_block, n, n), dtype=complex)
+    for b, w in enumerate(rng.dirichlet(np.ones(n_blocks))):
+        perm = rng.permutation(n)
+        stack[b] = w * _block_diagonal_state(sizes, n_zero, rng, chains=True)[
+            np.ix_(perm, perm)]
+    stack = stack[rng.permutation(len(stack))]
+    dense = np.zeros((len(stack) * n, len(stack) * n), dtype=complex)
+    for b, block in enumerate(stack):
+        dense[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
+    assert von_neumann_entropy3(stack) == von_neumann_entropy3(dense)
+
+
+_FAULTS = [("non-hermitian", "not Hermitian"), ("trace", "trace"),
+           ("negative", "negative eigenvalue"), ("nan", "non-finite"),
+           ("inf", "non-finite")]
+
+
+def _state_with_fault(fault):
+    """An 8x8 state, two zero rows and two 3x3 blocks at 1..6, with the
+    fault in its second block."""
     rng = np.random.default_rng(5)
     rho = _block_diagonal_state([3, 3], 0, rng)
     if fault == "non-hermitian":
@@ -165,7 +187,23 @@ def test_von_neumann_rejects_fault_inside_one_block(fault, message):
         rho[3:, 3:] = np.diag([rho[3:, 3:].trace().real + 0.01, 0.0, -0.01])
     else:
         rho[4, 5] = rho[5, 4] = np.nan if fault == "nan" else np.inf
-    big = np.zeros((8, 8), dtype=complex)   # two zero rows, blocks at 1..6
+    big = np.zeros((8, 8), dtype=complex)
     big[1:7, 1:7] = rho
+    return big
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("fault,message", _FAULTS)
+def test_von_neumann_rejects_fault_inside_one_block(fault, message):
     with pytest.raises(ValueError, match=message):
-        von_neumann_entropy3(big)
+        von_neumann_entropy3(_state_with_fault(fault))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("fault,message", _FAULTS)
+def test_von_neumann_rejects_fault_inside_one_block_of_a_stack(fault, message):
+    # the faulty state shares the trace with a healthy block and a zero block
+    healthy = _block_diagonal_state([2, 4], 2, np.random.default_rng(6))
+    stack = np.stack([0.5 * healthy, np.zeros((8, 8)), 0.5 * _state_with_fault(fault)])
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy3(stack)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -142,6 +143,16 @@ def _flush_stdout():
         sys.stdout.flush()
 
 
+def _report_io_error(command: str, exc: OSError):
+    """Best effort: stderr may be the broken stream itself."""
+    if sys.stderr is None:
+        return
+    try:
+        print(f"sqkd3 {command}: cannot write output: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _discard_pending_stdout():
     """Point stdout at devnull if it still cannot take what it holds, so
     that the interpreter's flush at exit does not fail a second time."""
@@ -156,11 +167,12 @@ def _discard_pending_stdout():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None and getattr(args, "out", "-") == "-":
+            raise OSError(errno.EBADF, "standard output is closed")
         code = args.fn(args)
         _flush_stdout()
     except OSError as exc:
-        print(f"sqkd3 {args.command}: cannot write output: {exc}",
-              file=sys.stderr)
+        _report_io_error(args.command, exc)
         _discard_pending_stdout()
         return 3
     return code

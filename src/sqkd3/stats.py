@@ -143,21 +143,49 @@ def f_gram(fams: VectorFamilies) -> np.ndarray:
     return fams.f.conj() @ fams.f.T
 
 
+#: Term arrays compiled from tables.ERROR_TERMS, per variant:
+#: (source table, wr, wi, flat Gram index).
+_COMPILED_TERMS: dict = {}
+
+
+def _compile_terms(term_sets: dict) -> tuple[np.ndarray, ...]:
+    """Re and Im of omega**phase and the flat Gram index 9m + n of each
+    term, as (6, 1 + longest row) arrays in BASIS_ERROR_ORDER.
+
+    Column 0 and the padding after a row's last term have zero weights and
+    index 81, a zero appended to the Gram matrix, so they add exact zeros.
+    """
+    rows = [term_sets[key] for key in tables.BASIS_ERROR_ORDER]
+    shape = (6, 1 + max(len(terms) for terms in rows))
+    wr, wi = np.zeros(shape), np.zeros(shape)
+    index = np.full(shape, 81)
+    for row, terms in enumerate(rows):
+        for col, (phase, m, n) in enumerate(terms, start=1):
+            w = OMEGA**phase
+            wr[row, col], wi[row, col] = w.real, w.imag
+            index[row, col] = 9 * m + n
+    return wr, wi, index
+
+
 def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
     """Six error probabilities from the term tables over the f Gram matrix.
 
     Algebraically identical to basis_error_direct for any valid attack;
     kept as an independent path so either term-table or extraction bugs
-    show up as a disagreement.
+    show up as a disagreement.  The compiled term arrays are rebuilt
+    whenever tables.ERROR_TERMS[variant] is replaced.
     """
     term_sets = tables.ERROR_TERMS[variant]
-    out = np.empty(6)
-    for idx, key in enumerate(tables.BASIS_ERROR_ORDER):
-        acc = 1.0 / 3.0
-        for phase, m, n in term_sets[key]:
-            acc += (OMEGA**phase * gram[m, n]).real / 9.0
-        out[idx] = acc
-    return out
+    compiled = _COMPILED_TERMS.get(variant)
+    if compiled is None or compiled[0] is not term_sets:
+        compiled = _COMPILED_TERMS[variant] = (term_sets,
+                                               *_compile_terms(term_sets))
+    _, wr, wi, index = compiled
+    g = np.append(gram.ravel(), 0.0)[index]
+    # Re(omega**phase * <f_m|f_n>) / 9, summed in table order after 1/3
+    terms = (wr * g.real - wi * g.imag) / 9.0
+    terms[:, 0] = 1.0 / 3.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 #: Flat indices of the (i, j, k) cells of error patterns 0-2, in the

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,20 @@ def test_attack_model_validation():
     with pytest.raises(ValueError):
         AttackModel(np.zeros((9, 3), dtype=complex),
                     np.eye(9, dtype=complex), 3, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("stage", ["forward", "reverse"])
+def test_attack_model_rejects_non_finite_stage(stage, bad):
+    attack = random_attack(3, 3, seed=11)
+    stages = {"forward": attack.forward.copy(), "reverse": attack.reverse.copy()}
+    stages[stage][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{stage} stage is not an isometry"):
+        AttackModel(stages["forward"], stages["reverse"], 3, 3)
+    doc = json.loads(attack.to_json())
+    doc[stage][0] = [bad, 0.0]
+    with pytest.raises(ValueError, match=f"{stage} stage is not an isometry"):
+        AttackModel.from_json(json.dumps(doc))
 
 
 def test_attack_json_round_trip():

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqkd3
 import sqkd3.term_tables as tables
 import sqkd3.linalg as linalg
 from sqkd3 import ChannelScenario, key_rate, verify
@@ -110,6 +114,61 @@ def test_broken_stdout_is_an_io_error(capsys, monkeypatch, argv):
     assert err == f"sqkd3 {argv[0]}: cannot write output: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--steps", "3"], ["threshold"],
+                                  ["simulate", "--n", "100"], ["verify"]],
+                         ids=lambda argv: argv[0])
+def test_closed_stdout_is_an_io_error(capsys, monkeypatch, argv):
+    # sys.stdout is None when the process starts with fd 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (f"sqkd3 {argv[0]}: cannot write output: "
+                   "[Errno 9] standard output is closed\n")
+
+
+def test_closed_stdout_does_not_stop_sweep_to_a_file(tmp_path, monkeypatch):
+    out = tmp_path / "curve.csv"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["sweep", "--steps", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("stderr", [_BrokenStdout(), None], ids=["broken", "closed"])
+def test_io_error_report_is_best_effort(monkeypatch, stderr):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["simulate", "--n", "5"]) == 3
+
+
+def _cli_process(argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(sqkd3.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sqkd3.cli import main; sys.exit(main())", *argv],
+        env=env, timeout=60, **kwargs)
+
+
+def test_process_with_closed_stdout_exits_3():
+    proc = _cli_process(["threshold"], stderr=subprocess.PIPE, text=True,
+                        preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 3
+    assert proc.stderr == ("sqkd3 threshold: cannot write output: "
+                           "[Errno 9] standard output is closed\n")
+
+
+def test_process_with_both_streams_on_a_broken_pipe_exits_3():
+    # as in `sqkd3 simulate 2>&1 | head -c 10`, once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["simulate", "--n", "5"], stdout=write_end,
+                            stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--variant", "phi3"])
@@ -173,6 +232,24 @@ def test_verify_detects_corrupted_term_table(capsys, monkeypatch):
     assert code == 1
     assert any(line.startswith("FAIL expansion-equivalence")
                for line in out.splitlines())
+
+
+def test_verify_detects_corrupted_k_term_table_and_recovers(capsys, monkeypatch):
+    broken = dict(tables.K_ERROR_TERMS)
+    entry = list(broken[(0, 1)])
+    phase, m, n = entry[0]
+    entry[0] = ({0: 1, 1: -1, -1: 0}[phase], m, n)  # wrong phase on one term
+    broken[(0, 1)] = entry
+    with monkeypatch.context() as patch:
+        patch.setitem(tables.ERROR_TERMS, "phi2", broken)
+        code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert any(line.startswith("FAIL expansion-equivalence")
+               for line in out.splitlines())
+    # the compiled term arrays follow the restored table
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert "FAIL" not in out
 
 
 def test_sweep_repeatable_and_rows_equal_key_rate(tmp_path, capsys):

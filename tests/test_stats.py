@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqkd3.term_tables as tables
 from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           vector_families)
 from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
@@ -11,6 +14,7 @@ from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
 from sqkd3.attack import ChannelScenario
+from sqkd3.linalg import OMEGA
 
 
 def test_identity_attack_table():
@@ -94,6 +98,49 @@ def test_expanded_errors_match_direct(seed, d_f, d_r):
         assert np.all(direct > -1e-12) and np.all(direct < 1 + 1e-12)
         expanded = basis_error_expanded(gram, variant)
         assert np.max(np.abs(direct - expanded)) < 1e-10
+
+
+def expanded_reference(gram, variant):
+    """The scalar term loop that basis_error_expanded replaced, verbatim."""
+    term_sets = tables.ERROR_TERMS[variant]
+    out = np.empty(6)
+    for idx, key in enumerate(tables.BASIS_ERROR_ORDER):
+        acc = 1.0 / 3.0
+        for phase, m, n in term_sets[key]:
+            acc += (OMEGA**phase * gram[m, n]).real / 9.0
+        out[idx] = acc
+    return out
+
+
+def assert_expanded_bit_equal_to_scalar_loop(attack):
+    gram = f_gram(vector_families(attack))
+    for variant in ("phi1", "phi2"):
+        assert (basis_error_expanded(gram, variant).tobytes()
+                == expanded_reference(gram, variant).tobytes())
+
+
+@pytest.mark.parametrize("d_f,d_r", list(itertools.product([1, 3, 9], repeat=2)))
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=10, deadline=None)
+def test_expanded_errors_bit_equal_to_scalar_loop(d_f, d_r, seed):
+    assert_expanded_bit_equal_to_scalar_loop(random_attack(d_f, d_r, seed))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 0.1, 0.375])
+def test_twirl_expanded_errors_bit_equal_to_scalar_loop(q):
+    # the twirl's Gram matrix has exact zeros, where a sign of zero shows
+    assert_expanded_bit_equal_to_scalar_loop(pauli_twirl_attack(q, q))
+
+
+def test_expanded_errors_padding_reads_no_gram_entry():
+    # no term reads the diagonal, and the padding of the shorter phi1 rows
+    # must not read it either
+    gram = f_gram(vector_families(random_attack(3, 3, 5)))
+    gram[0, 0] = np.nan
+    for variant in ("phi1", "phi2"):
+        expanded = basis_error_expanded(gram, variant)
+        assert np.isfinite(expanded).all()
+        assert expanded.tobytes() == expanded_reference(gram, variant).tobytes()
 
 
 def test_t_values_noiseless_and_symmetric():

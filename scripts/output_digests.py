@@ -4,6 +4,8 @@
 The outputs are:
 
 * the `sweep` CSV of each of the 32 conventions, 301 steps over [0, 3/8];
+* the raw bytes of every `key_rate_curve` column on that grid, for each of
+  the 32 conventions, so that a last-bit change the CSV's %.9g hides shows;
 * the 8 `threshold` JSONs of the README (both p-modes, default weighting
   and basis convention);
 * seeded `simulate` JSONs for both variants at three noise levels;
@@ -27,10 +29,13 @@ import hashlib
 import io
 import itertools
 
+import numpy as np
+
 from sqkd3 import verify
 from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
 from sqkd3.cli import main
-from sqkd3.keyrate import conditional_entropies, rho_be, rho_bec
+from sqkd3.keyrate import (Q_MAX, conditional_entropies, key_rate_curve,
+                           rho_be, rho_bec)
 from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
 
@@ -38,6 +43,9 @@ CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
                "--p-mode": ("printed", "corrected"),
                "--weighting": ("printed", "normalized"),
                "--basis-convention": ("per-pair", "total")}
+#: the library's names for the CLI's convention spellings
+LIBRARY_NAME = {"dep": "dependent", "indep": "independent",
+                "printed": "as-printed"}
 
 
 def digest(text: str | bytes) -> str:
@@ -58,6 +66,12 @@ def outputs():
         yield "sweep " + " ".join(flags), cli_output(
             ["sweep", *flags, "--q-min", "0", "--q-max", "0.375",
              "--steps", "301"])
+        variant, model, p_mode, weighting, basis = (LIBRARY_NAME.get(v, v)
+                                                    for v in values)
+        cols = key_rate_curve(np.linspace(0.0, Q_MAX, 301), model, variant,
+                              basis, weighting, p_mode)
+        for name, col in cols.items():
+            yield f"key_rate_curve {name} " + " ".join(flags), col.tobytes()
     for variant, model, p_mode in itertools.product(
             *(CONVENTIONS[k] for k in ("--variant", "--model", "--p-mode"))):
         flags = ["--variant", variant, "--model", model, "--p-mode", p_mode]

@@ -8,16 +8,16 @@ paper's printed expression for it (s_ec_upper), built from the
 closed-form eigenvalues of the no-error block; that expression is not an
 upper bound (it falls short of the exact S(EC) of the symmetric twirl,
 see the README).  s_ec_bound is a certified upper bound, which the key
-rate does not use yet.  Two evaluation semantics are exposed:
+rate does not use yet.  Both p modes evaluate one closed form,
+lambda = 1/2 +- sqrt(disc) / (2 total), with entropy terms Re(-lam log3 lam),
+and differ only in the cap, the floor and the clamp:
 
-* "as-printed": the statistic X feeds p = max(X, 0)^2 directly and the
-  closed-form eigenvalues are evaluated wherever the formulas take them
-  (including complex or out-of-[0,1] values), with the real part of
-  -lam log3 lam used for the entropy terms.  This mode reproduces the numeric
-  behaviour behind the reference noise-tolerance curves that the acceptance suite pins.
+* "as-printed": p = max(X, 0)^2 uncapped; disc and lambda as they come,
+  complex or outside [0, 1].  This mode reproduces the reference
+  noise-tolerance curves that the acceptance suite pins.
 * "corrected": p = max(X, 0)^2 / 3 capped at the Cauchy-Schwarz
-  feasibility ceiling, discriminant floored at zero and eigenvalues
-  clamped to [0, 1].  All entropy terms are then genuine entropies.
+  feasibility ceiling, disc floored at zero and lambda clamped to [0, 1],
+  so all entropy terms are genuine entropies.
 """
 from __future__ import annotations
 
@@ -127,9 +127,9 @@ def _clamped_square(x):
     return _square(np.maximum(x, 0.0))
 
 
-#: Flat indices of the no-error cells (a, a, a) and of the other 24 cells.
+#: Flat indices of the no-error cells (a, a, a) and of the 24 with an error.
 _NO_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN == 0)
-_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
+_ANY_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
 
 
 def _no_error_diagonal(p: np.ndarray) -> tuple:
@@ -144,13 +144,15 @@ def _ceiling(p: np.ndarray) -> np.ndarray:
     return p000 * p111 + p000 * p222 + p111 * p222
 
 
-def _p_lower(s, p: np.ndarray, mode: str) -> np.ndarray:
-    # s is the clamped square max(X, 0)^2
-    if mode == "as-printed":
-        return s
-    if mode == "corrected":
-        return np.minimum(s / 3.0, _ceiling(p))
-    raise ValueError(f"unknown p mode {mode!r}")
+def _is_corrected(mode: str) -> bool:
+    """Whether p mode caps, floors and clamps; an unknown mode raises."""
+    if mode not in ("as-printed", "corrected"):
+        raise ValueError(f"unknown p mode {mode!r}")
+    return mode == "corrected"
+
+
+def _p_lower(s_clamped, p: np.ndarray, corrected: bool) -> np.ndarray:
+    return np.minimum(s_clamped / 3.0, _ceiling(p)) if corrected else s_clamped
 
 
 def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
@@ -163,27 +165,29 @@ def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float
     the symmetric twirl the corrected value is 2.548 against an exact
     2.342 at Q = 0.02, and 1.968 against 1.566 at Q = 0.05.
     """
-    return float(_p_lower(_clamped_square(x), table.p, mode))
+    return float(_p_lower(_clamped_square(x), table.p, _is_corrected(mode)))
 
 
-def _block_total(p000, p111, p222):
+def _h(lam):
+    """Re(-lam log3 lam) elementwise, principal branch; 0 at lam = 0."""
+    zero = lam == 0
+    return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
+
+
+def _sigma1_terms(p000, p111, p222, p, corrected: bool):
+    """(Re lambda1, Re lambda2, h(lambda1) + h(lambda2)) of the no-error
+    block, by the closed form of the module docstring."""
     total = p000 + p111 + p222
     if np.any(total <= 0):
         raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
-    return total
-
-
-def _discriminant(p000, p111, p222, p):
-    return (4.0 * p + _square(p000) - 2.0 * p000 * p111 + _square(p111)
+    disc = (4.0 * p + _square(p000) - 2.0 * p000 * p111 + _square(p111)
             - 2.0 * p000 * p222 - 2.0 * p111 * p222 + _square(p222))
-
-
-def _sigma1_eigenvalues(p000, p111, p222, p):
-    total = _block_total(p000, p111, p222)
-    disc = np.maximum(_discriminant(p000, p111, p222, p), 0.0)
+    disc = np.maximum(disc, 0.0) if corrected else np.asarray(disc, dtype=complex)
     half_spread = np.sqrt(disc) / (2.0 * total)
-    return (np.minimum(np.maximum(0.5 + half_spread, 0.0), 1.0),
-            np.minimum(np.maximum(0.5 - half_spread, 0.0), 1.0))
+    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
+    if corrected:
+        lam1, lam2 = (np.minimum(np.maximum(lam, 0.0), 1.0) for lam in (lam1, lam2))
+    return lam1.real, lam2.real, _h(lam1) + _h(lam2)
 
 
 def sigma1_eigenvalues(p000: float, p111: float, p222: float,
@@ -193,39 +197,14 @@ def sigma1_eigenvalues(p000: float, p111: float, p222: float,
     Discriminant floored at zero, results clamped to [0, 1]; the third
     eigenvalue is identically zero.
     """
-    lam1, lam2 = _sigma1_eigenvalues(p000, p111, p222, p)
+    lam1, lam2, _ = _sigma1_terms(p000, p111, p222, p, True)
     return float(lam1), float(lam2)
-
-
-def _eigenvalue_entropy(lam) -> np.ndarray:
-    """-lam log3 lam of real eigenvalues in [0, 1], elementwise."""
-    return entropy3(np.asarray(lam)[..., None])
-
-
-def _entropy_term_analytic(lam: np.ndarray) -> np.ndarray:
-    """Re(-lam log3 lam), principal branch; 0 at lam = 0."""
-    zero = lam == 0
-    return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
-
-
-def _sigma1_terms(p000, p111, p222, p, mode: str):
-    if mode == "corrected":
-        lam1, lam2 = _sigma1_eigenvalues(p000, p111, p222, p)
-        return lam1, lam2, _eigenvalue_entropy(lam1) + _eigenvalue_entropy(lam2)
-    if mode != "as-printed":
-        raise ValueError(f"unknown p mode {mode!r}")
-    total = _block_total(p000, p111, p222)
-    disc = np.asarray(_discriminant(p000, p111, p222, p), dtype=complex)
-    half_spread = np.sqrt(disc) / (2 * total)
-    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
-    return (lam1.real, lam2.real,
-            _entropy_term_analytic(lam1) + _entropy_term_analytic(lam2))
 
 
 def sigma1_entropy_terms(p000: float, p111: float, p222: float, p: float,
                          mode: str) -> tuple[float, float, float]:
     """(lambda1, lambda2, entropy term sum) under the chosen semantics."""
-    lam1, lam2, ent = _sigma1_terms(p000, p111, p222, p, mode)
+    lam1, lam2, ent = _sigma1_terms(p000, p111, p222, p, _is_corrected(mode))
     return float(lam1), float(lam2), float(ent)
 
 
@@ -250,14 +229,16 @@ def _s_ec_upper(t: np.ndarray, ent) -> np.ndarray:
 def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
     """The paper's printed evaluation expression for S(EC).
 
-    H3(t/3) + (t2 + t3 + t4)/3 + (t1/3)(h(lam1) + h(lam2)).  It is not an
-    upper bound on S(EC): it charges one trit per error block, whose
-    entropy can reach log3 6 or log3 12, and assumes a rank-2 no-error
-    block.  It falls short of the exact S(EC) of the symmetric twirl and
-    of random attacks.  The key rate evaluates it as printed; s_ec_bound
-    is the certified upper bound.
+    H3(t/3) + (t2 + t3 + t4)/3 + (t1/3)(h(lam1) + h(lam2)), lam in [0, 1].
+    It is not an upper bound on S(EC): it charges one trit per error
+    block, whose entropy can reach log3 6 or log3 12, and assumes a rank-2
+    no-error block.  It falls short of the exact S(EC) of the symmetric
+    twirl and of random attacks.  The key rate evaluates it as printed;
+    s_ec_bound is the certified upper bound.
     """
-    ent = _eigenvalue_entropy(lam1) + _eigenvalue_entropy(lam2)
+    if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
+        raise ValueError(f"eigenvalues must lie in [0, 1], got {lam1}, {lam2}")
+    ent = _h(lam1) + _h(lam2)
     return float(_s_ec_upper(np.asarray(t, dtype=float), ent))
 
 
@@ -273,7 +254,8 @@ def s_ec_bound(p: np.ndarray, overlap: float) -> float:
 
     p is the attack's 3x3x3 table.  Valid whenever overlap is at most the
     attack's no-error overlap sum (no_error_overlap); it is clipped to
-    [0, feasibility ceiling], where that sum always lies.
+    [0, feasibility ceiling], where that sum always lies.  A NaN or
+    infinite overlap raises.
 
     S(EC) = H(C) + sum_c P(c) S(E|c), with P(c) the pattern weight t_c/3.
     An error block mixes its record vectors with weights p_ijk/t_c, so its
@@ -284,11 +266,12 @@ def s_ec_bound(p: np.ndarray, overlap: float) -> float:
     a three-level spectrum with purity P is that of (a, b, b) with
     a = (1 + sqrt(2(3P - 1)))/3.
     """
+    if not np.isfinite(overlap):
+        raise ValueError(f"overlap must be finite, got {overlap}")
     p = np.asarray(p, dtype=float)
-    flat = p.reshape(27)
-    diag = flat[_NO_ERROR_CELLS]
+    diag = np.array(_no_error_diagonal(p))
     t1 = diag.sum()
-    outer = entropy3(np.concatenate([[t1], flat[_ERROR_CELLS]]) / 3.0)
+    outer = entropy3(np.concatenate([[t1], p.reshape(27)[_ANY_ERROR_CELLS]]) / 3.0)
     if t1 <= 0.0:
         return float(outer)
     overlap = min(max(overlap, 0.0), float(_ceiling(p)))
@@ -318,8 +301,9 @@ def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
     t = t_value_array(p)
     x = _x_stat(p, basis_err, variant)
     s_clamped = _clamped_square(x)
-    p_low = _p_lower(s_clamped, p, p_mode)
-    lam1, lam2, ent = _sigma1_terms(*_no_error_diagonal(p), p_low, p_mode)
+    corrected = _is_corrected(p_mode)
+    p_low = _p_lower(s_clamped, p, corrected)
+    lam1, lam2, ent = _sigma1_terms(*_no_error_diagonal(p), p_low, corrected)
     bec = _s_bec(p)
     ec_upper = _s_ec_upper(t, ent)
     hba = _h_b_given_a(*joint_tables(p, weighting))
@@ -361,6 +345,7 @@ def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
     flags = dict(convention_flags or {})
     flags.setdefault("joint_weighting", weighting)
     flags.setdefault("p_mode", p_mode)
+    flags.setdefault("variant", table.variant)
     return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
                          convention_flags=flags, **cols)
 

@@ -58,15 +58,16 @@ def entropy3(probs) -> np.ndarray:
 
     -sum p_i log3 p_i with 0 log 0 := 0; the result has the input's shape
     without its last axis.  Rows are used as given: no renormalisation.
-    Entries in [-1e-12, 0) count as 0; more negative entries raise.
+    Entries in [-1e-12, 0) count as 0; more negative and NaN entries raise.
 
     Each row is summed over exactly its positive entries, in their order,
     so its value is that of the 1-d sum over those entries and does not
     depend on the other rows or on where its zeros sit.
     """
     p = np.asarray(probs, dtype=float)
-    if (p < -1e-12).any():
-        raise ValueError(f"negative probability {p.min()} in entropy argument")
+    valid = p >= -1e-12  # False at NaN
+    if not valid.all():
+        raise ValueError(f"invalid probability {p[~valid][0]} in entropy argument")
     rows = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
     keep = rows > 0
     if keep.all():

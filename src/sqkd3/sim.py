@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .term_tables import BASIS_ERROR_ORDER
 from .attack import AttackModel, vector_families
-from .stats import StatTable, alt_basis_table, p_table_from_attack
+from .stats import _ERROR_CELLS, StatTable, alt_basis_table, p_table_from_attack
 
-_ERR_SENT, _ERR_FINAL = np.array(BASIS_ERROR_ORDER).T
+_ERR_SENT = _ERROR_CELLS[0]
 
 
 @dataclass
@@ -123,7 +122,7 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     counts_p = counts_p.reshape(3, 3, 3)
     per_sent = counts_p.sum(axis=(1, 2))[:, None, None]
     noise_rounds = alt_reflect.sum(axis=1)
-    counts_basis_err = alt_reflect[_ERR_SENT, _ERR_FINAL]
+    counts_basis_err = alt_reflect[_ERROR_CELLS]
     return SimulationResult(
         n_rounds=n, counts_p=counts_p,
         empirical_p=np.divide(counts_p, per_sent, out=np.zeros((3, 3, 3)),

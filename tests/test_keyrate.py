@@ -17,7 +17,8 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            rho_be, rho_bec, s_bec, s_ec_bound, s_ec_upper,
                            sigma1_eigenvalues, sigma1_entropy_terms,
                            trace_out_receiver, x_bound)
-from sqkd3.linalg import haar_isometry, shannon_entropy3, von_neumann_entropy3
+from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
+                          von_neumann_entropy3)
 from sqkd3.stats import (StatTable, joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
@@ -151,6 +152,95 @@ def test_sigma1_closed_forms_match_eigensolver(seed):
     assert lam2 == pytest.approx(evals[-2], abs=1e-10)
 
 
+def sigma1_terms_reference(p000, p111, p222, p, mode: str):
+    """The two-branch code that _sigma1_terms replaced, statement for statement."""
+    def _square(x):
+        return np.float_power(x, 2)
+
+    def _block_total(p000, p111, p222):
+        total = p000 + p111 + p222
+        if np.any(total <= 0):
+            raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
+        return total
+
+    def _discriminant(p000, p111, p222, p):
+        return (4.0 * p + _square(p000) - 2.0 * p000 * p111 + _square(p111)
+                - 2.0 * p000 * p222 - 2.0 * p111 * p222 + _square(p222))
+
+    def _sigma1_eigenvalues(p000, p111, p222, p):
+        total = _block_total(p000, p111, p222)
+        disc = np.maximum(_discriminant(p000, p111, p222, p), 0.0)
+        half_spread = np.sqrt(disc) / (2.0 * total)
+        return (np.minimum(np.maximum(0.5 + half_spread, 0.0), 1.0),
+                np.minimum(np.maximum(0.5 - half_spread, 0.0), 1.0))
+
+    def _eigenvalue_entropy(lam) -> np.ndarray:
+        return entropy3(np.asarray(lam)[..., None])
+
+    def _entropy_term_analytic(lam: np.ndarray) -> np.ndarray:
+        zero = lam == 0
+        return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
+
+    if mode == "corrected":
+        lam1, lam2 = _sigma1_eigenvalues(p000, p111, p222, p)
+        return lam1, lam2, _eigenvalue_entropy(lam1) + _eigenvalue_entropy(lam2)
+    if mode != "as-printed":
+        raise ValueError(f"unknown p mode {mode!r}")
+    total = _block_total(p000, p111, p222)
+    disc = np.asarray(_discriminant(p000, p111, p222, p), dtype=complex)
+    half_spread = np.sqrt(disc) / (2 * total)
+    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
+    return (lam1.real, lam2.real,
+            _entropy_term_analytic(lam1) + _entropy_term_analytic(lam2))
+
+
+def assert_sigma1_terms_equal_reference(p000, p111, p222, p, mode):
+    lam1, lam2, ent = sigma1_entropy_terms(p000, p111, p222, p, mode)
+    ref1, ref2, ref_ent = sigma1_terms_reference(p000, p111, p222, p, mode)
+    assert lam1.hex() == float(ref1).hex()
+    assert lam2.hex() == float(ref2).hex()
+    # == rather than hex: where both terms vanish the parent's sum was -0.0
+    assert ent == float(ref_ent)
+
+
+@pytest.mark.parametrize("mode", ["as-printed", "corrected"])
+@pytest.mark.parametrize("model", ["dependent", "independent"])
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+def test_sigma1_terms_equal_two_branch_reference_on_q_grid(variant, model, mode):
+    # the grid reaches X < 0, where as-printed p = 0 and disc < 0; q = 0 is
+    # lambda2 = 0 in the corrected mode
+    for q in [*np.linspace(0.0, Q_MAX, 61), POW_TRAP_Q]:
+        table = stat_table_for_scenario(ChannelScenario(
+            q=q, model=model, variant=variant, p_mode=mode))
+        p_low = p_lower_bound(x_bound(table), table, mode)
+        assert_sigma1_terms_equal_reference(*table.p[[0, 1, 2], [0, 1, 2], [0, 1, 2]],
+                                            p_low, mode)
+
+
+@pytest.mark.parametrize("mode", ["as-printed", "corrected"])
+@pytest.mark.parametrize("p000,p111,p222,p", [
+    (1.0, 1.0, 1.0, 0.0),    # disc = -3
+    (1.0, 1.0, 1.0, 0.75),   # disc = 0
+    (1.0, 1.0, 1.0, 3.0),    # lambda = (1, 0)
+    (0.9, 0.6, 0.3, 5.0),    # lambda1 > 1 before the clamp
+])
+def test_sigma1_terms_equal_two_branch_reference_on_edges(mode, p000, p111, p222, p):
+    assert_sigma1_terms_equal_reference(p000, p111, p222, p, mode)
+
+
+@given(st.tuples(*[st.floats(min_value=1e-3, max_value=1.5)] * 3),
+       st.floats(min_value=0.0, max_value=9.0),
+       st.sampled_from(["as-printed", "corrected"]))
+@settings(max_examples=200, deadline=None)
+def test_sigma1_terms_equal_two_branch_reference(diag, p, mode):
+    assert_sigma1_terms_equal_reference(*diag, p, mode)
+
+
+def test_sigma1_terms_reject_unknown_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        sigma1_entropy_terms(1.0, 1.0, 1.0, 0.0, "bogus")
+
+
 # ---------------------------------------------------------------------------
 # entropy pieces
 # ---------------------------------------------------------------------------
@@ -167,6 +257,9 @@ def test_s_ec_upper_values():
     assert s_ec_upper((3, 0, 0, 0), 1.0, 0.0) == 0.0
     assert s_ec_upper((3, 0, 0, 0), 0.5, 0.5) == pytest.approx(LOG3_2, abs=1e-12)
     assert s_ec_upper((0, 1, 1, 1), 1.0, 0.0) == pytest.approx(2.0, abs=1e-12)
+    for lam1, lam2 in [(1.2, -0.2), (1.2, 0.0), (np.nan, 0.5)]:
+        with pytest.raises(ValueError, match="must lie in"):
+            s_ec_upper((3, 0, 0, 0), lam1, lam2)
 
 
 def test_h_b_given_a_values():
@@ -227,6 +320,14 @@ def test_corrected_mode_entropy_terms_nonnegative():
         assert rep.S_EC_upper >= -1e-12
         assert rep.S_BEC >= 0 and rep.H_B_given_A >= -1e-12
         assert 0 <= rep.lambda2 <= rep.lambda1 <= 1
+
+
+def test_report_from_table_names_the_variant():
+    # the rate depends on the variant through X's coefficient
+    table = stat_table_from_attack(pauli_twirl_attack(0.05, 0.05), "phi2")
+    assert key_rate_from_table(table).convention_flags == {
+        "joint_weighting": "as-printed", "p_mode": "as-printed",
+        "variant": "phi2"}
 
 
 def test_find_threshold_reports_absence(monkeypatch):
@@ -475,6 +576,15 @@ def test_s_ec_bound_is_tight_on_twirl(q):
     # its no-error spectrum has the (a, b, b) form, so the bound is exact
     s_ec, p, overlap = _twirl_s_ec_pieces(q)
     assert s_ec_bound(p, overlap) == pytest.approx(s_ec, abs=1e-9)
+
+
+@pytest.mark.parametrize("overlap", [np.nan, np.inf, -np.inf])
+def test_s_ec_bound_rejects_non_finite_overlap(overlap):
+    # a NaN dropped the no-error block's term and inf was clipped to the
+    # ceiling: either way the value fell below the exact S(EC)
+    _, p, _ = _twirl_s_ec_pieces(0.05)
+    with pytest.raises(ValueError, match="finite"):
+        s_ec_bound(p, overlap)
 
 
 def test_s_ec_bound_edge_tables():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqkd3.linalg import (basis_vectors, haar_isometry, shannon_entropy3,
-                          von_neumann_entropy3)
+from sqkd3.linalg import (basis_vectors, entropy3, haar_isometry,
+                          shannon_entropy3, von_neumann_entropy3)
 
 # frozen oracle value: -sum p log3 p at 40 digits (mpmath)
 H3_08_01_01 = 0.5816718657178868
@@ -51,6 +51,11 @@ def test_shannon_not_renormalized():
 def test_shannon_rejects_negative():
     with pytest.raises(ValueError):
         shannon_entropy3([0.5, -0.1, 0.6])
+    # NaN is not a probability either, and must not be dropped as a zero
+    with pytest.raises(ValueError, match="nan"):
+        shannon_entropy3([np.nan, 0.5])
+    with pytest.raises(ValueError, match="nan"):
+        entropy3([[0.5, 0.5], [np.nan, np.nan]])
 
 
 def test_von_neumann_maximally_mixed_and_pure():

@@ -8,6 +8,7 @@ The outputs are:
   the 32 conventions, so that a last-bit change the CSV's %.9g hides shows;
 * the 8 `threshold` JSONs of the README (both p-modes, default weighting
   and basis convention);
+* `repr(find_threshold(...))` for each of the 32 conventions;
 * seeded `simulate` JSONs for both variants at three noise levels;
 * seeded `run_protocol` JSONs of 1 and 5 rounds, for both variants, where
   most categories are empty;
@@ -34,8 +35,8 @@ import numpy as np
 from sqkd3 import verify
 from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
 from sqkd3.cli import main
-from sqkd3.keyrate import (Q_MAX, conditional_entropies, key_rate_curve,
-                           rho_be, rho_bec)
+from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
+                           key_rate_curve, rho_be, rho_bec)
 from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
 
@@ -72,6 +73,8 @@ def outputs():
                               basis, weighting, p_mode)
         for name, col in cols.items():
             yield f"key_rate_curve {name} " + " ".join(flags), col.tobytes()
+        yield "find_threshold " + " ".join(flags), repr(
+            find_threshold(variant, model, basis, weighting, p_mode))
     for variant, model, p_mode in itertools.product(
             *(CONVENTIONS[k] for k in ("--variant", "--model", "--p-mode"))):
         flags = ["--variant", variant, "--model", model, "--p-mode", p_mode]

@@ -130,6 +130,17 @@ class ChannelScenario:
                 "p_mode": self.p_mode}
 
 
+#: The p modes of the key-rate bound (see the keyrate module).
+P_MODES = ("as-printed", "corrected")
+
+
+def check_p_mode(p_mode: str) -> None:
+    """Reject a p mode that is not in P_MODES."""
+    if p_mode not in P_MODES:
+        raise ValueError(f"unknown p mode {p_mode!r}, expected one of "
+                         + ", ".join(P_MODES))
+
+
 def check_conventions(model: str, variant: str, basis_noise_convention: str,
                       joint_weighting: str, p_mode: str) -> None:
     """Reject unknown convention flags of a noise scenario."""
@@ -141,8 +152,7 @@ def check_conventions(model: str, variant: str, basis_noise_convention: str,
         raise ValueError("convention must be per-pair or total")
     if joint_weighting not in ("as-printed", "normalized"):
         raise ValueError("weighting must be as-printed or normalized")
-    if p_mode not in ("as-printed", "corrected"):
-        raise ValueError("p_mode must be as-printed or corrected")
+    check_p_mode(p_mode)
 
 
 def alternative_basis_error(q, model: str, basis_noise_convention: str):

@@ -29,8 +29,9 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
-                     alternative_basis_error, check_conventions)
-from .linalg import LN3, entropy3, shannon_entropy3, von_neumann_entropy3
+                     alternative_basis_error, check_conventions, check_p_mode)
+from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
+                     von_neumann_entropy3)
 from .stats import (ERROR_PATTERN, JointDistribution, StatTable,
                     check_p_tables, joint_tables, measure_records,
                     p_table_symmetric, stat_table_for_scenario, t_value_array)
@@ -94,22 +95,20 @@ class Sigma1Decomposition:
         return m / (self.p000 + self.p111 + self.p222)
 
 
-#: Flat indices (n_terms, 2) of the two cells of each square-root term of X.
-_X_POS, _X_NEG = (np.ravel_multi_index(np.transpose(pairs), (3, 3, 3)).T
-                  for pairs in (tables.X_SQRT_POS, tables.X_SQRT_NEG))
-
-
-def _sqrt_product_sum(flat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """sum of sqrt(p_a p_b) over the cell pairs, added in list order."""
-    terms = np.sqrt(flat[..., pairs[:, 0]] * flat[..., pairs[:, 1]])
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+#: Flat indices (2, n_terms) of the two cells of each square-root term of
+#: X: the _N_POS positive terms, then the negative ones.
+_X_PAIRS = np.ravel_multi_index(
+    np.transpose(tables.X_SQRT_POS + tables.X_SQRT_NEG), (3, 3, 3))
+_N_POS = len(tables.X_SQRT_POS)
 
 
 def _x_stat(p: np.ndarray, basis_err: np.ndarray, variant: str) -> np.ndarray:
-    flat = p.reshape(p.shape[:-3] + (27,))
+    cells = p.reshape(-1, 27).T
+    terms = np.sqrt(cells[_X_PAIRS[0]] * cells[_X_PAIRS[1]])
     c54 = tables.X54_COEFFICIENT[variant]
-    return (3.0 - 1.5 * basis_err.sum(axis=-1)
-            + c54 * _sqrt_product_sum(flat, _X_POS) - _sqrt_product_sum(flat, _X_NEG))
+    pos, neg = (sequential_sum(part).reshape(p.shape[:-3])
+                for part in (terms[:_N_POS], terms[_N_POS:]))
+    return 3.0 - 1.5 * basis_err.sum(axis=-1) + c54 * pos - neg
 
 
 def x_bound(table: StatTable) -> float:
@@ -146,8 +145,7 @@ def _ceiling(p: np.ndarray) -> np.ndarray:
 
 def _is_corrected(mode: str) -> bool:
     """Whether p mode caps, floors and clamps; an unknown mode raises."""
-    if mode not in ("as-printed", "corrected"):
-        raise ValueError(f"unknown p mode {mode!r}")
+    check_p_mode(mode)
     return mode == "corrected"
 
 
@@ -184,10 +182,12 @@ def _sigma1_terms(p000, p111, p222, p, corrected: bool):
             - 2.0 * p000 * p222 - 2.0 * p111 * p222 + _square(p222))
     disc = np.maximum(disc, 0.0) if corrected else np.asarray(disc, dtype=complex)
     half_spread = np.sqrt(disc) / (2.0 * total)
-    lam1, lam2 = 0.5 + half_spread, 0.5 - half_spread
+    # lambda1 and lambda2 stacked; 0.5 + (-s) has the bits of 0.5 - s
+    lam = 0.5 + np.array([half_spread, -half_spread])
     if corrected:
-        lam1, lam2 = (np.minimum(np.maximum(lam, 0.0), 1.0) for lam in (lam1, lam2))
-    return lam1.real, lam2.real, _h(lam1) + _h(lam2)
+        lam = np.minimum(np.maximum(lam, 0.0), 1.0)
+    h = _h(lam)
+    return lam[0].real, lam[1].real, h[0] + h[1]
 
 
 def sigma1_eigenvalues(p000: float, p111: float, p222: float,
@@ -357,6 +357,13 @@ def key_rate(scenario: ChannelScenario) -> KeyRateReport:
                                scenario.p_mode, scenario.flags())
 
 
+#: Bisection stops once the bracket is at most this wide.
+_THRESHOLD_TOL = 1e-6
+#: Bisection steps whose 2**5 - 1 = 31 possible midpoints one kernel call
+#: evaluates.
+_BISECT_DEPTH = 5
+
+
 def find_threshold(variant: str, model: str,
                    basis_noise_convention: str = "per-pair",
                    joint_weighting: str = "as-printed",
@@ -364,8 +371,15 @@ def find_threshold(variant: str, model: str,
     """Smallest noise level at which the key-rate bound hits zero.
 
     Evaluates a fixed grid of 400 evenly spaced points over [0, 3/8] in one
-    pass, takes its first sign change, then bisects to |dQ| < 1e-6.
-    Returns None when the rate stays positive on the whole range.
+    pass, takes its first sign change, then bisects to |dQ| < 1e-6.  Each
+    step keeps the half whose upper end has rate <= 0.  The steps are taken
+    five at a time: one kernel call evaluates the midpoints of all 31
+    brackets the next five steps can reach, and the sign tests are then
+    walked in order.  Kernel rows do not depend on each other, so the
+    result equals that of a bisection with one kernel call per midpoint,
+    bit for bit; from the grid's spacing two such calls reach the
+    tolerance.  Returns None when the rate stays positive on the whole
+    range.
     """
     def rate(q):
         return key_rate_curve(q, model, variant, basis_noise_convention,
@@ -378,12 +392,19 @@ def find_threshold(variant: str, model: str,
         return None
     hi = grid[down[0] + 1]
     lo = hi - (grid[1] - grid[0])
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if rate([mid])[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while hi - lo > _THRESHOLD_TOL:
+        # bracket k splits at its midpoint into 2k + 1 (upper half, kept
+        # when the rate there is > 0) and 2k + 2 (lower half)
+        brackets = [(lo, hi)]
+        for k in range(2 ** (_BISECT_DEPTH - 1) - 1):
+            a, b = brackets[k]
+            mid = 0.5 * (a + b)
+            brackets += [(mid, b), (a, mid)]
+        positive = rate([0.5 * (a + b) for a, b in brackets]) > 0.0
+        k = 0
+        while k < len(brackets) and hi - lo > _THRESHOLD_TOL:
+            mid = 0.5 * (lo + hi)  # the midpoint of bracket k = [lo, hi]
+            lo, hi, k = (mid, hi, 2 * k + 1) if positive[k] else (lo, mid, 2 * k + 2)
     return 0.5 * (lo + hi)
 
 

@@ -58,34 +58,54 @@ def entropy3(probs) -> np.ndarray:
 
     -sum p_i log3 p_i with 0 log 0 := 0; the result has the input's shape
     without its last axis.  Rows are used as given: no renormalisation.
-    Entries in [-1e-12, 0) count as 0; more negative and NaN entries raise.
+    Entries in [-1e-12, 0) count as 0; more negative, NaN and infinite
+    entries raise.
 
     Each row is summed over exactly its positive entries, in their order,
     so its value is that of the 1-d sum over those entries and does not
     depend on the other rows or on where its zeros sit.
     """
     p = np.asarray(probs, dtype=float)
-    valid = p >= -1e-12  # False at NaN
-    if not valid.all():
-        raise ValueError(f"invalid probability {p[~valid][0]} in entropy argument")
     rows = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
     keep = rows > 0
-    if keep.all():
-        return _positive_entropy3(rows).reshape(p.shape[:-1])
-    out = np.empty(len(rows))
-    pending = np.ones(len(rows), dtype=bool)
-    while pending.any():  # once per distinct pattern of positive entries
-        mask = keep[pending.argmax()]
-        group = pending & (keep == mask).all(axis=1)
-        pending &= ~group
-        out[group] = _positive_entropy3(rows[group][:, mask])
+    if keep.all():  # no entry is NaN or negative; +inf is caught below
+        out = _positive_entropy3(rows)
+    else:
+        valid = p >= -1e-12  # False at NaN
+        if not valid.all():
+            raise ValueError(f"invalid probability {p[~valid][0]} in entropy argument")
+        out = np.empty(len(rows))
+        pending = np.ones(len(rows), dtype=bool)
+        while pending.any():  # once per distinct pattern of positive entries
+            mask = keep[pending.argmax()]
+            group = pending & (keep == mask).all(axis=1)
+            pending &= ~group
+            out[group] = _positive_entropy3(rows[group][:, mask])
+    # A +inf entry has an infinite term, so its row entropy is -inf; one
+    # test of the row entropies stands for a second pass over p.
+    if not np.isfinite(out).all():
+        raise ValueError(f"invalid probability {p.max()} in entropy argument")
     return out.reshape(p.shape[:-1])
 
 
 def _positive_entropy3(rows: np.ndarray) -> np.ndarray:
-    # row-major, so numpy sums each row pairwise as it sums a 1-d array
+    # row-major, so numpy sums each row pairwise as it sums a 1-d array;
+    # -s / LN3 and s / -LN3 are the same float
     v = np.ascontiguousarray(rows)
-    return -(v * np.log(v)).sum(axis=1) / LN3
+    return (v * np.log(v)).sum(axis=1) / -LN3
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the terms in order:
+    ((t0 + t1) + t2) + ...
+
+    A C-ordered sum over the leading axis adds in that order when each term
+    has more than one entry; with one entry numpy sums pairwise instead, so
+    that case takes an accumulate, which is sequential but slower.
+    """
+    if terms[0].size > 1:
+        return np.ascontiguousarray(terms).sum(axis=0)
+    return np.add.accumulate(terms)[-1]
 
 
 def sq_norms(v: np.ndarray) -> np.ndarray:

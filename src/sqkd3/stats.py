@@ -15,7 +15,7 @@ import numpy as np
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
                      vector_families)
-from .linalg import OMEGA, sq_norms
+from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
 
@@ -62,7 +62,9 @@ class StatTable:
 def check_p_tables(p: np.ndarray) -> None:
     """Reject tables p (..., 3, 3, 3) with an entry outside [0, 1] or an
     input row whose probabilities do not sum to 1."""
-    if (p < -1e-12).any() or (p > 1 + 1e-12).any():
+    # fmin and fmax skip NaN, as the tests (p < -1e-12).any() would
+    if (np.fmin.reduce(p, axis=None, initial=np.inf) < -1e-12
+            or np.fmax.reduce(p, axis=None, initial=-np.inf) > 1 + 1e-12):
         raise ValueError("table entries outside [0, 1]")
     rows = p.sum(axis=(-2, -1))
     bad = np.abs(rows - 1.0).max(axis=-1) > ROW_SUM_TOL
@@ -105,6 +107,9 @@ def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
     return sq_norms(fams.g if variant == "phi1" else fams.h).reshape(3, 3)
 
 
+_DIAGONAL = np.eye(3, dtype=bool)
+
+
 def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
     """Analytic table for ternary symmetric noise in each direction.
 
@@ -112,22 +117,18 @@ def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
     table per (broadcast) entry, shape (..., 3, 3, 3).  Each probability
     must lie in [0, 3/8], where the twirl attack realises the channel.
     """
-    qf, qr = np.broadcast_arrays(np.asarray(q_forward, dtype=float),
-                                 np.asarray(q_reverse, dtype=float))
-    for q in (qf, qr):
-        outside = ~((q >= 0.0) & (q <= Q_MAX))
-        if np.any(outside):
-            raise ValueError(f"per-pair flip probability {q[outside][0]} "
-                             "outside [0, 3/8]")
-
-    def trans(q):
-        m = np.empty(q.shape + (3, 3))
-        m[...] = q[..., None, None]
-        m[..., range(3), range(3)] = (1.0 - 2.0 * q)[..., None]
-        return m
-
+    q = np.array(np.broadcast_arrays(np.asarray(q_forward, dtype=float),
+                                     np.asarray(q_reverse, dtype=float)))
+    outside = ~((q >= 0.0) & (q <= Q_MAX))
+    if outside.any():  # q[outside] lists the forward entries first
+        raise ValueError(f"per-pair flip probability {q[outside][0]} "
+                         "outside [0, 3/8]")
+    # the transition matrices of the two directions: 1 - 2q on the
+    # diagonal, q off it
+    tf, tr = np.where(_DIAGONAL, (1.0 - 2.0 * q)[..., None, None],
+                      q[..., None, None])
     # p[..., i, j, k] = tf[..., i, j] * tr[..., j, k]
-    return trans(qf)[..., :, :, None] * trans(qr)[..., None, :, :]
+    return tf[..., :, :, None] * tr[..., None, :, :]
 
 
 _ERROR_CELLS = tuple(np.transpose(tables.BASIS_ERROR_ORDER))
@@ -196,10 +197,12 @@ _T_CELLS = [_JIK[ERROR_PATTERN.ravel()[_JIK] == c] for c in range(3)]
 
 def t_value_array(p: np.ndarray) -> np.ndarray:
     """t_values of tables p (..., 3, 3, 3), stacked on a last axis of 4."""
-    flat = p.reshape(p.shape[:-3] + (27,))
-    t1, t2, t3 = (np.add.accumulate(flat[..., cells], axis=-1)[..., -1]
-                  for cells in _T_CELLS)
-    return np.stack([t1, t2, t3, flat.sum(axis=-1) - t1 - t2 - t3], axis=-1)
+    flat = p.reshape(-1, 27)
+    t = np.empty((len(flat), 4))
+    for c, cells in enumerate(_T_CELLS):
+        t[:, c] = sequential_sum(flat.T[cells])
+    t[:, 3] = flat.sum(axis=-1) - t[:, 0] - t[:, 1] - t[:, 2]
+    return t.reshape(p.shape[:-3] + (4,))
 
 
 def t_values(p: np.ndarray) -> tuple[float, float, float, float]:

@@ -379,7 +379,7 @@ def scalar_recomposition(scn: ChannelScenario) -> dict:
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=Q_MAX), min_size=1,
-                max_size=12),
+                max_size=40),
        st.sampled_from(CONVENTIONS))
 @example([POW_TRAP_Q], ("phi1", "dependent", "per-pair", "as-printed", "corrected"))
 @example([0.0, 1 / 3, Q_MAX], ("phi2", "independent", "total", "normalized",
@@ -411,6 +411,137 @@ def test_kernel_rejects_bad_input():
         key_rate_curve(np.array([0.1, np.nan]))
     with pytest.raises(ValueError):
         key_rate_curve(np.array([0.1]), model="bogus")
+
+
+def test_unknown_p_mode_has_one_message():
+    with pytest.raises(ValueError) as curve:
+        key_rate_curve(np.array([0.1]), p_mode="bogus")
+    with pytest.raises(ValueError) as terms:
+        sigma1_entropy_terms(1.0, 1.0, 1.0, 0.0, "bogus")
+    assert str(curve.value) == str(terms.value)
+    assert "'bogus'" in str(curve.value)
+
+
+# ---------------------------------------------------------------------------
+# threshold search against the bisection with one kernel call per midpoint
+# ---------------------------------------------------------------------------
+
+def find_threshold_reference(variant: str, model: str,
+                             basis_noise_convention: str = "per-pair",
+                             joint_weighting: str = "as-printed",
+                             p_mode: str = "as-printed") -> float | None:
+    """The sequential bisection that find_threshold batches, statement for
+    statement; it looks the kernel up on the module, so a monkeypatch of
+    keyrate.key_rate_curve reaches it."""
+    def rate(q):
+        return keyrate.key_rate_curve(q, model, variant, basis_noise_convention,
+                                      joint_weighting, p_mode)["r"]
+
+    grid = np.linspace(0.0, Q_MAX, 400)
+    r = rate(grid)
+    down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
+    if down.size == 0:
+        return None
+    hi = grid[down[0] + 1]
+    lo = hi - (grid[1] - grid[0])
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if rate([mid])[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of points of each key_rate_curve call, in call order."""
+    calls = []
+    kernel = keyrate.key_rate_curve
+
+    def counted(q, *conventions):
+        calls.append(len(q))
+        return kernel(q, *conventions)
+
+    monkeypatch.setattr(keyrate, "key_rate_curve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_find_threshold_equals_one_call_per_midpoint(conv, kernel_calls):
+    thr = find_threshold(*conv)
+    calls = list(kernel_calls)
+    assert thr == find_threshold_reference(*conv)
+    # the grid, then at most two batches of at most 31 midpoints
+    assert calls[0] == 400 and len(calls) <= 3
+    assert all(n <= 31 for n in calls[1:])
+
+
+THRESHOLD_GRID = np.linspace(0.0, Q_MAX, 400)
+
+
+def bisection_midpoint(interval: int, path: tuple) -> float:
+    """The midpoint that bisection of grid interval [q_i, q_i+1] tests after
+    the steps in path (True keeps the upper half)."""
+    hi = THRESHOLD_GRID[interval + 1]
+    lo = hi - (THRESHOLD_GRID[1] - THRESHOLD_GRID[0])
+    for upper in path:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if upper else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def patch_rate(monkeypatch, rate):
+    monkeypatch.setattr(keyrate, "key_rate_curve", lambda q, *conventions: {
+        "r": rate(np.asarray(q, dtype=float))})
+
+
+def assert_threshold_equals_reference(monkeypatch, rate):
+    patch_rate(monkeypatch, rate)
+    thr = find_threshold("phi1", "dependent")
+    assert thr == find_threshold_reference("phi1", "dependent")
+    return thr
+
+
+# Ten steps halve a grid interval to <= 1e-6: midpoints 1-5 are the first
+# batch, 6-10 the second.
+@pytest.mark.parametrize("path", [(), (True, False, True, True),
+                                  (False,) * 5, (True, False) * 3,
+                                  (False, True) * 4 + (True,)])
+@pytest.mark.parametrize("interval", [0, 137, 398])
+@pytest.mark.parametrize("shape", ["linear", "step"])
+def test_find_threshold_rate_exactly_zero_at_a_midpoint(monkeypatch, path,
+                                                        interval, shape):
+    # the rate is exactly 0.0 at the midpoint, which counts as not positive
+    m = bisection_midpoint(interval, path)
+    rate = ((lambda q: m - q) if shape == "linear"
+            else (lambda q: np.where(q < m, 1.0, 0.0)))
+    thr = assert_threshold_equals_reference(monkeypatch, rate)
+    assert rate(np.array([m]))[0] == 0.0
+    assert abs(thr - m) < 1e-6
+
+
+@pytest.mark.parametrize("rate", [lambda q: Q_MAX - q,
+                                  lambda q: THRESHOLD_GRID[-2] + 1e-7 - q])
+def test_find_threshold_sign_change_in_last_grid_interval(monkeypatch, rate):
+    thr = assert_threshold_equals_reference(monkeypatch, rate)
+    assert THRESHOLD_GRID[-2] < thr <= Q_MAX
+
+
+@pytest.mark.parametrize("rate", [np.ones_like, lambda q: -np.ones_like(q),
+                                  lambda q: q - 0.1])
+def test_find_threshold_without_a_downward_sign_change(monkeypatch, rate):
+    assert assert_threshold_equals_reference(monkeypatch, rate) is None
+
+
+@given(st.floats(min_value=1e-9, max_value=Q_MAX),
+       st.sampled_from(["linear", "step"]))
+@settings(max_examples=200, deadline=None)
+def test_find_threshold_equals_reference_on_crossings(m, shape):
+    rate = ((lambda q: m - q) if shape == "linear"
+            else (lambda q: np.where(q < m, 1.0, -1.0)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert assert_threshold_equals_reference(monkeypatch, rate) is not None
 
 
 def test_lemma1_check_examples():

@@ -56,6 +56,13 @@ def test_shannon_rejects_negative():
         shannon_entropy3([np.nan, 0.5])
     with pytest.raises(ValueError, match="nan"):
         entropy3([[0.5, 0.5], [np.nan, np.nan]])
+    # +inf would give an entropy of -inf
+    with pytest.raises(ValueError, match="invalid probability inf"):
+        entropy3([np.inf, 0.5])
+    with pytest.raises(ValueError, match="invalid probability inf"):
+        entropy3([[0.5, 0.5], [0.5, np.inf]])
+    with pytest.raises(ValueError, match="invalid probability inf"):
+        entropy3([[0.5, 0.0], [0.0, np.inf]])
 
 
 def test_von_neumann_maximally_mixed_and_pure():

@@ -491,13 +491,10 @@ def bisection_midpoint(interval: int, path: tuple) -> float:
     return 0.5 * (lo + hi)
 
 
-def patch_rate(monkeypatch, rate):
+def assert_threshold_equals_reference(monkeypatch, rate):
+    """Both searches on the key rate replaced by rate(q)."""
     monkeypatch.setattr(keyrate, "key_rate_curve", lambda q, *conventions: {
         "r": rate(np.asarray(q, dtype=float))})
-
-
-def assert_threshold_equals_reference(monkeypatch, rate):
-    patch_rate(monkeypatch, rate)
     thr = find_threshold("phi1", "dependent")
     assert thr == find_threshold_reference("phi1", "dependent")
     return thr

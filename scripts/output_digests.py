@@ -19,7 +19,11 @@ The outputs are:
   `pauli_twirl_attack(q, q)`, at q in {0.02, 0.1, 0.3};
 * the `conditional_entropies`, and for both variants the
   `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON, of
-  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2.
+  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2;
+* seeded `run_protocol` JSONs for both variants at the round counts around
+  the sampler's 2**16-round chunks (2**16 - 1, 2**16, 2**16 + 1,
+  3 * 2**16 + 1), on the twirl at q = 0.1 and on a seeded random attack,
+  and one (10**6 + 1)-round twirl run per variant.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -115,6 +119,17 @@ def outputs():
                    table.p.tobytes().hex() + table.basis_err.tobytes().hex())
             yield (f"run_protocol(2000, random_attack({d_f}, {d_r})) {variant}",
                    run_protocol(2000, attack, variant, seed=d_f * d_r).to_json())
+    attacks = {"twirl 0.1": pauli_twirl_attack(0.1, 0.1),
+               "random_attack(3, 9)": random_attack(3, 9, seed=39)}
+    for (name, attack), variant, n in itertools.product(
+            attacks.items(), ("phi1", "phi2"),
+            (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 1)):
+        yield (f"run_protocol({n}, {name}) {variant}",
+               run_protocol(n, attack, variant, seed=n).to_json())
+    for variant in ("phi1", "phi2"):
+        yield (f"run_protocol({10**6 + 1}, twirl 0.1) {variant}",
+               run_protocol(10**6 + 1, attacks["twirl 0.1"], variant,
+                            seed=1).to_json())
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -105,6 +106,9 @@ def cmd_verify(_args) -> int:
     return 0 if verify.run_all() else 1
 
 
+# argparse looks sys.stdout and sys.stderr up only when it writes, so one
+# parser serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqkd3",

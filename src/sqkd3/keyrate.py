@@ -327,6 +327,8 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
     check_conventions(model, variant, basis_noise_convention, joint_weighting,
                       p_mode)
     q = np.asarray(q, dtype=float)
+    if q.ndim != 1:
+        raise ValueError(f"q must be a 1-d array, got {q.ndim} dimensions")
     p = p_table_symmetric(q, q)
     check_p_tables(p)
     err = alternative_basis_error(q, model, basis_noise_convention)

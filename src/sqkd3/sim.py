@@ -9,13 +9,32 @@ isometries act on both channel passes.
 Raw-key and noise-estimation outcomes are sampled from the exact
 amplitude-level conditional distributions implied by the attack; the
 eavesdropper's ancilla is traced implicitly since only sender/receiver
-statistics are collected.  The two kinds of round the protocol discards
-only advance the random stream.  Given a seed, results are reproducible
-byte for byte (numpy PCG64 generator).
+statistics are collected.  Only counts are kept.
+
+Random stream.  A run of n rounds reads the 64-bit words of
+``np.random.PCG64(seed)``, each split into two 32-bit halves, low half
+first:
+
+* halves [0, n) give each round's alternative-basis flag and halves
+  [n, 2n) its reflect flag, the top bit of each half;
+* from half 2n on, every nonzero half x gives the next round's sent value
+  (3x) >> 32, and a zero half is skipped;
+* the outcome draws start at word ceil(h / 2), h the number of halves read.
+  The 12 (sent, basis, operation) categories follow in the order of their
+  key sent*4 + alt*2 + reflect, one word per round.  The two kinds of round
+  the protocol discards only advance the stream.  A kept round's word w
+  gives the uniform u = (w >> 11) / 2**53, and its outcome is the number of
+  entries of the table row's cumulative distribution that are <= u.
+
+These are the draws of ``Generator.integers`` (Lemire's method, 32 bits at
+a time) and ``Generator.choice``, so a seed gives the counts those calls
+gave, byte for byte; the sampler itself depends only on PCG64's raw words.
+The words are read in chunks of 2**16, so a run holds O(1) memory in n.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,27 +96,101 @@ class SimulationResult:
         })
 
 
-def _category_sizes(rng: np.random.Generator, n: int) -> np.ndarray:
+#: Rounds (or uniforms) per chunk: a run holds O(_CHUNK) memory for any n.
+_CHUNK = 1 << 16
+
+
+class _Words:
+    """One PCG64 stream, read forward or at any of its 32-bit halves.
+
+    Word w holds halves 2w (its low 32 bits) and 2w + 1 (its high 32 bits).
+    `word` is the number of the word the generator outputs next; moving it
+    costs one `advance`, whatever the distance.
+    """
+
+    def __init__(self, bitgen: np.random.PCG64):
+        self.bitgen = bitgen
+        self.word = 0
+
+    def seek(self, word: int) -> None:
+        if word != self.word:
+            self.bitgen.advance((word - self.word) % 2**128)
+            self.word = word
+
+    def words(self, count: int) -> np.ndarray:
+        self.word += count
+        return self.bitgen.random_raw(count)
+
+    def halves(self, start: int, stop: int) -> np.ndarray:
+        """Halves [start, stop) as uint32, whatever the host's byte order."""
+        self.seek(start // 2)
+        words = self.words((stop + 1) // 2 - start // 2)
+        return words.astype("<u8", copy=False).view("<u4")[start % 2:][:stop - start]
+
+
+def _category_sizes(stream: _Words, n: int) -> np.ndarray:
     """Rounds per category over n rounds, keyed sent*4 + alt*2 + reflect.
 
-    The flags are drawn as three int64 arrays in the order alternative
-    basis, reflect, sent; the stream depends on that order.
+    Reads the flag halves of the stream the module docstring defines and
+    leaves `stream` at word ceil(h / 2), h the number of halves read, where
+    the outcome draws start.
     """
-    key = rng.integers(0, 2, size=n)
-    key *= 2
-    key += rng.integers(0, 2, size=n)
-    sent = rng.integers(0, 3, size=n)
-    sent *= 4
-    key += sent
-    return np.bincount(key, minlength=12)
+    sizes = np.zeros(12, dtype=np.int64)
+    pos = 2 * n  # next half of the sent stream
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        alt = stream.halves(start, stop) > 0x7FFFFFFF
+        key = np.add(alt, alt, dtype=np.uint8)
+        key += stream.halves(n + start, n + stop) > 0x7FFFFFFF
+        x = stream.halves(pos, pos + stop - start)
+        pos += stop - start
+        # Lemire's method for the range 3 rejects exactly the half 0
+        while not x.all():
+            x = x[x != 0]
+            missing = stop - start - x.size
+            x = np.concatenate([x, stream.halves(pos, pos + missing)])
+            pos += missing
+        sent = np.add(x > 0x55555555, x > 0xAAAAAAAA, dtype=np.uint8)
+        sent <<= 2
+        key += sent
+        sizes += np.bincount(key, minlength=12)
+    stream.seek((pos + 1) // 2)
+    return sizes
+
+
+def _outcome_counts(stream: _Words, size: int, probs: np.ndarray) -> np.ndarray:
+    """Outcome counts of `size` rounds drawn from probs / probs.sum() with
+    the next `size` words, as Generator.choice draws them."""
+    p = probs / probs.sum()
+    if not (p >= 0).all():
+        raise ValueError("Probabilities contain NaN" if np.isnan(p).any()
+                         else "Probabilities are not non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    # choice takes the uniform k / 2**53, k = w >> 11, of word w to outcome
+    # j when it lies in [cdf[j - 1], cdf[j]); k / 2**53 < cdf[j] exactly
+    # when k < ceil(cdf[j] * 2**53), and cdf[-1] is 1
+    bounds = [math.ceil(c * 2**53) for c in cdf[:-1].tolist()]
+    below = np.zeros(p.size + 1, dtype=np.int64)  # below[j + 1]: u < cdf[j]
+    below[-1] = size
+    for start in range(0, size, _CHUNK):
+        k = stream.words(min(_CHUNK, size - start)) >> 11
+        below[1:-1] += [np.count_nonzero(k < b) for b in bounds]
+    return np.diff(below)
 
 
 def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
                  seed: int = 0) -> SimulationResult:
-    """Simulate n rounds and aggregate the protocol statistics."""
+    """Simulate n rounds and aggregate the protocol statistics.
+
+    The rounds come from the words of np.random.PCG64(seed), as the module
+    docstring defines: the alternative-basis flags from halves [0, n), the
+    reflect flags from halves [n, 2n), the sent values from the nonzero
+    halves after, then one word per round of each category in key order.
+    Time is linear in n and memory does not grow with it.
+    """
     if n < 1:
         raise ValueError("need at least one round")
-    rng = np.random.default_rng(seed)
     fams = vector_families(attack)
     counts_p = np.zeros((3, 9), dtype=np.int64)
     alt_reflect = np.zeros((3, 3), dtype=np.int64)
@@ -106,18 +199,17 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     reported = {0: (p_table_from_attack(fams).reshape(3, 9), counts_p),
                 3: (alt_basis_table(fams, variant), alt_reflect)}
 
-    sizes = _category_sizes(rng, n)
+    stream = _Words(np.random.PCG64(seed))
+    sizes = _category_sizes(stream, n)
     for c in np.flatnonzero(sizes):
         i, kind = divmod(int(c), 4)
+        size = int(sizes[c])
         if kind not in reported:
-            # Generator.choice takes exactly one Generator.random uniform
-            # per round, so a discarded category only advances the stream
-            rng.random(sizes[c])
+            # a discarded round would take one uniform, so one word
+            stream.seek(stream.word + size)
             continue
         table, counts = reported[kind]
-        probs = table[i]
-        draws = rng.choice(probs.size, size=sizes[c], p=probs / probs.sum())
-        counts[i] = np.bincount(draws, minlength=probs.size)
+        counts[i] = _outcome_counts(stream, size, table[i])
 
     counts_p = counts_p.reshape(3, 3, 3)
     per_sent = counts_p.sum(axis=(1, 2))[:, None, None]

@@ -60,11 +60,11 @@ class StatTable:
 
 
 def check_p_tables(p: np.ndarray) -> None:
-    """Reject tables p (..., 3, 3, 3) with an entry outside [0, 1] or an
-    input row whose probabilities do not sum to 1."""
-    # fmin and fmax skip NaN, as the tests (p < -1e-12).any() would
-    if (np.fmin.reduce(p, axis=None, initial=np.inf) < -1e-12
-            or np.fmax.reduce(p, axis=None, initial=-np.inf) > 1 + 1e-12):
+    """Reject tables p (..., 3, 3, 3) with an entry outside [0, 1] (NaN
+    included) or an input row whose probabilities do not sum to 1."""
+    # min and max propagate NaN, and a NaN bound fails both comparisons
+    if not (p.min(initial=np.inf) >= -1e-12
+            and p.max(initial=-np.inf) <= 1 + 1e-12):
         raise ValueError("table entries outside [0, 1]")
     rows = p.sum(axis=(-2, -1))
     bad = np.abs(rows - 1.0).max(axis=-1) > ROW_SUM_TOL

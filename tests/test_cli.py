@@ -12,7 +12,7 @@ import sqkd3
 import sqkd3.term_tables as tables
 import sqkd3.linalg as linalg
 from sqkd3 import ChannelScenario, key_rate, verify
-from sqkd3.cli import main
+from sqkd3.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +167,10 @@ def test_process_with_both_streams_on_a_broken_pipe_exits_3():
     finally:
         os.close(write_end)
     assert proc.returncode == 3
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_usage_error_exit_code(capsys):

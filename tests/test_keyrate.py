@@ -413,6 +413,13 @@ def test_kernel_rejects_bad_input():
         key_rate_curve(np.array([0.1]), model="bogus")
 
 
+@pytest.mark.parametrize("q", [0.1, np.array(0.1), np.full((2, 3), 0.1)],
+                         ids=["scalar", "0-d", "2-d"])
+def test_kernel_rejects_q_that_is_not_1d(q):
+    with pytest.raises(ValueError, match="q must be a 1-d array"):
+        key_rate_curve(q)
+
+
 def test_unknown_p_mode_has_one_message():
     with pytest.raises(ValueError) as curve:
         key_rate_curve(np.array([0.1]), p_mode="bogus")

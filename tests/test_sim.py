@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,6 +157,109 @@ def test_stream_and_category_order_match_mask_reference(d_f, d_r, variant):
         seed = 1000 * d_f + 10 * d_r + n
         assert run_protocol(n, attack, variant, seed).to_json() == \
             _reference_json(n, attack, variant, seed)
+
+
+_C = sim._CHUNK
+
+
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+@pytest.mark.parametrize("attack", [pauli_twirl_attack(0.1, 0.1),
+                                    random_attack(3, 9, seed=39)],
+                         ids=["twirl", "random"])
+@pytest.mark.parametrize("n", [9, _C - 1, _C, _C + 1, 2 * _C - 1, 3 * _C + 1])
+def test_chunk_boundaries_match_mask_reference(n, attack, variant):
+    seed = n + 11
+    assert run_protocol(n, attack, variant, seed).to_json() == \
+        _reference_json(n, attack, variant, seed)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_with_word(k, word):
+    """A PCG64 whose output number k (from 0) is `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs the xor of the new
+    state's high and low 64 bits rotated right by the top 6 bits."""
+    high = 0x5EED << 40
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
+    state = np.random.PCG64(0).state
+    state["state"]["state"] = (((high << 64 | low) - state["state"]["inc"])
+                               * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128)
+    bitgen = np.random.PCG64(0)
+    bitgen.state = state
+    bitgen.advance(2**128 - k)
+    return bitgen
+
+
+# Word k of the stream: a zero word rejects two sent halves mid-stream, at
+# the stream's end and at the end of the first chunk; the other words put
+# halves on the sent value's steps and on the flags' top bit.
+@pytest.mark.parametrize("n,k,word", [
+    (7, 8, 0), (8, 11, 0), (_C + 1, _C + 1 + _C // 2 - 1, 0),
+    (7, 8, 0xAAAAAAAA_55555555), (7, 8, 0xAAAAAAAB_55555556),
+    (7, 1, 0x80000000_7FFFFFFF), (7, 4, 0x80000000_7FFFFFFF),
+], ids=["rejected", "rejected-last", "rejected-chunk-end", "sent-steps",
+        "sent-after-steps", "alt-top-bit", "reflect-top-bit"])
+def test_crafted_words_give_the_integers_and_choice_draws(n, k, word):
+    assert _pcg64_with_word(k, word).random_raw(k + 1)[k] == word
+    rng = np.random.Generator(_pcg64_with_word(k, word))
+    key = 2 * rng.integers(0, 2, size=n) + rng.integers(0, 2, size=n)
+    key += 4 * rng.integers(0, 3, size=n)
+    stream = sim._Words(_pcg64_with_word(k, word))
+    sizes = sim._category_sizes(stream, n)
+    assert sizes.tolist() == np.bincount(key, minlength=12).tolist()
+    probs = np.array([0.2, 0.0, 0.5, 0.3])
+    for c in np.flatnonzero(sizes):
+        size = int(sizes[c])
+        if c % 2:
+            rng.random(size)
+            stream.seek(stream.word + size)
+        else:
+            assert sim._outcome_counts(stream, size, probs).tolist() == \
+                np.bincount(rng.choice(4, size=size, p=probs),
+                            minlength=4).tolist()
+    assert stream.words(1).tolist() == rng.bit_generator.random_raw(1).tolist()
+
+
+@pytest.mark.parametrize("probs", [[1.0, 1.0], [1.0, 2.0], [0.3, 0.7]])
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("low_bits", [0, 0x7FF])
+def test_outcome_at_a_cdf_step_is_choice_outcome(probs, offset, low_bits):
+    # the uniform (w >> 11) / 2**53 one step below or at cdf[0]
+    probs = np.array(probs)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    word = (math.ceil(cdf[0] * 2**53) + offset) << 11 | low_bits
+    stream = sim._Words(_pcg64_with_word(0, word))
+    rng = np.random.Generator(_pcg64_with_word(0, word))
+    assert _pcg64_with_word(0, word).random_raw(1)[0] == word
+    assert sim._outcome_counts(stream, 1, probs).tolist() == np.bincount(
+        rng.choice(2, size=1, p=probs / probs.sum()), minlength=2).tolist()
+
+
+@pytest.mark.parametrize("probs", [[0.5, np.nan, 0.5], [0.0, 0.0, 0.0],
+                                   [0.6, -0.1, 0.5]])
+def test_bad_probabilities_rejected_as_choice_rejects_them(probs):
+    probs = np.array(probs)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError) as choice:
+            np.random.default_rng(0).choice(3, size=5, p=probs / probs.sum())
+        with pytest.raises(ValueError) as ours:
+            sim._outcome_counts(sim._Words(np.random.PCG64(0)), 5, probs)
+    assert str(ours.value) == str(choice.value)
+
+
+def test_memory_does_not_grow_with_rounds():
+    attack = pauli_twirl_attack(0.1, 0.1)
+    tracemalloc.start()
+    try:
+        run_protocol(10**7, attack, "phi1", seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _reference_max_sigma(result, table):

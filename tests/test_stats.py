@@ -9,7 +9,7 @@ import sqkd3.term_tables as tables
 from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           vector_families)
 from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
-                         basis_error_direct, basis_error_expanded, f_gram,
+                         basis_error_direct, check_p_tables, basis_error_expanded, f_gram,
                          joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
@@ -226,6 +226,33 @@ def test_stat_table_rejects_unknown_variant_and_non_finite_entries(field, value)
         args[field].flat[0] = value
     with pytest.raises(ValueError):
         StatTable(**args)
+
+
+@pytest.mark.parametrize("cells,error", [
+    ({}, None),
+    ({(0, 0, 0): 1 + 1e-12, (0, 1, 1): -1e-12}, None),
+    ({(0, 0, 0): 1 + 2e-12, (0, 1, 1): -2e-12}, "outside"),
+    ({(0, 1, 1): -2e-12}, "outside"),
+    ({(0, 1, 1): 2e-9}, "differ"),
+    ({(2, 1, 1): np.nan}, "outside"),
+    ({(2, 1, 1): np.inf}, "outside"),
+])
+def test_check_p_tables_verdicts(cells, error):
+    p = np.zeros((2, 3, 3, 3))
+    p[:, [0, 1, 2], [0, 1, 2], [0, 1, 2]] = 1.0
+    for cell, value in cells.items():
+        p[(1, *cell)] = value
+    for tables in (p[1], p):
+        if error is None:
+            check_p_tables(tables)
+        else:
+            with pytest.raises(ValueError, match=error):
+                check_p_tables(tables)
+
+
+def test_check_p_tables_rejects_nan_table():
+    with pytest.raises(ValueError, match="outside"):
+        check_p_tables(np.full((3, 3, 3), np.nan))
 
 
 def test_scenario_table_uses_convention():

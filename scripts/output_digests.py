@@ -23,7 +23,10 @@ The outputs are:
 * seeded `run_protocol` JSONs for both variants at the round counts around
   the sampler's 2**16-round chunks (2**16 - 1, 2**16, 2**16 + 1,
   3 * 2**16 + 1), on the twirl at q = 0.1 and on a seeded random attack,
-  and one (10**6 + 1)-round twirl run per variant.
+  and one (10**6 + 1)-round twirl run per variant;
+* for each (d_f, d_r) of `verify`'s two seeded attack plans (seeds
+  1001-1200 and 3001-3100), the forward and reverse isometries of that
+  shape's attacks, built as `verify` builds them.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -38,6 +41,12 @@ import numpy as np
 
 from sqkd3 import verify
 from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
+
+try:
+    from sqkd3.attack import random_attacks
+except ImportError:   # a tree that builds each attack on its own
+    def random_attacks(d_f, d_r, seeds):
+        return (random_attack(d_f, d_r, seed) for seed in seeds)
 from sqkd3.cli import main
 from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
                            key_rate_curve, rho_be, rho_bec)
@@ -130,6 +139,17 @@ def outputs():
         yield (f"run_protocol({10**6 + 1}, twirl 0.1) {variant}",
                run_protocol(10**6 + 1, attacks["twirl 0.1"], variant,
                             seed=1).to_json())
+    for seed, n_attacks in ((1000, 200), (3000, 100)):
+        rng = np.random.default_rng(seed)
+        plan = {}
+        for trial in range(n_attacks):
+            shape = (int(rng.choice((1, 3, 9))), int(rng.choice((1, 3, 9))))
+            plan.setdefault(shape, []).append(seed + 1 + trial)
+        for shape, seeds in sorted(plan.items()):
+            yield (f"random_attacks{shape} of verify's seeds "
+                   f"{seed + 1}-{seed + n_attacks}",
+                   b"".join(attack.forward.tobytes() + attack.reverse.tobytes()
+                            for attack in random_attacks(*shape, seeds)))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,16 @@ rho -> (1-3Q) rho + Q I exactly.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import OMEGA, basis_vectors, haar_isometry
+from .linalg import (OMEGA, basis_vectors, gaussian_matrix,
+                     isometries_from_gaussian, sequential_sum)
 
 ISOMETRY_TOL = 1e-12
 
@@ -218,26 +222,51 @@ def identity_attack() -> AttackModel:
 
 def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
     """Haar-random two-stage attack; seed is required for reproducibility."""
-    rng = np.random.default_rng(seed)
-    fw = haar_isometry(3 * d_f, 3, rng)
-    rv = haar_isometry(3 * d_f * d_r, 3 * d_f, rng)
-    return AttackModel(fw, rv, d_f, d_r)
+    return next(random_attacks(d_f, d_r, [seed]))
+
+
+#: Most bytes of Gaussian input that random_attacks factors in one QR call.
+_QR_STACK_BYTES = 256 * 1024
+
+
+def random_attacks(d_f: int, d_r: int, seeds) -> Iterator[AttackModel]:
+    """Haar-random two-stage attacks of one shape, one per seed, in order.
+
+    Each seed's generator draws the forward stage's Gaussian matrix, then
+    the reverse stage's, as haar_isometry draws them.  The matrices of each
+    stage are factored in stacked QR calls of at most _QR_STACK_BYTES of
+    input, which give every attack the bits of its own per-matrix calls.
+    """
+    fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
+    # 16-byte entries; the reverse stage is the larger, and a shape that
+    # gaussian_matrix rejects counts as one entry
+    per_call = max(1, _QR_STACK_BYTES // (16 * max(math.prod(rv_shape), 1)))
+    seeds = iter(seeds)
+    while chunk := list(itertools.islice(seeds, per_call)):
+        fw_z, rv_z = [], []
+        for seed in chunk:
+            rng = np.random.default_rng(seed)
+            fw_z.append(gaussian_matrix(*fw_shape, rng))
+            rv_z.append(gaussian_matrix(*rv_shape, rng))
+        for fw, rv in zip(isometries_from_gaussian(np.array(fw_z)),
+                          isometries_from_gaussian(np.array(rv_z))):
+            yield AttackModel(fw, rv, d_f, d_r)
 
 
 def _basis_change_coefficients() -> np.ndarray:
-    """Coefficients (2, 9, 9) that express the round-trip records on the T
+    """Coefficients (9, 2, 9) that express the round-trip records on the T
     and K bases.
 
     If V|i,0> = sum_j |j, f_{3i+j}> on the canonical basis, then on a basis
     with kets b_i the same operator reads V|b_i,0> = sum_j |b_j, v_{3i+j}>
     with v_{3i+j} = sum_{a,c} B[a,i] conj(B[c,j]) f_{3a+c}; entry
-    [basis, 3i+j, 3a+c] is that coefficient.
+    [3a+c, basis, 3i+j] is that coefficient.
     """
     # scalar products: a broadcast array product rounds differently
     return np.array([[[b[a, i] * np.conj(b[c, j])
-                       for a in range(3) for c in range(3)]
-                      for i in range(3) for j in range(3)]
-                     for b in (basis_vectors("T"), basis_vectors("K"))])
+                       for i in range(3) for j in range(3)]
+                      for b in (basis_vectors("T"), basis_vectors("K"))]
+                     for a in range(3) for c in range(3)])
 
 
 _BASIS_CHANGE = _basis_change_coefficients()
@@ -256,5 +285,5 @@ def vector_families(attack: AttackModel) -> VectorFamilies:
     f = attack.composed().T.reshape(9, dim)
     # a sequential sum over (a, c): numpy's pairwise sums would round
     # differently
-    g, h = np.add.accumulate(_BASIS_CHANGE[:, :, :, None] * f, axis=2)[:, :, -1]
+    g, h = sequential_sum(_BASIS_CHANGE[:, :, :, None] * f[:, None, None])
     return VectorFamilies(e, ekij, f, g, h)

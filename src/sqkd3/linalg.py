@@ -189,12 +189,28 @@ def _linked_blocks(linked: np.ndarray) -> list:
             for m in sorted({len(b) for b in blocks})]
 
 
+def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian rows x cols matrix (rows >= cols) that haar_isometry
+    factors: rng draws all the real parts, then all the imaginary parts."""
+    if rows < cols:
+        raise ValueError("isometry needs rows >= cols")
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def isometries_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar-random isometries from a stack (..., rows, cols) of complex
+    Gaussian matrices: the Q of each matrix's QR factorisation, column k
+    times the phase of R's diagonal entry k.
+
+    numpy's qr factors a stack one matrix at a time, so each result has the
+    bits it has when its matrix is factored alone.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random isometry (rows x cols, rows >= cols) with V^dag V = I,
     a Haar unitary when rows == cols."""
-    if rows < cols:
-        raise ValueError("isometry needs rows >= cols")
-    z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q[:, :cols] * (d / np.abs(d))
+    return isometries_from_gaussian(gaussian_matrix(rows, cols, rng))

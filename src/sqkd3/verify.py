@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (pauli_twirl_attack, random_attack, ternary_channel_apply,
+from .attack import (pauli_twirl_attack, random_attacks, ternary_channel_apply,
                      vector_families)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
@@ -37,12 +37,18 @@ def check_mub() -> tuple[bool, str]:
 
 
 def _random_families(n_attacks: int, seed: int):
-    """Record families of seeded random attacks, (d_f, d_r) drawn from _DIMS."""
+    """Record families of seeded random attacks: attack t has seed
+    seed + 1 + t and (d_f, d_r) drawn from _DIMS.  They come one shape at a
+    time, so that each shape's attacks are built in stacked calls; the
+    groups take maxima over them, which do not depend on the order."""
     rng = np.random.default_rng(seed)
+    plan = {}   # (d_f, d_r) -> attack seeds, shapes in order of first draw
     for trial in range(n_attacks):
-        att = random_attack(int(rng.choice(_DIMS)), int(rng.choice(_DIMS)),
-                            seed + 1 + trial)
-        yield vector_families(att)
+        shape = (int(rng.choice(_DIMS)), int(rng.choice(_DIMS)))
+        plan.setdefault(shape, []).append(seed + 1 + trial)
+    for (d_f, d_r), seeds in plan.items():
+        for att in random_attacks(d_f, d_r, seeds):
+            yield vector_families(att)
 
 
 def check_sum_rules() -> tuple[bool, str]:

@@ -1,17 +1,21 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqkd3 import attack as attack_module
+from sqkd3 import verify
 from sqkd3.attack import (AttackModel, ChannelScenario, identity_attack,
                           pauli_twirl_attack, pauli_twirl_isometry,
-                          random_attack, ternary_channel_apply,
+                          random_attack, random_attacks, ternary_channel_apply,
                           vector_families)
-from sqkd3.linalg import basis_vectors, haar_isometry
+from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.stats import (alt_basis_table, basis_error_direct,
-                         p_table_from_attack)
+                         basis_error_expanded, f_gram, p_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
@@ -161,6 +165,121 @@ def test_record_arrays_bit_equal_to_per_vector_reference(attack):
         assert np.array_equal(alt_r, [[norm2(family[3 * i + k])
                                        for k in range(3)] for i in range(3)])
         assert np.max(np.abs(alt_r.sum(axis=1) - 1.0)) < 1e-12
+
+
+def reference_haar_isometry(rows, cols, rng):
+    """One Haar isometry from one QR call, as random attacks were built
+    before their QR calls were stacked."""
+    if rows < cols:
+        raise ValueError("isometry needs rows >= cols")
+    z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q[:, :cols] * (d / np.abs(d))
+
+
+def reference_random_attack(d_f, d_r, seed):
+    rng = np.random.default_rng(seed)
+    fw = reference_haar_isometry(3 * d_f, 3, rng)
+    return AttackModel(fw, reference_haar_isometry(3 * d_f * d_r, 3 * d_f, rng),
+                       d_f, d_r)
+
+
+@pytest.mark.parametrize("d_f", [1, 3, 9])
+@pytest.mark.parametrize("d_r", [1, 3, 9])
+def test_random_attacks_bit_equal_to_per_matrix_reference(d_f, d_r, monkeypatch):
+    qr, qr_inputs = np.linalg.qr, []
+
+    def counting_qr(z, *args, **kwargs):
+        qr_inputs.append(z.shape)
+        return qr(z, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    budget = attack_module._QR_STACK_BYTES
+    per_call = budget // (16 * 9 * d_f**2 * d_r)
+    seeds = range(500, 500 + per_call + 2)   # one full stack and a partial one
+    attacks = list(random_attacks(d_f, d_r, iter(seeds)))
+    assert len(attacks) == len(seeds)
+    # one call per stage and stack, each within the budget
+    assert len(qr_inputs) == 2 * math.ceil(len(seeds) / per_call)
+    assert max(16 * math.prod(shape) for shape in qr_inputs) <= budget
+    for seed, attack in zip(seeds, attacks):
+        ref = reference_random_attack(d_f, d_r, seed)
+        assert (attack.d_f, attack.d_r) == (d_f, d_r)
+        assert attack.forward.tobytes() == ref.forward.tobytes()
+        assert attack.reverse.tobytes() == ref.reverse.tobytes()
+    one = random_attack(d_f, d_r, seeds[-1])
+    assert one.forward.tobytes() == attacks[-1].forward.tobytes()
+    assert one.reverse.tobytes() == attacks[-1].reverse.tobytes()
+
+
+def test_random_attacks_of_no_seeds_is_empty():
+    assert list(random_attacks(3, 3, [])) == []
+
+
+@pytest.mark.parametrize("d_f,d_r", [(0, 3), (3, 0), (-1, 3)])
+def test_random_attack_rejects_empty_ancilla(d_f, d_r):
+    with pytest.raises(ValueError, match="isometry needs rows >= cols"):
+        random_attack(d_f, d_r, 1)
+
+
+def reference_plan(n_attacks, seed):
+    """verify's seeded random attacks in draw order, one QR call each."""
+    rng = np.random.default_rng(seed)
+    for trial in range(n_attacks):
+        d_f, d_r = int(rng.choice([1, 3, 9])), int(rng.choice([1, 3, 9]))
+        yield reference_random_attack(d_f, d_r, seed + 1 + trial)
+
+
+@pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])
+def test_verify_builds_each_planned_attack_once(n_attacks, seed):
+    # verify groups the plan by shape; as a multiset its record families
+    # are those of the plan built one attack at a time
+    def record_bytes(fams):
+        return b"".join(getattr(fams, name).tobytes()
+                        for name in ("e", "ekij", "f", "g", "h"))
+    got = sorted(map(record_bytes, verify._random_families(n_attacks, seed)))
+    ref = sorted(record_bytes(vector_families(attack))
+                 for attack in reference_plan(n_attacks, seed))
+    assert got == ref
+
+
+def test_sum_rules_group_equals_per_attack_loop():
+    worst = 0.0
+    for attack in reference_plan(200, 1000):
+        fams = vector_families(attack)
+        for vecs in (fams.e, fams.f):
+            rows = vecs.reshape(3, -1)
+            gram = rows.conj() @ rows.T
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
+        kept = sq_norms(fams.ekij).sum(axis=0) - sq_norms(fams.e)
+        worst = max(worst, float(np.max(np.abs(kept))))
+    assert verify.check_sum_rules() == (
+        worst < 1e-10, f"200 attacks, max violation {worst:.3e}")
+
+
+def test_expansion_group_equals_per_attack_loop():
+    worst = 0.0
+    for attack in reference_plan(100, 3000):
+        fams = vector_families(attack)
+        gram = f_gram(fams)
+        for variant in ("phi1", "phi2"):
+            diff = (basis_error_direct(fams, variant)
+                    - basis_error_expanded(gram, variant))
+            worst = max(worst, float(np.max(np.abs(diff))))
+    assert verify.check_expansion_equivalence() == (
+        worst < 1e-10, f"100 attacks, max |direct-expanded| {worst:.3e}")
+
+
+def test_sum_rules_group_memory_is_bounded():
+    # the attacks of one shape are stacked only up to the QR byte budget
+    tracemalloc.start()
+    try:
+        verify.check_sum_rules()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_ternary_channel_basics():

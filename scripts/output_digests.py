@@ -26,7 +26,10 @@ The outputs are:
   and one (10**6 + 1)-round twirl run per variant;
 * for each (d_f, d_r) of `verify`'s two seeded attack plans (seeds
   1001-1200 and 3001-3100), the forward and reverse isometries of that
-  shape's attacks, built as `verify` builds them.
+  shape's attacks, built as `verify` builds them;
+* the `--help` text of `sqkd3` and of each subcommand, and the usage error
+  of `sweep` and `threshold` for one unknown value of each convention flag
+  and of `simulate` for an unknown variant, at 80 columns.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -36,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 
 import numpy as np
 
@@ -72,6 +76,17 @@ def cli_output(argv: list) -> str:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return f"exit {code}\n{out.getvalue()}"
+
+
+def cli_exit(argv: list) -> str:
+    """Exit status, stdout and stderr of a command that argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit {code}\n{out.getvalue()}\nstderr\n{err.getvalue()}"
 
 
 def outputs():
@@ -150,6 +165,15 @@ def outputs():
                    f"{seed + 1}-{seed + n_attacks}",
                    b"".join(attack.forward.tobytes() + attack.reverse.tobytes()
                             for attack in random_attacks(*shape, seeds)))
+    # argparse wraps its text to the terminal width it reads from COLUMNS
+    os.environ["COLUMNS"] = "80"
+    for argv in ([], ["sweep"], ["threshold"], ["simulate"], ["verify"]):
+        argv = [*argv, "--help"]
+        yield " ".join(argv), cli_exit(argv)
+    bad = [(cmd, flag) for cmd in ("sweep", "threshold") for flag in CONVENTIONS]
+    for cmd, flag in bad + [("simulate", "--variant")]:
+        argv = [cmd, flag, "bogus"]
+        yield " ".join(argv), cli_exit(argv)
 
 
 if __name__ == "__main__":

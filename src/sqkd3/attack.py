@@ -99,6 +99,25 @@ class VectorFamilies:
     h: np.ndarray = field(repr=False)
 
 
+#: The allowed values of each convention flag, the default first, in the
+#: order that ChannelScenario.flags() and the threshold JSON print them.
+CONVENTIONS = {
+    "variant": ("phi1", "phi2"),
+    "model": ("dependent", "independent"),
+    "basis_noise_convention": ("per-pair", "total"),
+    "joint_weighting": ("as-printed", "normalized"),
+    "p_mode": ("as-printed", "corrected"),
+}
+
+
+def check_conventions(**values) -> None:
+    """Reject a value that is not in CONVENTIONS[name], for each name=value."""
+    for name, value in values.items():
+        if value not in CONVENTIONS[name]:
+            raise ValueError(f"unknown {name} {value!r}, expected one of "
+                             + ", ".join(CONVENTIONS[name]))
+
+
 @dataclass(frozen=True)
 class ChannelScenario:
     """Noise scenario for the analytic key-rate evaluation.
@@ -106,21 +125,20 @@ class ChannelScenario:
     q is the per-pair flip probability of the ternary symmetric channel in
     each direction.  `model` picks how the alternative-basis (T or K) noise
     relates to q, `variant` picks the alternative basis, and the remaining
-    flags select formula conventions (see keyrate module).
+    flags select formula conventions; CONVENTIONS lists each flag's values.
     """
 
     q: float
-    model: str = "dependent"            # dependent | independent
-    variant: str = "phi1"               # phi1 | phi2
-    basis_noise_convention: str = "per-pair"   # per-pair | total
-    joint_weighting: str = "as-printed"        # as-printed | normalized
-    p_mode: str = "as-printed"                 # as-printed | corrected
+    model: str = "dependent"
+    variant: str = "phi1"
+    basis_noise_convention: str = "per-pair"
+    joint_weighting: str = "as-printed"
+    p_mode: str = "as-printed"
 
     def __post_init__(self):
         if not 0.0 <= self.q <= Q_MAX:
             raise ValueError(f"q={self.q} outside [0, 3/8]")
-        check_conventions(self.model, self.variant, self.basis_noise_convention,
-                          self.joint_weighting, self.p_mode)
+        check_conventions(**self.flags())
 
     def basis_error_value(self) -> float:
         """Per-pair alternative-basis error probability for this scenario."""
@@ -128,35 +146,7 @@ class ChannelScenario:
                                        self.basis_noise_convention)
 
     def flags(self) -> dict:
-        return {"variant": self.variant, "model": self.model,
-                "basis_noise_convention": self.basis_noise_convention,
-                "joint_weighting": self.joint_weighting,
-                "p_mode": self.p_mode}
-
-
-#: The p modes of the key-rate bound (see the keyrate module).
-P_MODES = ("as-printed", "corrected")
-
-
-def check_p_mode(p_mode: str) -> None:
-    """Reject a p mode that is not in P_MODES."""
-    if p_mode not in P_MODES:
-        raise ValueError(f"unknown p mode {p_mode!r}, expected one of "
-                         + ", ".join(P_MODES))
-
-
-def check_conventions(model: str, variant: str, basis_noise_convention: str,
-                      joint_weighting: str, p_mode: str) -> None:
-    """Reject unknown convention flags of a noise scenario."""
-    if model not in ("dependent", "independent"):
-        raise ValueError(f"unknown model {model!r}")
-    if variant not in ("phi1", "phi2"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if basis_noise_convention not in ("per-pair", "total"):
-        raise ValueError("convention must be per-pair or total")
-    if joint_weighting not in ("as-printed", "normalized"):
-        raise ValueError("weighting must be as-printed or normalized")
-    check_p_mode(p_mode)
+        return {name: getattr(self, name) for name in CONVENTIONS}
 
 
 def alternative_basis_error(q, model: str, basis_noise_convention: str):

@@ -15,11 +15,12 @@ import sys
 import numpy as np
 
 from . import verify
-from .attack import Q_MAX, ChannelScenario, pauli_twirl_attack
+from .attack import CONVENTIONS, Q_MAX, ChannelScenario, pauli_twirl_attack
 from .keyrate import find_threshold, key_rate, key_rate_curve
 from .sim import max_deviation_sigma, run_protocol
 from .stats import stat_table_from_attack
 
+#: Library values of the CLI spellings of --model, --p-mode and --weighting.
 _MODEL = {"dep": "dependent", "indep": "independent"}
 _PMODE = {"printed": "as-printed", "corrected": "corrected"}
 _WEIGHT = {"printed": "as-printed", "normalized": "normalized"}
@@ -29,13 +30,12 @@ SWEEP_COLUMNS = ["Q", "r", "t1", "t2", "t3", "t4", "X", "p_lower",
 
 
 def _add_convention_flags(p: argparse.ArgumentParser):
-    p.add_argument("--variant", choices=["phi1", "phi2"], default="phi1")
-    p.add_argument("--model", choices=["dep", "indep"], default="dep")
-    p.add_argument("--p-mode", choices=["printed", "corrected"],
-                   default="printed")
-    p.add_argument("--weighting", choices=["printed", "normalized"],
-                   default="printed")
-    p.add_argument("--basis-convention", choices=["per-pair", "total"],
+    p.add_argument("--variant", choices=CONVENTIONS["variant"], default="phi1")
+    p.add_argument("--model", choices=_MODEL, default="dep")
+    p.add_argument("--p-mode", choices=_PMODE, default="printed")
+    p.add_argument("--weighting", choices=_WEIGHT, default="printed")
+    p.add_argument("--basis-convention",
+                   choices=CONVENTIONS["basis_noise_convention"],
                    default="per-pair")
 
 
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "symmetric twirl attack")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--variant", choices=["phi1", "phi2"], default="phi1")
+    p.add_argument("--variant", choices=CONVENTIONS["variant"], default="phi1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
-                     alternative_basis_error, check_conventions, check_p_mode)
+                     alternative_basis_error, check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
 from .stats import (ERROR_PATTERN, JointDistribution, StatTable,
@@ -145,7 +145,7 @@ def _ceiling(p: np.ndarray) -> np.ndarray:
 
 def _is_corrected(mode: str) -> bool:
     """Whether p mode caps, floors and clamps; an unknown mode raises."""
-    check_p_mode(mode)
+    check_conventions(p_mode=mode)
     return mode == "corrected"
 
 
@@ -252,10 +252,10 @@ def no_error_overlap(fams: VectorFamilies) -> float:
 def s_ec_bound(p: np.ndarray, overlap: float) -> float:
     """Certified upper bound on the conditioned eavesdropper entropy S(EC).
 
-    p is the attack's 3x3x3 table.  Valid whenever overlap is at most the
-    attack's no-error overlap sum (no_error_overlap); it is clipped to
-    [0, feasibility ceiling], where that sum always lies.  A NaN or
-    infinite overlap raises.
+    p is the attack's 3x3x3 table; one that check_p_tables rejects raises.
+    Valid whenever overlap is at most the attack's no-error overlap sum
+    (no_error_overlap); it is clipped to [0, feasibility ceiling], where
+    that sum always lies.  A NaN or infinite overlap raises.
 
     S(EC) = H(C) + sum_c P(c) S(E|c), with P(c) the pattern weight t_c/3.
     An error block mixes its record vectors with weights p_ijk/t_c, so its
@@ -269,6 +269,9 @@ def s_ec_bound(p: np.ndarray, overlap: float) -> float:
     if not np.isfinite(overlap):
         raise ValueError(f"overlap must be finite, got {overlap}")
     p = np.asarray(p, dtype=float)
+    if p.shape != (3, 3, 3):
+        raise ValueError("p must be a 3x3x3 table")
+    check_p_tables(p)
     diag = np.array(_no_error_diagonal(p))
     t1 = diag.sum()
     outer = entropy3(np.concatenate([[t1], p.reshape(27)[_ANY_ERROR_CELLS]]) / 3.0)
@@ -324,8 +327,9 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
     one array per key: Q, t1..t4, X, S_clamped, p_lower, lambda1, lambda2,
     S_BEC, S_EC_upper, H_B_given_A and r.
     """
-    check_conventions(model, variant, basis_noise_convention, joint_weighting,
-                      p_mode)
+    check_conventions(model=model, variant=variant,
+                      basis_noise_convention=basis_noise_convention,
+                      joint_weighting=joint_weighting, p_mode=p_mode)
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError(f"q must be a 1-d array, got {q.ndim} dimensions")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
-                     vector_families)
+                     check_conventions, vector_families)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -24,31 +24,31 @@ ROW_SUM_TOL = 1e-9
 class StatTable:
     """27 canonical-basis probabilities plus six alternative-basis errors.
 
-    basis_err is ordered (0->1, 0->2, 1->0, 1->2, 2->0, 2->1).
+    basis_err is ordered (0->1, 0->2, 1->0, 1->2, 2->0, 2->1).  Both are
+    numpy arrays of probabilities, each in [0, 1] up to 1e-12.
     """
 
     p: np.ndarray          # (3, 3, 3) float
     basis_err: np.ndarray  # (6,) float
-    variant: str           # phi1 | phi2
+    variant: str
 
     def __post_init__(self):
-        p = self.p
-        if p.shape != (3, 3, 3):
+        p, err = self.p, self.basis_err
+        if not (isinstance(p, np.ndarray) and p.shape == (3, 3, 3)):
             raise ValueError("p must be a 3x3x3 table")
-        if self.variant not in tables.X54_COEFFICIENT:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not (np.isfinite(p).all() and np.isfinite(self.basis_err).all()):
-            raise ValueError("table entries must be finite")
-        check_p_tables(p)
-        if self.basis_err.shape != (6,):
-            raise ValueError("basis_err must have six entries")
+        if not (isinstance(err, np.ndarray) and err.shape == (6,)):
+            raise ValueError("basis_err must be an array of six entries")
+        check_conventions(variant=self.variant)
+        check_p_tables(p)  # NaN and infinite entries included
+        if not _in_unit_interval(err):
+            raise ValueError("basis errors outside [0, 1]")
 
     def to_json(self) -> str:
         return json.dumps({
             "p": [float(self.p[i, j, k])
                   for i in range(3) for j in range(3) for k in range(3)],
             "basis_err": [float(v) for v in self.basis_err],
-            "variant": "Phi1" if self.variant == "phi1" else "Phi2",
+            "variant": self.variant.capitalize(),
         })
 
     @classmethod
@@ -59,12 +59,17 @@ class StatTable:
                    doc["variant"].lower())
 
 
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """Whether every entry of x lies in [0, 1] up to 1e-12; NaN does not."""
+    # min and max propagate NaN, and a NaN bound fails both comparisons
+    return bool(x.min(initial=np.inf) >= -1e-12
+                and x.max(initial=-np.inf) <= 1 + 1e-12)
+
+
 def check_p_tables(p: np.ndarray) -> None:
     """Reject tables p (..., 3, 3, 3) with an entry outside [0, 1] (NaN
     included) or an input row whose probabilities do not sum to 1."""
-    # min and max propagate NaN, and a NaN bound fails both comparisons
-    if not (p.min(initial=np.inf) >= -1e-12
-            and p.max(initial=-np.inf) <= 1 + 1e-12):
+    if not _in_unit_interval(p):
         raise ValueError("table entries outside [0, 1]")
     rows = p.sum(axis=(-2, -1))
     bad = np.abs(rows - 1.0).max(axis=-1) > ROW_SUM_TOL
@@ -78,7 +83,7 @@ class JointDistribution:
 
     joint: np.ndarray      # (3, 3), index [b, a]
     marginal_a: np.ndarray  # (3,)
-    weighting: str          # as-printed | normalized
+    weighting: str
 
 
 _I, _J, _K = np.indices((3, 3, 3))
@@ -102,8 +107,7 @@ def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
 def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
     """P(final | sent) (3, 3) of the alternative-basis reflection rounds:
     squared norms of the T-basis (phi1) or K-basis (phi2) round-trip records."""
-    if variant not in ("phi1", "phi2"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_conventions(variant=variant)
     return sq_norms(fams.g if variant == "phi1" else fams.h).reshape(3, 3)
 
 
@@ -176,6 +180,7 @@ def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
     show up as a disagreement.  The compiled term arrays are rebuilt
     whenever tables.ERROR_TERMS[variant] is replaced.
     """
+    check_conventions(variant=variant)
     term_sets = tables.ERROR_TERMS[variant]
     compiled = _COMPILED_TERMS.get(variant)
     if compiled is None or compiled[0] is not term_sets:
@@ -221,8 +226,7 @@ def joint_tables(p: np.ndarray, weighting: str = "as-printed"
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Joint raw-key distributions (..., 3, 3), index [b, a], of tables p
     (..., 3, 3, 3), with their sender marginals (..., 3)."""
-    if weighting not in ("as-printed", "normalized"):
-        raise ValueError(f"unknown weighting {weighting!r}")
+    check_conventions(joint_weighting=weighting)
     joint = _JOINT_WEIGHTS * p.sum(axis=-3)
     if weighting == "normalized":
         joint = joint / joint.sum(axis=(-2, -1))[..., None, None]

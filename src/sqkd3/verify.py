@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (pauli_twirl_attack, random_attacks, ternary_channel_apply,
-                     vector_families)
+from .attack import (CONVENTIONS, pauli_twirl_attack, random_attacks,
+                     ternary_channel_apply, vector_families)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues)
@@ -115,7 +115,7 @@ def check_expansion_equivalence() -> tuple[bool, str]:
     worst = 0.0
     for fams in _random_families(n_attacks, 3000):
         gram = f_gram(fams)
-        for variant in ("phi1", "phi2"):
+        for variant in CONVENTIONS["variant"]:
             direct = basis_error_direct(fams, variant)
             expanded = basis_error_expanded(gram, variant)
             worst = max(worst, float(np.max(np.abs(direct - expanded))))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from sqkd3 import attack as attack_module
 from sqkd3 import verify
-from sqkd3.attack import (AttackModel, ChannelScenario, identity_attack,
-                          pauli_twirl_attack, pauli_twirl_isometry,
-                          random_attack, random_attacks, ternary_channel_apply,
-                          vector_families)
+from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
+                          identity_attack, pauli_twirl_attack,
+                          pauli_twirl_isometry, random_attack, random_attacks,
+                          ternary_channel_apply, vector_families)
+from sqkd3.keyrate import (find_threshold, key_rate_curve, key_rate_from_table,
+                           p_lower_bound, sigma1_entropy_terms)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
-from sqkd3.stats import (alt_basis_table, basis_error_direct,
-                         basis_error_expanded, f_gram, p_table_from_attack)
+from sqkd3.sim import run_protocol
+from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
+                         basis_error_expanded, f_gram, joint_and_marginal,
+                         p_table_from_attack, stat_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
@@ -387,3 +392,70 @@ def test_scenario_validation_and_noise_values():
     assert s.basis_error_value() == pytest.approx(2 * 0.1 * 1.7)
     s = ChannelScenario(q=0.1, model="dependent", basis_noise_convention="total")
     assert s.basis_error_value() == pytest.approx(0.05)
+
+
+# ---------------------------------------------------------------------------
+# convention flags: one table, one checker, one message
+# ---------------------------------------------------------------------------
+
+def _convention_sites():
+    """(id, convention name, call with the bad value) for every public entry
+    point that takes a convention."""
+    attack = pauli_twirl_attack(0.1, 0.1)
+    table = stat_table_from_attack(attack, "phi1")
+    fams = vector_families(attack)
+    sites = []
+    for name in CONVENTIONS:
+        sites += [
+            (f"ChannelScenario.{name}", name,
+             lambda bad, name=name: ChannelScenario(0.1, **{name: bad})),
+            (f"key_rate_curve.{name}", name,
+             lambda bad, name=name: key_rate_curve(np.array([0.1]),
+                                                   **{name: bad})),
+            (f"find_threshold.{name}", name,
+             lambda bad, name=name: find_threshold(
+                 **{"variant": "phi1", "model": "dependent", name: bad})),
+        ]
+    return sites + [
+        ("p_lower_bound", "p_mode",
+         lambda bad: p_lower_bound(1.0, table, bad)),
+        ("key_rate_from_table.weighting", "joint_weighting",
+         lambda bad: key_rate_from_table(table, weighting=bad)),
+        ("key_rate_from_table.p_mode", "p_mode",
+         lambda bad: key_rate_from_table(table, p_mode=bad)),
+        ("sigma1_entropy_terms", "p_mode",
+         lambda bad: sigma1_entropy_terms(1.0, 1.0, 1.0, 0.0, bad)),
+        ("StatTable", "variant",
+         lambda bad: StatTable(table.p, table.basis_err, bad)),
+        ("stat_table_from_attack", "variant",
+         lambda bad: stat_table_from_attack(identity_attack(), bad)),
+        ("basis_error_direct", "variant",
+         lambda bad: basis_error_direct(fams, bad)),
+        ("basis_error_expanded", "variant",
+         lambda bad: basis_error_expanded(f_gram(fams), bad)),
+        ("run_protocol", "variant",
+         lambda bad: run_protocol(100, identity_attack(), bad)),
+        ("joint_and_marginal", "joint_weighting",
+         lambda bad: joint_and_marginal(table.p, bad)),
+    ]
+
+
+_SITES = _convention_sites()
+
+
+@pytest.mark.parametrize("name,call", [site[1:] for site in _SITES],
+                         ids=[site[0] for site in _SITES])
+def test_every_convention_entry_point_rejects_with_one_message(name, call):
+    expected = (f"unknown {name} 'bogus', expected one of "
+                + ", ".join(CONVENTIONS[name]))
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        call("bogus")
+
+
+def test_convention_table_is_in_flag_order():
+    # the threshold JSON prints ChannelScenario.flags() in this order
+    flags = ChannelScenario(0.1).flags()
+    assert list(flags) == list(CONVENTIONS) == [
+        "variant", "model", "basis_noise_convention", "joint_weighting",
+        "p_mode"]
+    assert all(flags[name] == values[0] for name, values in CONVENTIONS.items())

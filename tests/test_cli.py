@@ -11,7 +11,8 @@ import pytest
 import sqkd3
 import sqkd3.term_tables as tables
 import sqkd3.linalg as linalg
-from sqkd3 import ChannelScenario, key_rate, verify
+from sqkd3 import ChannelScenario, cli, key_rate, verify
+from sqkd3.attack import CONVENTIONS
 from sqkd3.cli import build_parser, main
 
 
@@ -291,3 +292,22 @@ def test_threshold_past_one_third(capsys):
     code, out, _ = run_cli(capsys, *flags, "--basis-convention", "total")
     assert code == 0
     assert json.loads(out)["threshold"] is None
+
+
+#: The convention flag of sweep and threshold for each CONVENTIONS name.
+CONVENTION_FLAGS = {"variant": "--variant", "model": "--model",
+                    "basis_noise_convention": "--basis-convention",
+                    "joint_weighting": "--weighting", "p_mode": "--p-mode"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "threshold"])
+def test_convention_flag_choices_map_one_to_one_onto_conventions(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    choices = {action.option_strings[0]: action.choices
+               for action in sub._actions if action.choices}
+    assert set(choices) == set(CONVENTION_FLAGS.values())
+    for name, flag in CONVENTION_FLAGS.items():
+        values = [cli._conventions(build_parser().parse_args(
+            [command, flag, spelling]))[name] for spelling in choices[flag]]
+        # every spelling names a distinct value, and every value has one
+        assert sorted(values) == sorted(CONVENTIONS[name])

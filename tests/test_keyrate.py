@@ -722,6 +722,20 @@ def test_s_ec_bound_rejects_non_finite_overlap(overlap):
         s_ec_bound(p, overlap)
 
 
+@pytest.mark.parametrize("p,message", [
+    (np.full((3, 3, 3), 0.5), "differ from 1"),
+    (np.full((3, 3, 3), -0.1), "outside"),
+    (np.full((3, 3, 3), np.nan), "outside"),
+    (np.full((2, 2, 2), 0.25), "3x3x3"),
+    (np.full(27, 1 / 9), "3x3x3"),
+], ids=["rows-sum-4.5", "negative", "nan", "2x2x2", "flat"])
+def test_s_ec_bound_rejects_tables_that_are_not_3x3x3_probabilities(p, message):
+    # rows summing to 4.5 gave a "certified" 7.28 trits; a 2x2x2 table
+    # ended in a reshape error
+    with pytest.raises(ValueError, match=message):
+        s_ec_bound(p, 0.1)
+
+
 def test_s_ec_bound_edge_tables():
     assert s_ec_bound(p_table_symmetric(0.0, 0.0), 3.0) == 0.0
     # no no-error mass: every round has an outbound error only, spread

@@ -215,6 +215,11 @@ def test_stat_table_validation_and_json():
     ("basis_err", np.nan),
     ("basis_err", np.inf),
     ("p", np.nan),
+    # a basis error of -5 gave a rate of 3.27 trits, above the 1-trit maximum
+    ("basis_err", -5.0),
+    ("basis_err", -1e-9),
+    ("basis_err", 1 + 1e-9),
+    ("basis_err", 7.0),
 ])
 def test_stat_table_rejects_unknown_variant_and_non_finite_entries(field, value):
     table = stat_table_from_attack(pauli_twirl_attack(0.1, 0.1), "phi1")
@@ -261,3 +266,22 @@ def test_scenario_table_uses_convention():
     assert table.variant == "phi2"
     assert np.allclose(table.basis_err, 2 * 0.05 * (2 - 0.15))
     assert np.allclose(table.p, p_table_symmetric(0.05, 0.05))
+
+
+def test_stat_table_accepts_basis_errors_at_rounding_distance_of_the_ends():
+    err = np.array([-1e-13, 0.0, 0.5, 1.0, 1 + 1e-13, 0.25])
+    StatTable(p_table_symmetric(0.05, 0.05), err, "phi1")
+
+
+@pytest.mark.parametrize("basis_err", [[0.05] * 6, (0.05,) * 6, np.full(5, 0.05),
+                                       np.full((6, 1), 0.05)],
+                         ids=["list", "tuple", "five", "column"])
+def test_stat_table_basis_err_must_be_an_array_of_six(basis_err):
+    with pytest.raises(ValueError, match="six entries"):
+        StatTable(p_table_symmetric(0.05, 0.05), basis_err, "phi1")
+
+
+def test_stat_table_p_must_be_an_array():
+    with pytest.raises(ValueError, match="3x3x3"):
+        StatTable(p_table_symmetric(0.05, 0.05).tolist(), np.full(6, 0.05),
+                  "phi1")

@@ -31,6 +31,17 @@ ISOMETRY_TOL = 1e-12
 Q_MAX = 0.375
 
 
+def _check_isometries(name: str, m: np.ndarray) -> None:
+    """Reject a stack (..., rows, cols) of stages unless every m^H m is the
+    identity within ISOMETRY_TOL."""
+    # a non-finite entry gives a NaN deviation, which fails the test
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs(m.conj().swapaxes(-1, -2) @ m
+                            - np.eye(m.shape[-1])))
+    if not dev <= ISOMETRY_TOL:
+        raise ValueError(f"{name} stage is not an isometry")
+
+
 @dataclass(frozen=True)
 class AttackModel:
     """Eve's forward/reverse isometries with their ancilla dimensions."""
@@ -46,12 +57,18 @@ class AttackModel:
             raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
         if rv.shape != (3 * self.d_f * self.d_r, 3 * self.d_f):
             raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
-        for name, m in (("forward", fw), ("reverse", rv)):
-            # a non-finite entry gives a NaN deviation, which fails the test
-            with np.errstate(invalid="ignore"):
-                dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
-            if not dev <= ISOMETRY_TOL:
-                raise ValueError(f"{name} stage is not an isometry")
+        _check_isometries("forward", fw)
+        _check_isometries("reverse", rv)
+
+    @classmethod
+    def _from_checked(cls, forward, reverse, d_f: int, d_r: int) -> "AttackModel":
+        """An attack whose stages have their shapes and passed
+        _check_isometries already, built without checking them again."""
+        attack = object.__new__(cls)
+        for name, value in (("forward", forward), ("reverse", reverse),
+                            ("d_f", d_f), ("d_r", d_r)):
+            object.__setattr__(attack, name, value)
+        return attack
 
     def composed(self) -> np.ndarray:
         """V = U_R U_F as a (3*d_f*d_r, 3) isometry (receiver reflecting)."""
@@ -220,12 +237,24 @@ _QR_STACK_BYTES = 256 * 1024
 
 
 def random_attacks(d_f: int, d_r: int, seeds) -> Iterator[AttackModel]:
-    """Haar-random two-stage attacks of one shape, one per seed, in order.
+    """Haar-random two-stage attacks of one shape, one per seed, in order;
+    the attacks of random_attack_stacks, one at a time."""
+    for fw, rv in random_attack_stacks(d_f, d_r, seeds):
+        for forward, reverse in zip(fw, rv):
+            yield AttackModel._from_checked(forward, reverse, d_f, d_r)
+
+
+def random_attack_stacks(d_f: int, d_r: int, seeds
+                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Haar-random two-stage attacks of one shape, one per seed, as
+    (forward, reverse) stage stacks (n, 3*d_f, 3) and (n, 3*d_f*d_r, 3*d_f)
+    of consecutive seeds.
 
     Each seed's generator draws the forward stage's Gaussian matrix, then
     the reverse stage's, as haar_isometry draws them.  The matrices of each
-    stage are factored in stacked QR calls of at most _QR_STACK_BYTES of
-    input, which give every attack the bits of its own per-matrix calls.
+    stage are factored in one stacked QR call per stack, of at most
+    _QR_STACK_BYTES of input, which gives every attack the bits of its own
+    per-matrix calls.  Each stack passes the isometry check of AttackModel.
     """
     fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
     # 16-byte entries; the reverse stage is the larger, and a shape that
@@ -238,9 +267,11 @@ def random_attacks(d_f: int, d_r: int, seeds) -> Iterator[AttackModel]:
             rng = np.random.default_rng(seed)
             fw_z.append(gaussian_matrix(*fw_shape, rng))
             rv_z.append(gaussian_matrix(*rv_shape, rng))
-        for fw, rv in zip(isometries_from_gaussian(np.array(fw_z)),
-                          isometries_from_gaussian(np.array(rv_z))):
-            yield AttackModel(fw, rv, d_f, d_r)
+        fw = isometries_from_gaussian(np.array(fw_z))
+        rv = isometries_from_gaussian(np.array(rv_z))
+        _check_isometries("forward", fw)
+        _check_isometries("reverse", rv)
+        yield fw, rv
 
 
 def _basis_change_coefficients() -> np.ndarray:
@@ -262,18 +293,38 @@ def _basis_change_coefficients() -> np.ndarray:
 _BASIS_CHANGE = _basis_change_coefficients()
 
 
-def vector_families(attack: AttackModel) -> VectorFamilies:
-    """Extract every record family of an attack in one pass."""
-    d_f, dim = attack.d_f, attack.d_f * attack.d_r
-    e = attack.forward.T.reshape(9, d_f)
+def vector_families(attack: AttackModel | np.ndarray,
+                    reverse: np.ndarray | None = None) -> VectorFamilies:
+    """Extract every record family of an attack in one pass.
+
+    vector_families(attack) takes one AttackModel.  vector_families(forward,
+    reverse) takes stage stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f)
+    of attacks of one shape, and every family gains their leading axes.
+    One attack is the empty stack, and each attack of a stack gets the bits
+    of its own call.
+    """
+    forward, reverse = ((attack.forward, attack.reverse) if reverse is None
+                        else (attack, reverse))
+    stack = forward.shape[:-2]
+    k = len(stack)   # record axes count from k on
+    d_f, dim = forward.shape[-2] // 3, reverse.shape[-2] // 3
+    f = (reverse @ forward).swapaxes(-1, -2).reshape(stack + (9, dim))
+    # a sequential sum over a leading (a, c) axis, whose terms are laid out
+    # in C order: numpy's pairwise sums would round differently.  The terms
+    # are freed before ekij is built, which bounds a stack's peak memory.
+    terms = np.multiply(_BASIS_CHANGE.reshape((9,) + (1,) * k + (2, 9, 1)),
+                        f.transpose(k, *range(k), k + 1)[..., None, None, :],
+                        order="C")
+    gh = sequential_sum(terms)
+    del terms
+    e = forward.swapaxes(-1, -2).reshape(stack + (9, d_f))
     # vin[i, j] = |i> x e_j, mapped by the reverse stage one matrix-vector
     # product per input (an einsum would round differently)
-    vin = np.zeros((3, 9, 3, d_f), dtype=complex)
-    vin[range(3), :, range(3)] = e
-    out = np.matmul(attack.reverse, vin.reshape(27, 3 * d_f, 1))
-    ekij = out.reshape(3, 9, 3, dim).transpose(2, 0, 1, 3)
-    f = attack.composed().T.reshape(9, dim)
-    # a sequential sum over (a, c): numpy's pairwise sums would round
-    # differently
-    g, h = sequential_sum(_BASIS_CHANGE[:, :, :, None] * f[:, None, None])
-    return VectorFamilies(e, ekij, f, g, h)
+    vin = np.zeros(stack + (3, 9, 3, d_f), dtype=complex)
+    for i in range(3):
+        vin[..., i, :, i, :] = e
+    out = np.matmul(reverse[..., None, :, :],
+                    vin.reshape(stack + (27, 3 * d_f, 1)))
+    ekij = out.reshape(stack + (3, 9, 3, dim)).transpose(
+        *range(k), k + 2, k, k + 1, k + 3)
+    return VectorFamilies(e, ekij, f, gh[..., 0, :, :], gh[..., 1, :, :])

@@ -344,14 +344,21 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
 def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
                         p_mode: str = "as-printed",
                         convention_flags: dict | None = None) -> KeyRateReport:
-    """Evaluate the key-rate bound on an explicit statistics table."""
+    """Evaluate the key-rate bound on an explicit statistics table.
+
+    The report's convention flags are convention_flags plus the weighting,
+    p-mode and table variant in use; a flag that names another value for
+    one of those three raises ValueError.
+    """
     cols = {k: v[0].item() for k, v in _evaluate(
         table.p[None], table.basis_err[None], table.variant, weighting,
         p_mode).items()}
     flags = dict(convention_flags or {})
-    flags.setdefault("joint_weighting", weighting)
-    flags.setdefault("p_mode", p_mode)
-    flags.setdefault("variant", table.variant)
+    for name, used in (("joint_weighting", weighting), ("p_mode", p_mode),
+                       ("variant", table.variant)):
+        if flags.setdefault(name, used) != used:
+            raise ValueError(f"convention flag {name}={flags[name]!r} "
+                             f"contradicts the {used!r} in use")
     return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
                          convention_flags=flags, **cols)
 

@@ -105,10 +105,12 @@ def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
 
 
 def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
-    """P(final | sent) (3, 3) of the alternative-basis reflection rounds:
-    squared norms of the T-basis (phi1) or K-basis (phi2) round-trip records."""
+    """P(final | sent) (..., 3, 3) of the alternative-basis reflection
+    rounds: squared norms of the T-basis (phi1) or K-basis (phi2) round-trip
+    records, with the families' stack axes leading."""
     check_conventions(variant=variant)
-    return sq_norms(fams.g if variant == "phi1" else fams.h).reshape(3, 3)
+    norms = sq_norms(fams.g if variant == "phi1" else fams.h)
+    return norms.reshape(norms.shape[:-1] + (3, 3))
 
 
 _DIAGONAL = np.eye(3, dtype=bool)
@@ -139,13 +141,15 @@ _ERROR_CELLS = tuple(np.transpose(tables.BASIS_ERROR_ORDER))
 
 
 def basis_error_direct(fams: VectorFamilies, variant: str) -> np.ndarray:
-    """Six alternative-basis error probabilities as direct squared norms."""
-    return alt_basis_table(fams, variant)[_ERROR_CELLS]
+    """Six alternative-basis error probabilities (..., 6) as direct squared
+    norms."""
+    return alt_basis_table(fams, variant)[(..., *_ERROR_CELLS)]
 
 
 def f_gram(fams: VectorFamilies) -> np.ndarray:
-    """9x9 Gram matrix <f_m|f_n> of the round-trip record vectors."""
-    return fams.f.conj() @ fams.f.T
+    """9x9 Gram matrices <f_m|f_n> (..., 9, 9) of the round-trip record
+    vectors."""
+    return fams.f.conj() @ fams.f.swapaxes(-1, -2)
 
 
 #: Term arrays compiled from tables.ERROR_TERMS, per variant:
@@ -173,7 +177,8 @@ def _compile_terms(term_sets: dict) -> tuple[np.ndarray, ...]:
 
 
 def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
-    """Six error probabilities from the term tables over the f Gram matrix.
+    """Six error probabilities (..., 6) from the term tables over the f Gram
+    matrices (..., 9, 9).
 
     Algebraically identical to basis_error_direct for any valid attack;
     kept as an independent path so either term-table or extraction bugs
@@ -187,11 +192,13 @@ def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
         compiled = _COMPILED_TERMS[variant] = (term_sets,
                                                *_compile_terms(term_sets))
     _, wr, wi, index = compiled
-    g = np.append(gram.ravel(), 0.0)[index]
+    padded = np.zeros(gram.shape[:-2] + (82,), dtype=complex)
+    padded[..., :81] = gram.reshape(gram.shape[:-2] + (81,))
+    g = padded[..., index]
     # Re(omega**phase * <f_m|f_n>) / 9, summed in table order after 1/3
     terms = (wr * g.real - wi * g.imag) / 9.0
-    terms[:, 0] = 1.0 / 3.0
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    terms[..., 0] = 1.0 / 3.0
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 #: Flat indices of the (i, j, k) cells of error patterns 0-2, in the

@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (CONVENTIONS, pauli_twirl_attack, random_attacks,
+from .attack import (CONVENTIONS, pauli_twirl_attack, random_attack_stacks,
                      ternary_channel_apply, vector_families)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues)
-from .linalg import basis_vectors, haar_isometry, sq_norms
+from .linalg import (basis_vectors, gaussian_matrix, haar_isometry,
+                     isometries_from_gaussian, sq_norms)
 from .stats import (basis_error_direct, basis_error_expanded, f_gram,
                     p_table_from_attack, t_values)
 
@@ -39,29 +40,35 @@ def check_mub() -> tuple[bool, str]:
 def _random_families(n_attacks: int, seed: int):
     """Record families of seeded random attacks: attack t has seed
     seed + 1 + t and (d_f, d_r) drawn from _DIMS.  They come one shape at a
-    time, so that each shape's attacks are built in stacked calls; the
-    groups take maxima over them, which do not depend on the order."""
+    time, as one stack of families per stacked QR call; the groups take
+    maxima over them, which do not depend on the order."""
     rng = np.random.default_rng(seed)
     plan = {}   # (d_f, d_r) -> attack seeds, shapes in order of first draw
-    for trial in range(n_attacks):
-        shape = (int(rng.choice(_DIMS)), int(rng.choice(_DIMS)))
-        plan.setdefault(shape, []).append(seed + 1 + trial)
+    # the values and generator state of 2 n_attacks rng.choice(_DIMS) calls
+    picks = rng.integers(0, 3, size=(n_attacks, 2)).tolist()
+    for trial, (i, j) in enumerate(picks):
+        plan.setdefault((_DIMS[i], _DIMS[j]), []).append(seed + 1 + trial)
     for (d_f, d_r), seeds in plan.items():
-        for att in random_attacks(d_f, d_r, seeds):
-            yield vector_families(att)
+        for fw, rv in random_attack_stacks(d_f, d_r, seeds):
+            yield vector_families(fw, rv)
 
 
 def check_sum_rules() -> tuple[bool, str]:
     n_attacks = 200
     worst = 0.0
+    eye = np.eye(3)
     for fams in _random_families(n_attacks, 1000):
         for vecs in (fams.e, fams.f):
             # row i holds the records 3i+j end to end: the Gram sums over j
-            rows = vecs.reshape(3, -1)
-            gram = rows.conj() @ rows.T
-            worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
-        # reverse stage preserves each forward record's norm
-        kept = sq_norms(fams.ekij).sum(axis=0) - sq_norms(fams.e)
+            rows = vecs.reshape(*vecs.shape[:-2], 3, -1)
+            gram = rows.conj() @ rows.swapaxes(-1, -2)
+            worst = max(worst, float(np.max(np.abs(gram - eye))))
+        # reverse stage preserves each forward record's norm; the norms are
+        # taken one output k at a time to bound the copies of ekij
+        kept = sq_norms(fams.ekij[..., 0, :, :, :])
+        for k in (1, 2):
+            kept += sq_norms(fams.ekij[..., k, :, :, :])
+        kept -= sq_norms(fams.e)[..., None, :]
         worst = max(worst, float(np.max(np.abs(kept))))
     return worst < 1e-10, f"{n_attacks} attacks, max violation {worst:.3e}"
 
@@ -96,14 +103,23 @@ def check_channel_dilation() -> tuple[bool, str]:
 def check_lemma1() -> tuple[bool, str]:
     n_cases, seed = 50, 2000
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    # draws in the order of a haar_isometry call per block; the blocks'
+    # Gaussian matrices are then factored in one stacked call
+    cases, gaussians = [], []
     for _ in range(n_cases):
-        n_blocks = int(rng.integers(1, 5))
-        weights = rng.dirichlet(np.ones(n_blocks))
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+        spectra = []
+        for _ in weights:
+            gaussians.append(gaussian_matrix(3, 3, rng))
+            spectra.append(rng.dirichlet(np.ones(3)))
+        cases.append((weights, spectra))
+    unitaries = iter(isometries_from_gaussian(np.array(gaussians)))
+    worst = 0.0
+    for weights, spectra in cases:
         blocks = []
-        for w in weights:
-            u = haar_isometry(3, 3, rng)
-            rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
+        for w, spectrum in zip(weights, spectra):
+            u = next(unitaries)
+            rho = u @ np.diag(spectrum).astype(complex) @ u.conj().T
             blocks.append((float(w), rho))
         lhs, rhs = lemma1_check(blocks)
         worst = max(worst, abs(lhs - rhs))

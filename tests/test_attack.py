@@ -12,10 +12,11 @@ from sqkd3 import attack as attack_module
 from sqkd3 import verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
                           identity_attack, pauli_twirl_attack,
-                          pauli_twirl_isometry, random_attack, random_attacks,
+                          pauli_twirl_isometry, random_attack,
+                          random_attack_stacks, random_attacks,
                           ternary_channel_apply, vector_families)
 from sqkd3.keyrate import (find_threshold, key_rate_curve, key_rate_from_table,
-                           p_lower_bound, sigma1_entropy_terms)
+                           lemma1_check, p_lower_bound, sigma1_entropy_terms)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.sim import run_protocol
 from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
@@ -218,6 +219,73 @@ def test_random_attacks_bit_equal_to_per_matrix_reference(d_f, d_r, monkeypatch)
     assert one.reverse.tobytes() == attacks[-1].reverse.tobytes()
 
 
+@pytest.mark.parametrize("corrupt", ["scaled", "nan"])
+@pytest.mark.parametrize("stage", ["forward", "reverse"])
+def test_random_attacks_rejects_a_bad_matrix_in_a_stack(stage, corrupt,
+                                                       monkeypatch):
+    build = attack_module.isometries_from_gaussian
+
+    def corrupting(z):
+        q = build(z)
+        # at d_f = d_r = 3 a forward stack is (n, 9, 3), a reverse (n, 27, 9)
+        if (q.shape[-1] == 3) == (stage == "forward"):
+            if corrupt == "scaled":
+                q[3] *= 1 + 1e-9
+            else:
+                q[3, 0, 0] = np.nan
+        return q
+
+    monkeypatch.setattr(attack_module, "isometries_from_gaussian", corrupting)
+    with pytest.raises(ValueError, match=f"^{stage} stage is not an isometry$"):
+        list(random_attacks(3, 3, range(5)))
+
+
+@pytest.mark.parametrize("d_f", [1, 3, 9])
+@pytest.mark.parametrize("d_r", [1, 3, 9])
+def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
+    per_call = attack_module._QR_STACK_BYTES // (16 * 9 * d_f**2 * d_r)
+    seeds = range(700, 700 + per_call + 2)   # one full stack and a partial one
+    stacks = list(random_attack_stacks(d_f, d_r, seeds))
+    assert [len(fw) for fw, _ in stacks] == [per_call, 2]
+    names = ("e", "ekij", "f", "g", "h")
+    seed = iter(seeds)
+    for fw, rv in stacks:
+        fams = vector_families(fw, rv)
+        gram = f_gram(fams)
+        errors = {variant: (basis_error_direct(fams, variant),
+                            basis_error_expanded(gram, variant))
+                  for variant in ("phi1", "phi2")}
+        for t in range(len(fw)):
+            one = vector_families(random_attack(d_f, d_r, next(seed)))
+            for name in names:
+                assert (getattr(fams, name)[t].tobytes()
+                        == getattr(one, name).tobytes())
+            one_gram = f_gram(one)
+            assert gram[t].tobytes() == one_gram.tobytes()
+            for variant, (direct, expanded) in errors.items():
+                assert (direct[t].tobytes()
+                        == basis_error_direct(one, variant).tobytes())
+                assert (expanded[t].tobytes()
+                        == basis_error_expanded(one_gram, variant).tobytes())
+    # two leading axes: the first stack's attacks as a (2, m) grid
+    fw, rv = stacks[0]
+    m = per_call // 2
+    flat = vector_families(fw[:2 * m], rv[:2 * m])
+    grid = vector_families(fw[:2 * m].reshape(2, m, *fw.shape[1:]),
+                           rv[:2 * m].reshape(2, m, *rv.shape[1:]))
+    for name in names:
+        want = getattr(flat, name)
+        assert (getattr(grid, name).tobytes()
+                == want.reshape(2, m, *want.shape[1:]).tobytes())
+    gram = f_gram(grid)
+    assert gram.tobytes() == f_gram(flat).reshape(2, m, 9, 9).tobytes()
+    for variant in ("phi1", "phi2"):
+        assert (basis_error_direct(grid, variant).tobytes()
+                == basis_error_direct(flat, variant).tobytes())
+        assert (basis_error_expanded(gram, variant).tobytes()
+                == basis_error_expanded(f_gram(flat), variant).tobytes())
+
+
 def test_random_attacks_of_no_seeds_is_empty():
     assert list(random_attacks(3, 3, [])) == []
 
@@ -238,12 +306,15 @@ def reference_plan(n_attacks, seed):
 
 @pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])
 def test_verify_builds_each_planned_attack_once(n_attacks, seed):
-    # verify groups the plan by shape; as a multiset its record families
-    # are those of the plan built one attack at a time
-    def record_bytes(fams):
-        return b"".join(getattr(fams, name).tobytes()
+    # verify groups the plan by shape and yields one stack of record
+    # families per QR call; as a multiset the slices of its stacks are the
+    # record families of the plan built one attack at a time
+    def record_bytes(fams, t=()):
+        return b"".join(getattr(fams, name)[t].tobytes()
                         for name in ("e", "ekij", "f", "g", "h"))
-    got = sorted(map(record_bytes, verify._random_families(n_attacks, seed)))
+    got = sorted(record_bytes(fams, t)
+                 for fams in verify._random_families(n_attacks, seed)
+                 for t in range(len(fams.e)))
     ref = sorted(record_bytes(vector_families(attack))
                  for attack in reference_plan(n_attacks, seed))
     assert got == ref
@@ -274,6 +345,35 @@ def test_expansion_group_equals_per_attack_loop():
             worst = max(worst, float(np.max(np.abs(diff))))
     assert verify.check_expansion_equivalence() == (
         worst < 1e-10, f"100 attacks, max |direct-expanded| {worst:.3e}")
+
+
+def test_lemma1_group_equals_per_case_loop(monkeypatch):
+    # one haar_isometry call per block, drawn as the group drew them before
+    # its QR calls were stacked; the group must pass lemma1_check the same
+    # blocks, bit for bit
+    rng = np.random.default_rng(2000)
+    worst, ref_blocks = 0.0, []
+    for _ in range(50):
+        n_blocks = int(rng.integers(1, 5))
+        weights = rng.dirichlet(np.ones(n_blocks))
+        blocks = []
+        for w in weights:
+            u = haar_isometry(3, 3, rng)
+            rho = u @ np.diag(rng.dirichlet(np.ones(3))).astype(complex) @ u.conj().T
+            blocks.append((float(w), rho))
+        ref_blocks.append([(w, rho.tobytes()) for w, rho in blocks])
+        lhs, rhs = lemma1_check(blocks)
+        worst = max(worst, abs(lhs - rhs))
+    seen = []
+
+    def recording(blocks):
+        seen.append([(w, rho.tobytes()) for w, rho in blocks])
+        return lemma1_check(blocks)
+
+    monkeypatch.setattr(verify, "lemma1_check", recording)
+    assert verify.check_lemma1() == (
+        worst < 1e-10, f"50 cases, max |lhs-rhs| {worst:.3e}")
+    assert seen == ref_blocks
 
 
 def test_sum_rules_group_memory_is_bounded():

@@ -330,6 +330,29 @@ def test_report_from_table_names_the_variant():
         "variant": "phi2"}
 
 
+@pytest.mark.parametrize("flags,name", [
+    ({"p_mode": "corrected", "variant": "phi2"}, "p_mode"),
+    ({"variant": "phi2"}, "variant"),
+    ({"joint_weighting": "normalized"}, "joint_weighting"),
+])
+def test_report_from_table_rejects_flags_that_contradict_its_conventions(
+        flags, name):
+    # the as-printed rate of a phi1 table must not be labelled otherwise
+    table = stat_table_for_scenario(ChannelScenario(q=0.05))
+    with pytest.raises(ValueError, match=f"^convention flag {name}="):
+        key_rate_from_table(table, p_mode="as-printed", convention_flags=flags)
+
+
+def test_report_from_table_keeps_consistent_and_other_flags():
+    scenario = ChannelScenario(q=0.05, model="independent",
+                               p_mode="corrected")
+    report = key_rate_from_table(stat_table_for_scenario(scenario),
+                                 scenario.joint_weighting, scenario.p_mode,
+                                 scenario.flags())
+    assert report.convention_flags == scenario.flags()
+    assert report == key_rate(scenario)
+
+
 def test_find_threshold_reports_absence(monkeypatch):
     monkeypatch.setattr(keyrate, "key_rate_curve",
                         lambda q, *conventions: {"r": np.ones(len(q))})

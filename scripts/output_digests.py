@@ -29,7 +29,10 @@ The outputs are:
   shape's attacks, built as `verify` builds them;
 * the `--help` text of `sqkd3` and of each subcommand, and the usage error
   of `sweep` and `threshold` for one unknown value of each convention flag
-  and of `simulate` for an unknown variant, at 80 columns.
+  and of `simulate` for an unknown variant, at 80 columns;
+* the `sweep` CSV and the raw `key_rate_curve` columns of each of the 32
+  conventions again on 5001 steps over [0, 3/8], a grid that
+  `key_rate_curve` evaluates in several chunks.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -89,18 +92,28 @@ def cli_exit(argv: list) -> str:
     return f"exit {code}\n{out.getvalue()}\nstderr\n{err.getvalue()}"
 
 
+def sweep_outputs(values: tuple, steps: int, suffix: str = ""):
+    """The `sweep` CSV of one convention on `steps` points over [0, 3/8]
+    and the raw bytes of every `key_rate_curve` column on that grid."""
+    flags = [x for pair in zip(CONVENTIONS, values) for x in pair]
+    yield "sweep " + " ".join(flags) + suffix, cli_output(
+        ["sweep", *flags, "--q-min", "0", "--q-max", "0.375",
+         "--steps", str(steps)])
+    variant, model, p_mode, weighting, basis = (LIBRARY_NAME.get(v, v)
+                                                for v in values)
+    cols = key_rate_curve(np.linspace(0.0, Q_MAX, steps), model, variant,
+                          basis, weighting, p_mode)
+    for name, col in cols.items():
+        yield (f"key_rate_curve {name} " + " ".join(flags) + suffix,
+               col.tobytes())
+
+
 def outputs():
     for values in itertools.product(*CONVENTIONS.values()):
-        flags = [x for pair in zip(CONVENTIONS, values) for x in pair]
-        yield "sweep " + " ".join(flags), cli_output(
-            ["sweep", *flags, "--q-min", "0", "--q-max", "0.375",
-             "--steps", "301"])
+        yield from sweep_outputs(values, 301)
         variant, model, p_mode, weighting, basis = (LIBRARY_NAME.get(v, v)
                                                     for v in values)
-        cols = key_rate_curve(np.linspace(0.0, Q_MAX, 301), model, variant,
-                              basis, weighting, p_mode)
-        for name, col in cols.items():
-            yield f"key_rate_curve {name} " + " ".join(flags), col.tobytes()
+        flags = [x for pair in zip(CONVENTIONS, values) for x in pair]
         yield "find_threshold " + " ".join(flags), repr(
             find_threshold(variant, model, basis, weighting, p_mode))
     for variant, model, p_mode in itertools.product(
@@ -174,6 +187,9 @@ def outputs():
     for cmd, flag in bad + [("simulate", "--variant")]:
         argv = [cmd, flag, "bogus"]
         yield " ".join(argv), cli_exit(argv)
+    # 5001 steps span ten of key_rate_curve's 512-point kernel passes
+    for values in itertools.product(*CONVENTIONS.values()):
+        yield from sweep_outputs(values, 5001, " --steps 5001")
 
 
 if __name__ == "__main__":

@@ -52,15 +52,15 @@ def cmd_sweep(args) -> int:
         return 2
     grid = np.linspace(args.q_min, args.q_max, args.steps)
     cols = key_rate_curve(grid, **_conventions(args))
-    rows = np.column_stack([cols[name] for name in SWEEP_COLUMNS]).tolist()
-    row_format = ",".join(["%.9g"] * len(SWEEP_COLUMNS))
+    flat = np.column_stack([cols[name] for name in SWEEP_COLUMNS]).ravel().tolist()
+    row_format = ",".join(["%.9g"] * len(SWEEP_COLUMNS)) + "\n"
 
     header = (f"# sqkd3 sweep variant={args.variant} model={_MODEL[args.model]}"
               f" p_mode={_PMODE[args.p_mode]} weighting={_WEIGHT[args.weighting]}"
               f" basis_convention={args.basis_convention}")
-    lines = [header, ",".join(SWEEP_COLUMNS)]
-    lines += [row_format % tuple(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    # the whole body in one % call, one row_format per grid point
+    text = (f"{header}\n{','.join(SWEEP_COLUMNS)}\n"
+            + row_format * len(grid) % tuple(flat))
     if args.out == "-":
         sys.stdout.write(text)
     else:

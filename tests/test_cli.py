@@ -275,6 +275,37 @@ def test_sweep_repeatable_and_rows_equal_key_rate(tmp_path, capsys):
         assert row.split(",")[1] == f"{rep.r:.9g}"
 
 
+#: values whose %.9g takes exponent form or a special spelling
+CRAFTED = [1e-5, 1e9, 1e21, np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-5,
+           123456789.5, 1 / 3, -2.5e-300, 5e-324]
+
+
+def per_row_body(cols: dict) -> str:
+    """The CSV lines after the header, one % call per row."""
+    rows = np.column_stack([cols[name] for name in cli.SWEEP_COLUMNS]).tolist()
+    row_format = ",".join(["%.9g"] * len(cli.SWEEP_COLUMNS))
+    lines = [",".join(cli.SWEEP_COLUMNS)]
+    lines += [row_format % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("steps", [2, 13, 40])
+def test_sweep_body_equals_per_row_formatting(capsys, monkeypatch, steps):
+    values = np.resize(np.array(CRAFTED), (len(cli.SWEEP_COLUMNS) + 1, steps))
+    # each column starts elsewhere in the cycle, so every column meets
+    # every crafted value
+    cols = {name: np.roll(values[k], k) for k, name in
+            enumerate(cli.SWEEP_COLUMNS + ["S_clamped"])}
+    monkeypatch.setattr(cli, "key_rate_curve", lambda grid, **_: cols)
+    code, out, _ = run_cli(capsys, "sweep", "--steps", str(steps))
+    assert code == 0
+    header, body = out.split("\n", 1)
+    assert header.startswith("# sqkd3 sweep variant=phi1")
+    assert body == per_row_body(cols)
+    assert "e-05" in body and "e+21" in body and "-0," in body
+    assert "nan" in body and "-inf" in body
+
+
 def test_sweep_accepts_noise_up_to_three_eighths(tmp_path, capsys):
     out = tmp_path / "high.csv"
     code, _, _ = run_cli(capsys, "sweep", "--q-max", "0.36", "--out", str(out))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
-from sqkd3.attack import ChannelScenario, pauli_twirl_attack, random_attack, \
-    vector_families
+from sqkd3.attack import ChannelScenario, alternative_basis_error, \
+    pauli_twirl_attack, random_attack, vector_families
 from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            find_threshold, h_b_given_a,
                            key_rate, key_rate_curve, key_rate_from_table,
@@ -19,9 +20,10 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            trace_out_receiver, x_bound)
 from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
-from sqkd3.stats import (StatTable, joint_and_marginal, p_table_from_attack,
-                         p_table_symmetric, stat_table_for_scenario,
-                         stat_table_from_attack, t_values)
+from sqkd3.stats import (StatTable, check_p_tables, joint_and_marginal,
+                         p_table_from_attack, p_table_symmetric,
+                         stat_table_for_scenario, stat_table_from_attack,
+                         t_values)
 
 LOG3_2 = 0.6309297535714574
 S_BEC_Q005 = 1.7179924992930606  # frozen 40-digit oracle, symmetric q=0.05
@@ -443,6 +445,73 @@ def test_kernel_rejects_q_that_is_not_1d(q):
         key_rate_curve(q)
 
 
+def whole_grid_curve(q, model, variant, basis, weighting, p_mode) -> dict:
+    """key_rate_curve as one _evaluate pass over the whole grid."""
+    p = p_table_symmetric(q, q)
+    check_p_tables(p)
+    err = alternative_basis_error(q, model, basis)
+    return {"Q": q, **keyrate._evaluate(p, np.repeat(err[:, None], 6, axis=1),
+                                        variant, weighting, p_mode)}
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 5001])
+def test_chunked_kernel_equals_whole_grid_pass(n):
+    q = np.linspace(0.0, Q_MAX, n)
+    for variant, model, basis, weighting, p_mode in CONVENTIONS:
+        cols = key_rate_curve(q, model, variant, basis, weighting, p_mode)
+        ref = whole_grid_curve(q, model, variant, basis, weighting, p_mode)
+        assert list(cols) == list(ref)
+        for name, col in cols.items():
+            assert col.dtype == np.float64 and col.shape == (n,)
+            assert col.tobytes() == ref[name].tobytes(), (name, n, p_mode)
+
+
+@pytest.mark.parametrize("n, passes", [(512, [512]), (513, [512, 1]),
+                                       (1025, [512, 512, 1])])
+def test_kernel_passes_are_512_rows_and_one_pass_is_not_copied(
+        monkeypatch, n, passes):
+    calls, evaluate = [], keyrate._evaluate
+
+    def recording(*args):
+        calls.append(evaluate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(keyrate, "_evaluate", recording)
+    cols = key_rate_curve(np.linspace(0.0, 0.3, n))
+    assert [len(call["r"]) for call in calls] == passes
+    if len(passes) == 1:
+        assert all(cols[name] is col for name, col in calls[0].items())
+
+
+def test_empty_grid_gives_empty_float_columns():
+    cols = key_rate_curve(np.array([]))
+    assert len(cols) == 14
+    assert all(col.dtype == np.float64 and col.shape == (0,)
+               for col in cols.values())
+
+
+@pytest.mark.parametrize("bad", [0.4, np.nan])
+def test_bad_q_in_a_late_chunk_raises_its_message(bad):
+    q = np.linspace(0.0, 0.3, 1100)
+    q[1050] = bad
+    q[1080] = -0.5
+    with pytest.raises(ValueError) as late:
+        key_rate_curve(q)
+    assert str(late.value) == f"per-pair flip probability {bad} outside [0, 3/8]"
+
+
+def test_kernel_memory_is_bounded_by_its_outputs():
+    q = np.linspace(0.0, 0.3, 100_001)
+    tracemalloc.start()
+    try:
+        cols = key_rate_curve(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == 14
+    assert peak < 2.5 * sum(col.nbytes for col in cols.values())
+
+
 def test_unknown_p_mode_has_one_message():
     with pytest.raises(ValueError) as curve:
         key_rate_curve(np.array([0.1]), p_mode="bogus")
@@ -585,6 +654,25 @@ def test_lemma1_check_examples():
     assert rhs == pytest.approx(LOG3_2, abs=1e-12)
     with pytest.raises(ValueError):
         lemma1_check([(0.7, pure0)])
+
+
+@pytest.mark.parametrize("sizes", [(1, 3, 2), (2, 1, 3, 1)])
+def test_lemma1_check_of_mixed_block_sizes_equals_assembled_operator(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    weights = rng.dirichlet(np.ones(len(sizes)))
+    blocks = []
+    for w, d in zip(weights, sizes):
+        u = haar_isometry(d, d, rng)
+        rho = u @ np.diag(rng.dirichlet(np.ones(d))).astype(complex) @ u.conj().T
+        blocks.append((float(w), rho))
+    full = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    offset = 0
+    for (w, b), d in zip(blocks, sizes):
+        full[offset:offset + d, offset:offset + d] = w * b
+        offset += d
+    lhs, rhs = lemma1_check(blocks)
+    assert lhs.hex() == von_neumann_entropy3(full).hex()
+    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_strong_subadditivity_random_attack():

@@ -47,13 +47,8 @@ import os
 import numpy as np
 
 from sqkd3 import verify
-from sqkd3.attack import pauli_twirl_attack, random_attack, vector_families
-
-try:
-    from sqkd3.attack import random_attacks
-except ImportError:   # a tree that builds each attack on its own
-    def random_attacks(d_f, d_r, seeds):
-        return (random_attack(d_f, d_r, seed) for seed in seeds)
+from sqkd3.attack import (pauli_twirl_attack, random_attack,
+                          random_attack_stacks, vector_families)
 from sqkd3.cli import main
 from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
                            key_rate_curve, rho_be, rho_bec)
@@ -174,10 +169,12 @@ def outputs():
             shape = (int(rng.choice((1, 3, 9))), int(rng.choice((1, 3, 9))))
             plan.setdefault(shape, []).append(seed + 1 + trial)
         for shape, seeds in sorted(plan.items()):
+            # the label keeps the name of the builder it once hashed
             yield (f"random_attacks{shape} of verify's seeds "
                    f"{seed + 1}-{seed + n_attacks}",
-                   b"".join(attack.forward.tobytes() + attack.reverse.tobytes()
-                            for attack in random_attacks(*shape, seeds)))
+                   b"".join(forward.tobytes() + reverse.tobytes()
+                            for fw, rv in random_attack_stacks(*shape, seeds)
+                            for forward, reverse in zip(fw, rv)))
     # argparse wraps its text to the terminal width it reads from COLUMNS
     os.environ["COLUMNS"] = "80"
     for argv in ([], ["sweep"], ["threshold"], ["simulate"], ["verify"]):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (OMEGA, basis_vectors, gaussian_matrix,
+from .linalg import (OMEGA, basis_vectors, gaussian_matrix, haar_isometry,
                      isometries_from_gaussian, sequential_sum)
 
 ISOMETRY_TOL = 1e-12
@@ -59,16 +59,6 @@ class AttackModel:
             raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
         _check_isometries("forward", fw)
         _check_isometries("reverse", rv)
-
-    @classmethod
-    def _from_checked(cls, forward, reverse, d_f: int, d_r: int) -> "AttackModel":
-        """An attack whose stages have their shapes and passed
-        _check_isometries already, built without checking them again."""
-        attack = object.__new__(cls)
-        for name, value in (("forward", forward), ("reverse", reverse),
-                            ("d_f", d_f), ("d_r", d_r)):
-            object.__setattr__(attack, name, value)
-        return attack
 
     def composed(self) -> np.ndarray:
         """V = U_R U_F as a (3*d_f*d_r, 3) isometry (receiver reflecting)."""
@@ -229,29 +219,24 @@ def identity_attack() -> AttackModel:
 
 def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
     """Haar-random two-stage attack; seed is required for reproducibility."""
-    return next(random_attacks(d_f, d_r, [seed]))
+    rng = np.random.default_rng(seed)
+    return AttackModel(haar_isometry(3 * d_f, 3, rng),
+                       haar_isometry(3 * d_f * d_r, 3 * d_f, rng), d_f, d_r)
 
 
-#: Most bytes of Gaussian input that random_attacks factors in one QR call.
+#: Most bytes of Gaussian input that random_attack_stacks factors in one
+#: QR call.
 _QR_STACK_BYTES = 256 * 1024
-
-
-def random_attacks(d_f: int, d_r: int, seeds) -> Iterator[AttackModel]:
-    """Haar-random two-stage attacks of one shape, one per seed, in order;
-    the attacks of random_attack_stacks, one at a time."""
-    for fw, rv in random_attack_stacks(d_f, d_r, seeds):
-        for forward, reverse in zip(fw, rv):
-            yield AttackModel._from_checked(forward, reverse, d_f, d_r)
 
 
 def random_attack_stacks(d_f: int, d_r: int, seeds
                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Haar-random two-stage attacks of one shape, one per seed, as
     (forward, reverse) stage stacks (n, 3*d_f, 3) and (n, 3*d_f*d_r, 3*d_f)
-    of consecutive seeds.
+    of consecutive seeds, with the bits of random_attack(d_f, d_r, seed).
 
     Each seed's generator draws the forward stage's Gaussian matrix, then
-    the reverse stage's, as haar_isometry draws them.  The matrices of each
+    the reverse stage's, as random_attack draws them.  The matrices of each
     stage are factored in one stacked QR call per stack, of at most
     _QR_STACK_BYTES of input, which gives every attack the bits of its own
     per-matrix calls.  Each stack passes the isometry check of AttackModel.

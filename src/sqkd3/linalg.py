@@ -7,8 +7,6 @@ the 3-dimensional qutrit space and the composite eavesdropper spaces
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 LN3 = np.log(3.0)
@@ -61,38 +59,25 @@ def entropy3(probs) -> np.ndarray:
     Entries in [-1e-12, 0) count as 0; more negative, NaN and infinite
     entries raise.
 
-    Each row is summed over exactly its positive entries, in their order,
-    so its value is that of the 1-d sum over those entries and does not
-    depend on the other rows or on where its zeros sit.
+    A non-positive entry is replaced by 1, whose term 1 log 1 is an exact
+    0, and each row is summed over all its entries as numpy sums a 1-d
+    array.  So a row's value does not depend on the other rows, and a row
+    of fewer than 8 entries, which numpy sums in order, has the value of
+    the sum over its positive entries alone.
     """
-    p = np.asarray(probs, dtype=float)
-    rows = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
-    keep = rows > 0
-    if keep.all():  # no entry is NaN or negative; +inf is caught below
-        out = _positive_entropy3(rows)
-    else:
+    p = np.ascontiguousarray(probs, dtype=float)
+    if not (p > 0).all():   # the all-positive path makes no second pass
         valid = p >= -1e-12  # False at NaN
         if not valid.all():
             raise ValueError(f"invalid probability {p[~valid][0]} in entropy argument")
-        out = np.empty(len(rows))
-        pending = np.ones(len(rows), dtype=bool)
-        while pending.any():  # once per distinct pattern of positive entries
-            mask = keep[pending.argmax()]
-            group = pending & (keep == mask).all(axis=1)
-            pending &= ~group
-            out[group] = _positive_entropy3(rows[group][:, mask])
+        p = np.where(p > 0, p, 1.0)
+    # -s / LN3 and s / -LN3 are the same float
+    out = (p * np.log(p)).sum(axis=-1) / -LN3
     # A +inf entry has an infinite term, so its row entropy is -inf; one
     # test of the row entropies stands for a second pass over p.
     if not np.isfinite(out).all():
         raise ValueError(f"invalid probability {p.max()} in entropy argument")
-    return out.reshape(p.shape[:-1])
-
-
-def _positive_entropy3(rows: np.ndarray) -> np.ndarray:
-    # row-major, so numpy sums each row pairwise as it sums a 1-d array;
-    # -s / LN3 and s / -LN3 are the same float
-    v = np.ascontiguousarray(rows)
-    return (v * np.log(v)).sum(axis=1) / -LN3
+    return out
 
 
 def sequential_sum(terms: np.ndarray) -> np.ndarray:
@@ -162,7 +147,7 @@ def von_neumann_entropy3(rho: np.ndarray) -> float:
         for parts in components.values()]))
     if evals.min() < -EIGENVALUE_CLAMP:
         raise ValueError(f"negative eigenvalue {evals.min()} beyond tolerance")
-    return shannon_entropy3(np.clip(evals, 0.0, None))
+    return shannon_entropy3(evals[evals > 0])
 
 
 def _linked_blocks(linked: np.ndarray) -> list:

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkd3 import attack as attack_module
-from sqkd3 import verify
+from sqkd3 import linalg, verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
                           identity_attack, pauli_twirl_attack,
                           pauli_twirl_isometry, random_attack,
-                          random_attack_stacks, random_attacks,
-                          ternary_channel_apply, vector_families)
+                          random_attack_stacks, ternary_channel_apply,
+                          vector_families)
 from sqkd3.keyrate import (find_threshold, key_rate_curve, key_rate_from_table,
                            lemma1_check, p_lower_bound, sigma1_entropy_terms)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
@@ -204,40 +204,58 @@ def test_random_attacks_bit_equal_to_per_matrix_reference(d_f, d_r, monkeypatch)
     budget = attack_module._QR_STACK_BYTES
     per_call = budget // (16 * 9 * d_f**2 * d_r)
     seeds = range(500, 500 + per_call + 2)   # one full stack and a partial one
-    attacks = list(random_attacks(d_f, d_r, iter(seeds)))
-    assert len(attacks) == len(seeds)
+    stacks = list(random_attack_stacks(d_f, d_r, iter(seeds)))
     # one call per stage and stack, each within the budget
     assert len(qr_inputs) == 2 * math.ceil(len(seeds) / per_call)
     assert max(16 * math.prod(shape) for shape in qr_inputs) <= budget
-    for seed, attack in zip(seeds, attacks):
+    stages = [(forward, reverse) for fw, rv in stacks
+              for forward, reverse in zip(fw, rv)]
+    assert len(stages) == len(seeds)
+    for seed, (forward, reverse) in zip(seeds, stages):
         ref = reference_random_attack(d_f, d_r, seed)
-        assert (attack.d_f, attack.d_r) == (d_f, d_r)
-        assert attack.forward.tobytes() == ref.forward.tobytes()
-        assert attack.reverse.tobytes() == ref.reverse.tobytes()
-    one = random_attack(d_f, d_r, seeds[-1])
-    assert one.forward.tobytes() == attacks[-1].forward.tobytes()
-    assert one.reverse.tobytes() == attacks[-1].reverse.tobytes()
+        assert forward.shape == (3 * d_f, 3)
+        assert reverse.shape == (3 * d_f * d_r, 3 * d_f)
+        assert forward.tobytes() == ref.forward.tobytes()
+        assert reverse.tobytes() == ref.reverse.tobytes()
+        one = random_attack(d_f, d_r, seed)
+        assert (one.d_f, one.d_r) == (d_f, d_r)
+        assert one.forward.tobytes() == forward.tobytes()
+        assert one.reverse.tobytes() == reverse.tobytes()
+
+
+def corrupting(build, stage, corrupt, index):
+    """build, with its result for one stage corrupted at index; at
+    d_f = d_r = 3 a forward stage has 3 columns and a reverse stage 9."""
+    def corrupted(z):
+        q = build(z)
+        if (q.shape[-1] == 3) == (stage == "forward"):
+            if corrupt == "scaled":
+                q[index] *= 1 + 1e-9
+            else:
+                q[index][0, 0] = np.nan
+        return q
+    return corrupted
 
 
 @pytest.mark.parametrize("corrupt", ["scaled", "nan"])
 @pytest.mark.parametrize("stage", ["forward", "reverse"])
 def test_random_attacks_rejects_a_bad_matrix_in_a_stack(stage, corrupt,
                                                        monkeypatch):
-    build = attack_module.isometries_from_gaussian
-
-    def corrupting(z):
-        q = build(z)
-        # at d_f = d_r = 3 a forward stack is (n, 9, 3), a reverse (n, 27, 9)
-        if (q.shape[-1] == 3) == (stage == "forward"):
-            if corrupt == "scaled":
-                q[3] *= 1 + 1e-9
-            else:
-                q[3, 0, 0] = np.nan
-        return q
-
-    monkeypatch.setattr(attack_module, "isometries_from_gaussian", corrupting)
+    # at d_f = d_r = 3 a forward stack is (n, 9, 3), a reverse (n, 27, 9)
+    monkeypatch.setattr(attack_module, "isometries_from_gaussian", corrupting(
+        attack_module.isometries_from_gaussian, stage, corrupt, 3))
     with pytest.raises(ValueError, match=f"^{stage} stage is not an isometry$"):
-        list(random_attacks(3, 3, range(5)))
+        list(random_attack_stacks(3, 3, range(5)))
+
+
+@pytest.mark.parametrize("corrupt", ["scaled", "nan"])
+@pytest.mark.parametrize("stage", ["forward", "reverse"])
+def test_random_attack_rejects_a_bad_stage(stage, corrupt, monkeypatch):
+    # haar_isometry factors one (9, 3) or (27, 9) matrix per call
+    monkeypatch.setattr(linalg, "isometries_from_gaussian", corrupting(
+        linalg.isometries_from_gaussian, stage, corrupt, ...))
+    with pytest.raises(ValueError, match=f"^{stage} stage is not an isometry$"):
+        random_attack(3, 3, 5)
 
 
 @pytest.mark.parametrize("d_f", [1, 3, 9])
@@ -287,7 +305,7 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
 
 
 def test_random_attacks_of_no_seeds_is_empty():
-    assert list(random_attacks(3, 3, [])) == []
+    assert list(random_attack_stacks(3, 3, [])) == []
 
 
 @pytest.mark.parametrize("d_f,d_r", [(0, 3), (3, 0), (-1, 3)])

@@ -409,6 +409,14 @@ def scalar_recomposition(scn: ChannelScenario) -> dict:
 @example([POW_TRAP_Q], ("phi1", "dependent", "per-pair", "as-printed", "corrected"))
 @example([0.0, 1 / 3, Q_MAX], ("phi2", "independent", "total", "normalized",
                                 "as-printed"))
+# Q = 0 rows, where entropy3 meets zero entries, in both weightings and
+# both p-modes
+@example([0.0], ("phi1", "dependent", "per-pair", "as-printed", "as-printed"))
+@example([0.0, 0.1], ("phi2", "dependent", "per-pair", "as-printed",
+                      "corrected"))
+@example([0.05, 0.0], ("phi1", "independent", "total", "normalized",
+                       "as-printed"))
+@example([0.0], ("phi2", "independent", "per-pair", "normalized", "corrected"))
 @settings(max_examples=80, deadline=None)
 def test_kernel_rows_equal_scalar_recomposition(qs, conv):
     variant, model, basis, weighting, p_mode = conv
@@ -427,6 +435,28 @@ def test_kernel_keeps_scalar_pow_rounding():
     assert cols["Q"][335] == POW_TRAP_Q
     assert f"{cols['lambda2'][335]:.9g}" == "5.55111512e-17"
     assert cols["lambda2"][335] == 2.0 ** -54
+
+
+#: The two conventions whose rate stays positive on all of [0, 3/8]
+NO_THRESHOLD = {("phi1", "dependent", "total", "normalized", "as-printed"),
+                ("phi1", "independent", "total", "normalized", "as-printed")}
+
+
+def test_rate_is_non_increasing_up_to_its_threshold():
+    # find_threshold reports the first zero: past it the rate can rise
+    # again, and under normalized weighting it is positive again at 3/8
+    for conv in CONVENTIONS:
+        variant, model, basis, weighting, p_mode = conv
+        thr = find_threshold(variant, model, basis, weighting, p_mode)
+        grid = np.linspace(0.0, Q_MAX if thr is None else thr, 2001)
+        r = key_rate_curve(grid, model, variant, basis, weighting, p_mode)["r"]
+        if thr is None:
+            assert conv in NO_THRESHOLD and r.min() > 0.0
+            continue
+        assert np.all(np.diff(r) <= 0.0), conv
+        r_max = key_rate_curve(np.array([Q_MAX]), model, variant, basis,
+                               weighting, p_mode)["r"][0]
+        assert (r_max > 0.0) == (weighting == "normalized"), conv
 
 
 def test_kernel_rejects_bad_input():

@@ -65,6 +65,24 @@ def test_shannon_rejects_negative():
         entropy3([[0.5, 0.0], [0.0, np.inf]])
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 25, 27, 81])
+def test_entropy3_row_is_its_value_alone(n):
+    rng = np.random.default_rng(n)
+    p = rng.random((60, n))
+    # zero shares that run from none to all of a row
+    p[rng.random((60, n)) < np.linspace(0.0, 1.0, 60)[:, None]] = 0.0
+    p[1] = np.eye(n)[n // 2]   # one-hot
+    p[2, 1] = -1e-13           # a tolerated negative entry
+    got = entropy3(p)
+    assert got.shape == (60,) and not p[-1].any()
+    for row, value in zip(p, got):
+        assert value.tobytes() == entropy3(row).tobytes()
+        # numpy sums fewer than 8 terms in order, so a zero term changes
+        # no partial sum; longer rows are summed pairwise, where it can
+        if n < 8:
+            assert value.tobytes() == entropy3(row[row > 0]).tobytes()
+
+
 def test_von_neumann_maximally_mixed_and_pure():
     assert von_neumann_entropy3(np.eye(3) / 3) == pytest.approx(1.0, abs=1e-12)
     proj = np.zeros((3, 3), dtype=complex)

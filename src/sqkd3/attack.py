@@ -74,7 +74,13 @@ class AttackModel:
     @classmethod
     def from_json(cls, text: str) -> "AttackModel":
         doc = json.loads(text)
-        d_f, d_r = int(doc["d_f"]), int(doc["d_r"])
+        for name in ("d_f", "d_r"):
+            # a JSON number with a fraction or exponent loads as float, and
+            # true/false as bool, a subclass of int
+            if type(doc[name]) is not int:
+                raise ValueError(f"{name} must be a JSON integer, "
+                                 f"got {doc[name]!r}")
+        d_f, d_r = doc["d_f"], doc["d_r"]
 
         def unpairs(entries, shape):
             flat = np.array([complex(re, im) for re, im in entries])

@@ -396,6 +396,9 @@ _THRESHOLD_TOL = 1e-6
 #: Bisection steps whose 2**5 - 1 = 31 possible midpoints one kernel call
 #: evaluates.
 _BISECT_DEPTH = 5
+#: Consecutive slices of the 400-point threshold grid, one kernel call each,
+#: that find_threshold scans until one holds a sign change.
+_SCAN_PASSES = (64, 128, 208)
 
 
 def find_threshold(variant: str, model: str,
@@ -404,27 +407,36 @@ def find_threshold(variant: str, model: str,
                    p_mode: str = "as-printed") -> float | None:
     """Smallest noise level at which the key-rate bound hits zero.
 
-    Evaluates a fixed grid of 400 evenly spaced points over [0, 3/8] in one
-    pass, takes its first sign change, then bisects to |dQ| < 1e-6.  Each
-    step keeps the half whose upper end has rate <= 0.  The steps are taken
-    five at a time: one kernel call evaluates the midpoints of all 31
-    brackets the next five steps can reach, and the sign tests are then
-    walked in order.  Kernel rows do not depend on each other, so the
-    result equals that of a bisection with one kernel call per midpoint,
-    bit for bit; from the grid's spacing two such calls reach the
-    tolerance.  Returns None when the rate stays positive on the whole
-    range.
+    Scans a fixed grid of 400 evenly spaced points over [0, 3/8] for its
+    first downward sign change, then bisects to |dQ| < 1e-6.  The grid is
+    evaluated in up to three passes, points 0-63, 64-191 and 192-399, and
+    the scan stops at the first pass that holds a sign change; each pass
+    is prefixed with the last rate of the one before, so a change across a
+    pass edge is found.  Each bisection step keeps the half whose upper end
+    has rate <= 0.  The steps are taken five at a time: one kernel call
+    evaluates the midpoints of all 31 brackets the next five steps can
+    reach, and the sign tests are then walked in order.  Kernel rows do not
+    depend on each other, so the result equals that of a one-pass grid and
+    a bisection with one kernel call per midpoint, bit for bit; from the
+    grid's spacing two such calls reach the tolerance.  Returns None when
+    the rate stays positive on the whole range, after all three passes.
     """
     def rate(q):
         return key_rate_curve(q, model, variant, basis_noise_convention,
                               joint_weighting, p_mode)["r"]
 
     grid = np.linspace(0.0, Q_MAX, 400)
-    r = rate(grid)
-    down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
-    if down.size == 0:
+    start, r = 0, np.empty(0)
+    for size in _SCAN_PASSES:
+        r = np.concatenate((r[-1:], rate(grid[start:start + size])))
+        start += size
+        down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
+        if down.size:
+            break
+    else:
         return None
-    hi = grid[down[0] + 1]
+    # r[0] is the rate at grid point start - len(r)
+    hi = grid[start - len(r) + down[0] + 1]
     lo = hi - (grid[1] - grid[0])
     while hi - lo > _THRESHOLD_TOL:
         # bracket k splits at its midpoint into 2k + 1 (upper half, kept

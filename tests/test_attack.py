@@ -499,6 +499,15 @@ def test_attack_json_round_trip():
     assert np.allclose(clone.reverse, attack.reverse)
 
 
+@pytest.mark.parametrize("field", ["d_f", "d_r"])
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", True])
+def test_attack_json_rejects_a_dimension_that_is_not_an_integer(field, value):
+    doc = json.loads(random_attack(1, 1, seed=11).to_json())
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be a JSON integer"):
+        AttackModel.from_json(json.dumps(doc))
+
+
 def test_scenario_validation_and_noise_values():
     with pytest.raises(ValueError):
         ChannelScenario(q=0.5)

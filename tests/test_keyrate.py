@@ -596,17 +596,27 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+THRESHOLD_GRID = np.linspace(0.0, Q_MAX, 400)
+
+
 @pytest.mark.parametrize("conv", CONVENTIONS)
 def test_find_threshold_equals_one_call_per_midpoint(conv, kernel_calls):
     thr = find_threshold(*conv)
     calls = list(kernel_calls)
     assert thr == find_threshold_reference(*conv)
-    # the grid, then at most two batches of at most 31 midpoints
-    assert calls[0] == 400 and len(calls) <= 3
-    assert all(n <= 31 for n in calls[1:])
-
-
-THRESHOLD_GRID = np.linspace(0.0, Q_MAX, 400)
+    # the grid passes are a prefix of the pass sizes and stop at the pass
+    # that holds the grid's first sign change; then at most two batches of
+    # at most 31 midpoints follow
+    variant, model, *flags = conv
+    r = key_rate_curve(THRESHOLD_GRID, model, variant, *flags)["r"]
+    down = np.flatnonzero((r[:-1] > 0.0) & (r[1:] <= 0.0))
+    if down.size == 0:
+        assert calls == [64, 128, 208]
+    else:
+        passes = 1 + int(np.searchsorted([64, 192], down[0] + 1, "right"))
+        assert calls[:passes] == [64, 128, 208][:passes]
+        assert len(calls) <= passes + 2
+        assert all(n <= 31 for n in calls[passes:])
 
 
 def bisection_midpoint(interval: int, path: tuple) -> float:
@@ -634,7 +644,7 @@ def assert_threshold_equals_reference(monkeypatch, rate):
 @pytest.mark.parametrize("path", [(), (True, False, True, True),
                                   (False,) * 5, (True, False) * 3,
                                   (False, True) * 4 + (True,)])
-@pytest.mark.parametrize("interval", [0, 137, 398])
+@pytest.mark.parametrize("interval", [0, 62, 63, 64, 137, 190, 191, 192, 398])
 @pytest.mark.parametrize("shape", ["linear", "step"])
 def test_find_threshold_rate_exactly_zero_at_a_midpoint(monkeypatch, path,
                                                         interval, shape):
@@ -652,6 +662,18 @@ def test_find_threshold_rate_exactly_zero_at_a_midpoint(monkeypatch, path,
 def test_find_threshold_sign_change_in_last_grid_interval(monkeypatch, rate):
     thr = assert_threshold_equals_reference(monkeypatch, rate)
     assert THRESHOLD_GRID[-2] < thr <= Q_MAX
+
+
+@pytest.mark.parametrize("first, second", [(40, 300), (70, 250)])
+def test_find_threshold_takes_the_first_of_two_crossings(monkeypatch, first,
+                                                        second):
+    # down at the centre of grid interval first, up again between the two,
+    # and down at the centre of interval second, a later pass
+    down1, down2 = (bisection_midpoint(i, ()) for i in (first, second))
+    up = bisection_midpoint((first + second) // 2, ())
+    thr = assert_threshold_equals_reference(monkeypatch, lambda q: np.where(
+        (q < down1) | ((q >= up) & (q < down2)), 1.0, -1.0))
+    assert abs(thr - down1) < 1e-6
 
 
 @pytest.mark.parametrize("rate", [np.ones_like, lambda q: -np.ones_like(q),

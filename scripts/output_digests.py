@@ -32,7 +32,9 @@ The outputs are:
   and of `simulate` for an unknown variant, at 80 columns;
 * the `sweep` CSV and the raw `key_rate_curve` columns of each of the 32
   conventions again on 5001 steps over [0, 3/8], a grid that
-  `key_rate_curve` evaluates in several chunks.
+  `key_rate_curve` evaluates in several chunks;
+* the bytes of `rho_be` and `rho_bec` of the nine seeded random attacks
+  above, one per (d_f, d_r) in {1, 3, 9}^2.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -187,6 +189,10 @@ def outputs():
     # 5001 steps span ten of key_rate_curve's 512-point kernel passes
     for values in itertools.product(*CONVENTIONS.values()):
         yield from sweep_outputs(values, 5001, " --steps 5001")
+    for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
+        fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
+        yield f"rho_be random_attack({d_f}, {d_r})", rho_be(fams).tobytes()
+        yield f"rho_bec random_attack({d_f}, {d_r})", rho_bec(fams).tobytes()
 
 
 if __name__ == "__main__":

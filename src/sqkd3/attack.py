@@ -52,6 +52,12 @@ class AttackModel:
     d_r: int
 
     def __post_init__(self):
+        for name in ("d_f", "d_r"):
+            value = getattr(self, name)
+            # bool is a subclass of int, and numpy integers are not ints
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         fw, rv = self.forward, self.reverse
         if fw.shape != (3 * self.d_f, 3):
             raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
@@ -67,27 +73,49 @@ class AttackModel:
     def to_json(self) -> str:
         def pairs(m):
             return [[float(z.real), float(z.imag)] for z in m.ravel()]
-        return json.dumps({"d_f": self.d_f, "d_r": self.d_r,
+        return json.dumps({"d_f": int(self.d_f), "d_r": int(self.d_r),
                            "forward": pairs(self.forward),
                            "reverse": pairs(self.reverse)})
 
     @classmethod
     def from_json(cls, text: str) -> "AttackModel":
-        doc = json.loads(text)
+        doc = _json_document(text, ("d_f", "d_r", "forward", "reverse"))
         for name in ("d_f", "d_r"):
             # a JSON number with a fraction or exponent loads as float, and
             # true/false as bool, a subclass of int
-            if type(doc[name]) is not int:
-                raise ValueError(f"{name} must be a JSON integer, "
+            if type(doc[name]) is not int or doc[name] < 1:
+                raise ValueError(f"{name} must be a JSON integer >= 1, "
                                  f"got {doc[name]!r}")
         d_f, d_r = doc["d_f"], doc["d_r"]
-
-        def unpairs(entries, shape):
-            flat = np.array([complex(re, im) for re, im in entries])
-            return flat.reshape(shape)
-        return cls(unpairs(doc["forward"], (3 * d_f, 3)),
-                   unpairs(doc["reverse"], (3 * d_f * d_r, 3 * d_f)),
+        # entries are [re, im] pairs; a C-ordered pair viewed as complex is
+        # the complex(re, im) of its two floats
+        fw = _json_numbers(doc, "forward", (9 * d_f, 2)).view(complex)
+        rv = _json_numbers(doc, "reverse", (9 * d_f * d_f * d_r, 2)).view(complex)
+        return cls(fw.reshape(3 * d_f, 3), rv.reshape(3 * d_f * d_r, 3 * d_f),
                    d_f, d_r)
+
+
+def _json_document(text: str, names: tuple) -> dict:
+    """The JSON object in text; a ValueError names the first missing field."""
+    doc = json.loads(text)
+    for name in names:
+        if not (isinstance(doc, dict) and name in doc):
+            raise ValueError(f"JSON document has no field {name!r}")
+    return doc
+
+
+def _json_numbers(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    """doc[name], nested JSON lists of numbers of the given shape, as a float
+    array; a ValueError names the field if it has another form."""
+    def fits(value, dims):
+        if not dims:
+            return type(value) in (int, float)  # not bool, a subclass of int
+        return (isinstance(value, list) and len(value) == dims[0]
+                and all(fits(v, dims[1:]) for v in value))
+    if not fits(doc[name], shape):
+        raise ValueError(f"{name} must be a JSON array of numbers of "
+                         f"shape {shape}")
+    return np.array(doc[name], dtype=float)
 
 
 @dataclass(frozen=True)

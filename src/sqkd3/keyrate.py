@@ -466,7 +466,8 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
     assembled operator.
     """
     weights = [w for w, _ in blocks]
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-10:
+    # written so that a NaN weight, which fails every comparison, is refused
+    if not (all(w >= 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-10):
         raise ValueError("weights must be nonnegative and sum to 1")
     dim = max(len(b) for _, b in blocks)
     stack = np.zeros((len(blocks), dim, dim), dtype=complex)
@@ -482,16 +483,15 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # Explicit conditioned states for entropy-inequality verification
 # ---------------------------------------------------------------------------
 
-def _labelled_blocks(fams: VectorFamilies, label: np.ndarray) -> np.ndarray:
-    """Diagonal blocks [j, c] (3, dim_c, dim_e, dim_e) of the receiver /
-    eavesdropper state of the raw-key rounds with a classical register of
-    dim_c = label.max() + 1 levels, label (3, 3, 3) indexed [i, j, k].
+def _labelled_blocks(fams: VectorFamilies) -> np.ndarray:
+    """Diagonal blocks [j, c] (3, 4, dim_e, dim_e) of rho_bec, with c the
+    error-pattern register ERROR_PATTERN[i, j, k]; every other conditioned
+    state of the raw-key rounds is a sum of these blocks.
 
-    Each record adds its outer product / 3 to the one (j, label[i, j, k])
-    block it lives in, in (j, i, k) order.
+    Each record adds its outer product / 3 to the one (j, c) block it lives
+    in, in (j, i, k) order.
     """
     recs = measure_records(fams)
-    dim_e, dim_c = recs.shape[-1], int(label.max()) + 1
     outer = recs[..., :, None] * recs.conj()[..., None, :]
     # Scale the real and imaginary parts by 1/3, at half the cost of the
     # complex x / 3: numpy computes that as (re + im * 0) * (1/3), so the
@@ -499,9 +499,9 @@ def _labelled_blocks(fams: VectorFamilies, label: np.ndarray) -> np.ndarray:
     # fresh block turns either zero into +0.0.
     parts = outer.view(float)
     parts *= 1.0 / 3.0
-    blocks = np.zeros((3, dim_c, dim_e, dim_e), dtype=complex)
+    blocks = np.zeros((3, 4) + outer.shape[-2:], dtype=complex)
     for j, i, k in itertools.product(range(3), repeat=3):
-        blocks[j, label[i, j, k]] += outer[i, j, k]
+        blocks[j, ERROR_PATTERN[i, j, k]] += outer[i, j, k]
     return blocks
 
 
@@ -515,14 +515,14 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 
 
 def rho_be(fams: VectorFamilies) -> np.ndarray:
-    """Joint receiver/eavesdropper state of the raw-key rounds."""
-    return _block_diagonal(_labelled_blocks(fams, np.zeros_like(ERROR_PATTERN)))
+    """Receiver/eavesdropper state of the raw-key rounds: rho_bec summed over c."""
+    return _block_diagonal(_labelled_blocks(fams).sum(axis=1, keepdims=True))
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
     """Same state with the four-level error-pattern register attached,
     index order (j, e, c) with c = stats.ERROR_PATTERN[i, j, k]."""
-    return _block_diagonal(_labelled_blocks(fams, ERROR_PATTERN))
+    return _block_diagonal(_labelled_blocks(fams))
 
 
 def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
@@ -534,18 +534,18 @@ def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
 def conditional_entropies(fams: VectorFamilies) -> dict:
     """S(B|E) and S(B|EC) of the raw-key rounds, and S(EC).
 
-    The states are taken as their diagonal blocks, never assembled: rho_be
-    is block-diagonal in the receiver symbol j, rho_bec in j and the
-    error-pattern register c, and tracing out the receiver sums the blocks
-    over j.  The values equal those of von_neumann_entropy3 on rho_be,
-    rho_bec and their trace_out_receiver, bit for bit.
+    The states are taken as their diagonal blocks, never assembled, and all
+    come from one set of rho_bec blocks [j, c]: rho_be's blocks are their
+    sums over the error-pattern register c, and tracing out the receiver
+    sums the blocks over j.  The values equal those of von_neumann_entropy3
+    on rho_be, rho_bec and their trace_out_receiver, bit for bit.
     """
-    be = _labelled_blocks(fams, np.zeros_like(ERROR_PATTERN))
-    bec = _labelled_blocks(fams, ERROR_PATTERN)
-    s_ec = von_neumann_entropy3(bec[0] + bec[1] + bec[2])
+    bec = _labelled_blocks(fams)
+    be = bec.sum(axis=1)
+    s_ec = von_neumann_entropy3(bec.sum(axis=0))
     return {
         "S_B_given_E": (von_neumann_entropy3(be)
-                        - von_neumann_entropy3(be[0] + be[1] + be[2])),
+                        - von_neumann_entropy3(be.sum(axis=0))),
         "S_B_given_EC": von_neumann_entropy3(bec) - s_ec,
         "S_EC_exact": s_ec,
     }

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
-                     check_conventions, vector_families)
+                     _json_document, _json_numbers, check_conventions,
+                     vector_families)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -53,10 +54,11 @@ class StatTable:
 
     @classmethod
     def from_json(cls, text: str) -> "StatTable":
-        doc = json.loads(text)
-        p = np.array(doc["p"], dtype=float).reshape(3, 3, 3)
-        return cls(p, np.array(doc["basis_err"], dtype=float),
-                   doc["variant"].lower())
+        doc = _json_document(text, ("p", "basis_err", "variant"))
+        if not isinstance(doc["variant"], str):
+            raise ValueError(f"variant must be a string, got {doc['variant']!r}")
+        return cls(_json_numbers(doc, "p", (27,)).reshape(3, 3, 3),
+                   _json_numbers(doc, "basis_err", (6,)), doc["variant"].lower())
 
 
 def _in_unit_interval(x: np.ndarray) -> bool:

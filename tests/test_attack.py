@@ -500,12 +500,77 @@ def test_attack_json_round_trip():
 
 
 @pytest.mark.parametrize("field", ["d_f", "d_r"])
-@pytest.mark.parametrize("value", [1.7, 1.0, "1", True])
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", True, 0, -1])
 def test_attack_json_rejects_a_dimension_that_is_not_an_integer(field, value):
     doc = json.loads(random_attack(1, 1, seed=11).to_json())
     doc[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be a JSON integer"):
         AttackModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("d_f,d_r", [(np.int64(1), 1), (1, np.int32(1)),
+                                     (np.uint8(1), np.int64(1))],
+                         ids=["int64-int", "int-int32", "uint8-int64"])
+def test_attack_json_round_trip_of_numpy_dimensions(d_f, d_r):
+    attack = random_attack(1, 1, seed=11)
+    text = AttackModel(attack.forward, attack.reverse, d_f, d_r).to_json()
+    doc = json.loads(text)
+    assert type(doc["d_f"]) is int and type(doc["d_r"]) is int
+    clone = AttackModel.from_json(text)
+    assert clone.to_json() == text
+    assert clone.forward.tobytes() == attack.forward.tobytes()
+    assert clone.reverse.tobytes() == attack.reverse.tobytes()
+
+
+@pytest.mark.parametrize("field", ["d_f", "d_r"])
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 1.5, "1", 0, -1,
+                                   np.int64(0)],
+                         ids=["True", "bool_", "1.0", "1.5", "str", "0", "-1",
+                              "int64-0"])
+def test_attack_model_rejects_a_dimension_that_is_not_a_positive_integer(
+        field, value):
+    attack = random_attack(1, 1, seed=11)
+    dims = {"d_f": 1, "d_r": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        AttackModel(attack.forward, attack.reverse, **dims)
+
+
+def _edited_json(make, field, value):
+    """make().to_json() with field set to value, or removed if value is None."""
+    doc = json.loads(make().to_json())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value(doc[field]) if callable(value) else value
+    return json.dumps(doc)
+
+
+def _twirl_table():
+    return stat_table_from_attack(pauli_twirl_attack(0.1, 0.1), "phi1")
+
+
+def _small_attack():
+    return random_attack(1, 1, seed=11)
+
+
+@pytest.mark.parametrize("cls,make,field,value", [
+    pytest.param(StatTable, _twirl_table, "variant", 1, id="variant-int"),
+    pytest.param(StatTable, _twirl_table, "variant", None, id="variant-missing"),
+    pytest.param(StatTable, _twirl_table, "p", None, id="p-missing"),
+    pytest.param(StatTable, _twirl_table, "p", lambda p: p[:-1], id="p-short"),
+    pytest.param(StatTable, _twirl_table, "basis_err", lambda e: e[:-1] + ["0"],
+                 id="basis_err-string"),
+    pytest.param(AttackModel, _small_attack, "reverse", None, id="reverse-missing"),
+    pytest.param(AttackModel, _small_attack, "forward",
+                 lambda f: [z + [0.0] for z in f], id="forward-triples"),
+    pytest.param(AttackModel, _small_attack, "reverse",
+                 lambda r: [re for re, _ in r], id="reverse-scalars"),
+])
+def test_malformed_json_documents_raise_one_line_value_errors(cls, make, field,
+                                                               value):
+    with pytest.raises(ValueError, match=f"^{field} |'{field}'") as err:
+        cls.from_json(_edited_json(make, field, value))
+    assert "\n" not in str(err.value)
 
 
 def test_scenario_validation_and_noise_values():

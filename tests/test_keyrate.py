@@ -708,6 +708,13 @@ def test_lemma1_check_examples():
         lemma1_check([(0.7, pure0)])
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 1.0), (1.0, np.nan)])
+def test_lemma1_check_rejects_a_nan_weight(weights):
+    rho = np.eye(3, dtype=complex) / 3
+    with pytest.raises(ValueError, match="weights must be nonnegative and sum to 1"):
+        lemma1_check([(w, rho) for w in weights])
+
+
 @pytest.mark.parametrize("sizes", [(1, 3, 2), (2, 1, 3, 1)])
 def test_lemma1_check_of_mixed_block_sizes_equals_assembled_operator(sizes):
     rng = np.random.default_rng(sum(sizes))
@@ -769,19 +776,35 @@ def _trace_out_register(bec):
     return np.einsum("acbd->ab", bec.reshape(dim, 4, dim, 4))
 
 
-@pytest.mark.parametrize("q", [0.02, 0.1, 0.3])
-def test_rho_be_is_rho_bec_without_register_on_twirl(q):
-    fams = vector_families(pauli_twirl_attack(q, q))
+_REGISTER_CASES = {
+    **{f"twirl-{q}": functools.partial(pauli_twirl_attack, q, q)
+       for q in (0.02, 0.1, 0.3)},
+    **{f"{d_f}-{d_r}": functools.partial(random_attack, d_f, d_r,
+                                         seed=10 * d_f + d_r)
+       for d_f, d_r in itertools.product((1, 3, 9), repeat=2)}}
+
+
+@pytest.mark.parametrize("make_attack", _REGISTER_CASES.values(),
+                         ids=_REGISTER_CASES.keys())
+def test_rho_be_is_rho_bec_without_register_on_random_attacks(make_attack):
+    # three twirls beside the nine random shapes, whose case names the test
+    # keeps: rho_be sums each receiver symbol's records per register level
+    # and then over levels, as the register trace of rho_bec does, so the
+    # bits agree
+    fams = vector_families(make_attack())
     assert rho_be(fams).tobytes() == _trace_out_register(rho_bec(fams)).tobytes()
 
 
-@pytest.mark.parametrize("d_f,d_r", itertools.product((1, 3, 9), repeat=2))
-def test_rho_be_is_rho_bec_without_register_on_random_attacks(d_f, d_r):
-    # summed per register level and then over levels, the records of one
-    # receiver symbol add in another order, so bits may differ
-    fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
-    gap = np.abs(rho_be(fams) - _trace_out_register(rho_bec(fams)))
-    assert gap.max() <= 1e-15
+def test_conditional_entropies_build_the_blocks_once(monkeypatch):
+    calls = []
+    build = keyrate._labelled_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(keyrate, "_labelled_blocks", counting)
+    conditional_entropies(vector_families(pauli_twirl_attack(0.05, 0.05)))
+    assert len(calls) == 1
 
 
 def _full_spectrum_entropy(rho):

@@ -34,7 +34,11 @@ The outputs are:
   conventions again on 5001 steps over [0, 3/8], a grid that
   `key_rate_curve` evaluates in several chunks;
 * the bytes of `rho_be` and `rho_bec` of the nine seeded random attacks
-  above, one per (d_f, d_r) in {1, 3, 9}^2.
+  above, one per (d_f, d_r) in {1, 3, 9}^2;
+* the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
+  `pauli_twirl_attack(q, q)` at the ends q = 0 and q = 3/8 of its range,
+  where the states' blocks span the fewest record rows (none, for some
+  blocks at q = 0).
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -193,6 +197,12 @@ def outputs():
         fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
         yield f"rho_be random_attack({d_f}, {d_r})", rho_be(fams).tobytes()
         yield f"rho_bec random_attack({d_f}, {d_r})", rho_bec(fams).tobytes()
+    for q in (0.0, Q_MAX):
+        fams = vector_families(pauli_twirl_attack(q, q))
+        yield f"rho_be twirl {q}", rho_be(fams).tobytes()
+        yield f"rho_bec twirl {q}", rho_bec(fams).tobytes()
+        yield (f"conditional_entropies twirl {q}",
+               repr(conditional_entropies(fams)))
 
 
 if __name__ == "__main__":

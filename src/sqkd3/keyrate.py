@@ -32,7 +32,7 @@ from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
                      alternative_basis_error, check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
-from .stats import (ERROR_PATTERN, JointDistribution, StatTable,
+from .stats import (_J, ERROR_PATTERN, JointDistribution, StatTable,
                     check_p_tables, joint_tables, measure_records,
                     p_table_symmetric, stat_table_for_scenario, t_value_array)
 
@@ -244,7 +244,7 @@ def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
 
 def no_error_overlap(fams: VectorFamilies) -> float:
     """Sum over a < b of |<e_aaa|e_bbb>|^2, the no-error block's overlaps."""
-    vecs = measure_records(fams).reshape(27, -1)[_NO_ERROR_CELLS]
+    vecs = _one_attack_records(fams).reshape(27, -1)[_NO_ERROR_CELLS]
     return float(sum(abs(np.vdot(vecs[a], vecs[b])) ** 2
                      for a, b in ((0, 1), (0, 2), (1, 2))))
 
@@ -483,15 +483,61 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # Explicit conditioned states for entropy-inequality verification
 # ---------------------------------------------------------------------------
 
-def _labelled_blocks(fams: VectorFamilies) -> np.ndarray:
-    """Diagonal blocks [j, c] (3, 4, dim_e, dim_e) of rho_bec, with c the
-    error-pattern register ERROR_PATTERN[i, j, k]; every other conditioned
-    state of the raw-key rounds is a sum of these blocks.
-
-    Each record adds its outer product / 3 to the one (j, c) block it lives
-    in, in (j, i, k) order.
-    """
+def _one_attack_records(fams: VectorFamilies) -> np.ndarray:
+    """measure_records of the families of one attack, which the
+    scalar-valued functions below take; a stack of attacks raises."""
     recs = measure_records(fams)
+    if recs.ndim != 4:
+        raise ValueError("expected the record families of one attack, "
+                         f"got a stack of shape {recs.shape[:-4]}")
+    return recs
+
+
+def _support_rows(support: np.ndarray, width: int) -> np.ndarray:
+    """Rows (..., width) of the True entries of each support mask (..., D),
+    in increasing order, then the padding index D."""
+    *lead, r = np.nonzero(support)
+    rows = np.full(support.shape[:-1] + (width,), support.shape[-1])
+    rows[(*lead, np.cumsum(support, axis=-1)[(*lead, r)] - 1)] = r
+    return rows
+
+
+def _slots(support: np.ndarray, width: int) -> np.ndarray:
+    """Slot (..., D + 1) of each row, and of the padding index D, in blocks
+    (..., width, width) on support masks (..., D): the row's rank among its
+    block's support rows, and the last slot for a row off the support and
+    for D.  That slot is a zero one wherever a support leaves a row out."""
+    slots = np.full(support.shape[:-1] + (support.shape[-1] + 1,), width - 1)
+    slots[..., :-1] = np.where(support, np.cumsum(support, axis=-1) - 1,
+                               width - 1)
+    return slots
+
+
+def _labelled_blocks(fams: VectorFamilies) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal blocks [j, c] of rho_bec, with c the error-pattern register
+    ERROR_PATTERN[i, j, k], on the rows that their records touch; every
+    other conditioned state of the raw-key rounds is a sum of these blocks.
+
+    Returns (support, blocks): support (3, 4, D) marks the nonzero rows of
+    the records of each block, and blocks (3, 4, m, m) holds each block on
+    its support rows in increasing order, then zero rows up to m, one more
+    than the largest support (m = D when every block spans all D rows).
+    Each record adds its outer product / 3 on its block's support rows, in
+    (j, i, k) order.
+    """
+    recs = _one_attack_records(fams)
+    # in_block[i, j, k, c]: record [i, j, k] is one of block [j, c]
+    in_block = ERROR_PATTERN[..., None] == np.arange(4)
+    support = ((recs != 0)[..., None, :] & in_block[..., None]).any(axis=(0, 2))
+    if support.all():   # no block needs a zero slot
+        width = support.shape[-1]
+    else:
+        width = support.sum(axis=-1).max() + 1
+        # each record on its block's rows; the padding index D reads a zero
+        padded = np.concatenate((recs, np.zeros(recs.shape[:-1] + (1,))),
+                                axis=-1)
+        recs = np.take_along_axis(
+            padded, _support_rows(support, width)[_J, ERROR_PATTERN], axis=-1)
     outer = recs[..., :, None] * recs.conj()[..., None, :]
     # Scale the real and imaginary parts by 1/3, at half the cost of the
     # complex x / 3: numpy computes that as (re + im * 0) * (1/3), so the
@@ -499,30 +545,67 @@ def _labelled_blocks(fams: VectorFamilies) -> np.ndarray:
     # fresh block turns either zero into +0.0.
     parts = outer.view(float)
     parts *= 1.0 / 3.0
-    blocks = np.zeros((3, 4) + outer.shape[-2:], dtype=complex)
+    blocks = np.zeros((3, 4, width, width), dtype=complex)
     for j, i, k in itertools.product(range(3), repeat=3):
         blocks[j, ERROR_PATTERN[i, j, k]] += outer[i, j, k]
-    return blocks
+    return support, blocks
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The operator with diagonal blocks [j, c], index order (j, e, c)."""
-    _, dim_c, dim_e, _ = blocks.shape
-    rho = np.zeros((3, dim_e, dim_c, 3, dim_e, dim_c), dtype=complex)
+def _summed(support: np.ndarray, blocks: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the leading axis of blocks (t, n, m, m) on support masks
+    (t, n, D), adding the t terms in order: (support, blocks) of the n
+    sums, each on the union of its terms' supports.
+
+    No entry of a block is -0.0, so a term that is zero at an entry leaves
+    the sum there as it is: each entry has the bits of the sum of the
+    full-size blocks.
+    """
+    union = support.any(axis=0)
+    if (support == union).all():   # the terms share their sums' rows
+        return union, sequential_sum(blocks)
+    width = union.sum(axis=-1).max() + 1
+    # the slot in its sum of each row of each term, then the flat index in
+    # the sums of each entry
+    n = np.arange(len(union))[:, None]
+    at = _slots(union, width)[n, _support_rows(support, blocks.shape[-1])]
+    at = ((n * width)[..., None] + at[..., :, None]) * width + at[..., None, :]
+    total = np.zeros((len(union), width, width), dtype=complex)
+    flat = total.reshape(-1)
+    for index, block in zip(at, blocks):
+        flat[index] += block
+    return union, total
+
+
+def _be_blocks(support: np.ndarray, blocks: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """rho_be's blocks [j] (support, blocks): the rho_bec blocks [j, c]
+    summed over c."""
+    return _summed(support.swapaxes(0, 1), blocks.swapaxes(0, 1))
+
+
+def _block_diagonal(support: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The operator with diagonal blocks [j, c] (3, dim_c, m, m) on support
+    masks (3, dim_c, dim_e), index order (j, e, c)."""
+    _, dim_c, dim_e = support.shape
     j, c = np.indices((3, dim_c))
-    rho[j, :, c, j, :, c] = blocks
+    at = _slots(support, blocks.shape[-1])[..., :dim_e]
+    rho = np.zeros((3, dim_e, dim_c, 3, dim_e, dim_c), dtype=complex)
+    rho[j, :, c, j, :, c] = blocks[j[..., None, None], c[..., None, None],
+                                   at[..., :, None], at[..., None, :]]
     return rho.reshape(3 * dim_e * dim_c, 3 * dim_e * dim_c)
 
 
 def rho_be(fams: VectorFamilies) -> np.ndarray:
     """Receiver/eavesdropper state of the raw-key rounds: rho_bec summed over c."""
-    return _block_diagonal(_labelled_blocks(fams).sum(axis=1, keepdims=True))
+    support, blocks = _be_blocks(*_labelled_blocks(fams))
+    return _block_diagonal(support[:, None], blocks[:, None])
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
     """Same state with the four-level error-pattern register attached,
     index order (j, e, c) with c = stats.ERROR_PATTERN[i, j, k]."""
-    return _block_diagonal(_labelled_blocks(fams))
+    return _block_diagonal(*_labelled_blocks(fams))
 
 
 def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
@@ -537,15 +620,16 @@ def conditional_entropies(fams: VectorFamilies) -> dict:
     The states are taken as their diagonal blocks, never assembled, and all
     come from one set of rho_bec blocks [j, c]: rho_be's blocks are their
     sums over the error-pattern register c, and tracing out the receiver
-    sums the blocks over j.  The values equal those of von_neumann_entropy3
-    on rho_be, rho_bec and their trace_out_receiver, bit for bit.
+    sums the blocks over j.  Each block is built on the rows its records
+    touch.  The values equal those of von_neumann_entropy3 on rho_be,
+    rho_bec and their trace_out_receiver, bit for bit.
     """
-    bec = _labelled_blocks(fams)
-    be = bec.sum(axis=1)
-    s_ec = von_neumann_entropy3(bec.sum(axis=0))
+    support, bec = _labelled_blocks(fams)
+    be_support, be = _be_blocks(support, bec)
+    s_e = von_neumann_entropy3(_summed(be_support[:, None], be[:, None])[1])
+    s_ec = von_neumann_entropy3(_summed(support, bec)[1])
     return {
-        "S_B_given_E": (von_neumann_entropy3(be)
-                        - von_neumann_entropy3(be.sum(axis=0))),
+        "S_B_given_E": von_neumann_entropy3(be) - s_e,
         "S_B_given_EC": von_neumann_entropy3(bec) - s_ec,
         "S_EC_exact": s_ec,
     }

@@ -121,9 +121,10 @@ def von_neumann_entropy3(rho: np.ndarray) -> float:
     rows and columns, which only add zero eigenvalues, are dropped; the
     rest is split into the connected components of its nonzero pattern,
     which are diagonal blocks up to a permutation, and each component is
-    eigendecomposed on its own (the components of one size from all
-    blocks in one batched call).  A fully linked block is one component.
-    Eigenvalues in [-1e-10, 0) are clamped to 0.
+    eigendecomposed on its own, on its rows in increasing order (the
+    components of one size from all blocks in one batched call).  A fully
+    linked block is one component.  Eigenvalues in [-1e-10, 0) are clamped
+    to 0.
     """
     rho = np.asarray(rho, dtype=complex)
     stack = rho.reshape((-1,) + rho.shape[-2:])
@@ -137,41 +138,66 @@ def von_neumann_entropy3(rho: np.ndarray) -> float:
         raise ValueError(f"trace {trace} is not 1 within tolerance")
     herm = stack + adjoint
     herm *= 0.5
-    components = {}   # size -> list of (k, size, size) stacks
-    for block in herm:
-        for idx in _linked_blocks(block != 0):
-            components.setdefault(idx.shape[1], []).append(
-                block[idx[:, :, None], idx[:, None, :]])
-    evals = np.sort(np.concatenate([
-        np.linalg.eigvalsh(np.concatenate(parts)).ravel()
-        for parts in components.values()]))
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(c).ravel()
+                                    for c in _components(herm)]))
     if evals.min() < -EIGENVALUE_CLAMP:
         raise ValueError(f"negative eigenvalue {evals.min()} beyond tolerance")
     return shannon_entropy3(evals[evals > 0])
 
 
-def _linked_blocks(linked: np.ndarray) -> list:
-    """Connected components of a symmetric boolean pattern, leaving out
-    rows with no True entry, as one (k, m) index array per block size m.
+def _components(stack: np.ndarray) -> list:
+    """The connected components of the nonzero patterns of a stack (k, n, n)
+    of Hermitian matrices, leaving out zero rows, as one (count, m, m)
+    stack per component size m; each component keeps its rows in
+    increasing order.
 
-    Breadth-first search that expands each row once, so O(n^2) in all.
-    A pattern with no False entry is one block at the cost of one check,
-    so a small dense operator pays a few numpy calls over its eigvalsh.
+    A stack with no zero entry is its own one stack, at the cost of one
+    check; any other stack is labelled by _component_labels.
     """
+    linked = stack != 0
     if linked.all():
-        return [np.arange(len(linked))[None]]
-    unseen = linked.any(axis=1)
-    blocks = []
-    while unseen.any():
-        frontier = unseen.argmax(keepdims=True)
-        block = []
-        while frontier.size:
-            block.append(frontier)
-            unseen[frontier] = False
-            frontier = (linked[frontier].any(axis=0) & unseen).nonzero()[0]
-        blocks.append(np.sort(np.concatenate(block)))
-    return [np.array([b for b in blocks if len(b) == m])
-            for m in sorted({len(b) for b in blocks})]
+        return [stack]
+    k, n, _ = linked.shape
+    rows = np.flatnonzero(linked.any(axis=-1))
+    label = _component_labels(linked)[rows]
+    size = np.bincount(label)[label]
+    # by size, then component; the stable sort keeps each component's rows
+    # in increasing order
+    rows = rows[np.argsort(size * (k * n) + label, kind="stable")]
+    per_size = np.bincount(size)   # rows in the components of each size
+    flat = stack.reshape(k * n, n)
+    out, start = [], 0
+    for m in np.flatnonzero(per_size):
+        comp = rows[start:start + per_size[m]].reshape(-1, m)
+        start += per_size[m]
+        out.append(flat[comp[:, :, None], comp[:, None, :] % n])
+    return out
+
+
+def _component_labels(linked: np.ndarray) -> np.ndarray:
+    """One label per row of a stack (k, n, n) of symmetric boolean patterns,
+    flat over (k, n): the rows of one connected component share the flat
+    index of one of them, and a row with no True entry keeps its own.
+
+    Each pass gives every row the least label among its own and its
+    neighbours', then points every label at its label's label until that
+    changes nothing (pointer jumping), so a chain of n rows takes
+    O(log n) passes; the pass that changes no label ends the labelling.
+    """
+    k, n, _ = linked.shape
+    label = np.arange(k * n)
+    # every pass reads the labels through this view
+    seen = np.broadcast_to(label.reshape(k, 1, n), linked.shape)
+    while True:
+        least = np.minimum.reduce(seen, axis=-1, where=linked,
+                                  initial=k * n).ravel()
+        np.minimum(least, label, out=least)
+        jumped = least[least]
+        while (jumped != least).any():
+            least, jumped = jumped, jumped[jumped]
+        if (least == label).all():
+            return label
+        label[:] = least
 
 
 def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -97,12 +97,14 @@ ERROR_PATTERN = (_I != _J) + 2 * (_J != _K)
 
 def measure_records(fams: VectorFamilies) -> np.ndarray:
     """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
-    (sent |i>, receiver found |j>, sender finds |k>), (3, 3, 3, D) at [i, j, k]."""
-    return fams.ekij[_K, _J, 3 * _I + _J]
+    (sent |i>, receiver found |j>, sender finds |k>), (..., 3, 3, 3, D) at
+    [..., i, j, k], with the families' stack axes leading."""
+    return fams.ekij[..., _K, _J, 3 * _I + _J, :]
 
 
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
-    """27 probabilities from the record vectors: squared norms of e^k_{j, 3i+j}."""
+    """27 probabilities (..., 3, 3, 3) from the record vectors: squared
+    norms of e^k_{j, 3i+j}, with the families' stack axes leading."""
     return sq_norms(measure_records(fams))
 
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
-from sqkd3.attack import ChannelScenario, alternative_basis_error, \
-    pauli_twirl_attack, random_attack, vector_families
+from sqkd3.attack import ChannelScenario, VectorFamilies, \
+    alternative_basis_error, pauli_twirl_attack, random_attack, \
+    random_attack_stacks, vector_families
 from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            find_threshold, h_b_given_a,
                            key_rate, key_rate_curve, key_rate_from_table,
@@ -864,6 +865,84 @@ def test_conditional_entropies_assemble_no_dense_state(monkeypatch):
         raise AssertionError("dense state assembled")
     monkeypatch.setattr(keyrate, "_block_diagonal", refuse)
     assert conditional_entropies(fams) == expected
+
+
+@pytest.mark.parametrize("q", [0.0, Q_MAX])
+def test_conditional_entropies_equal_dense_states_at_the_ends_of_the_twirl(q):
+    # at q = 0 eight of the twelve blocks [j, c] have no record row, and at
+    # q = 3/8 the blocks span 4, 12, 12 and 36 of the 81 rows
+    fams = vector_families(pauli_twirl_attack(q, q))
+    support, _ = keyrate._labelled_blocks(fams)
+    assert support.sum(axis=-1).tolist() == 3 * [[1, 0, 0, 0] if q == 0.0
+                                                  else [4, 12, 12, 36]]
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+def _families_with_records(records: dict, dim: int) -> VectorFamilies:
+    """Families whose measure records e^k_{j, 3i+j} are records[(i, j, k)],
+    and zero for the cells not named; only the records are read."""
+    ekij = np.zeros((3, 3, 9, dim), dtype=complex)
+    for (i, j, k), vec in records.items():
+        ekij[k, j, 3 * i + j] = vec
+    zero = np.zeros((9, dim), dtype=complex)
+    return VectorFamilies(zero, ekij, zero, zero, zero)
+
+
+def test_conditional_entropies_equal_dense_states_where_records_cancel():
+    # the records (i, j, k) = (1, 0, 0) and (2, 0, 0), both of block
+    # [j, c] = [0, 1], are (x, x) and (x, -x) on rows 0 and 1: their outer
+    # products cancel at entry (0, 1), so the block's pattern splits inside
+    # its support, and so does rho_be's block 0
+    fams = _families_with_records({
+        (1, 0, 0): [0.5, 0.5, 0, 0], (2, 0, 0): [0.5, -0.5, 0, 0],
+        (0, 0, 0): [0, 0, 1, 0], (1, 1, 1): [0, 0, 0.5, 0.5],
+        (2, 2, 2): [0.5, 0, 0, 0.5j]}, 4)
+    support, blocks = keyrate._labelled_blocks(fams)
+    assert support[0, 1].tolist() == [True, True, False, False]
+    assert blocks[0, 1, 0, 1] == 0.0 and blocks[0, 1, 0, 0] != 0.0
+    assert rho_be(fams)[0, 1] == 0.0
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@example(0)
+@settings(max_examples=30, deadline=None)
+def test_states_equal_dense_sums_where_record_rows_overlap(seed):
+    # each record is nonzero on its own random rows, so the blocks summed
+    # into one state overlap in part and each sum is taken on its union
+    rng = np.random.default_rng(seed)
+    dim = 6
+    vecs = rng.normal(size=(27, dim)) + 1j * rng.normal(size=(27, dim))
+    vecs *= rng.random((27, dim)) < 0.5
+    vecs *= math.sqrt(3.0 / np.sum(np.abs(vecs) ** 2))
+    fams = _families_with_records(dict(zip(itertools.product(range(3), repeat=3),
+                                           vecs)), dim)
+    bec = rho_bec(fams)
+    assert bec.tobytes() == _rho_bec_outer_products(fams).tobytes()
+    assert rho_be(fams).tobytes() == _trace_out_register(bec).tobytes()
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+def test_conditional_entropies_traced_peak_on_the_twirl():
+    # the blocks are built on the rows their records touch: full-size
+    # 81 x 81 outer products of the 27 records alone would take 2.8 MB
+    fams = vector_families(pauli_twirl_attack(0.1, 0.1))
+    conditional_entropies(fams)
+    tracemalloc.start()
+    try:
+        conditional_entropies(fams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize("fn", [no_error_overlap, conditional_entropies,
+                                rho_be, rho_bec])
+def test_functions_of_one_attack_refuse_a_stack(fn):
+    fams = vector_families(*next(random_attack_stacks(3, 3, [1, 2, 3, 4])))
+    with pytest.raises(ValueError, match=r"one attack, got a stack of shape \(4,\)$"):
+        fn(fams)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqkd3.linalg import (basis_vectors, entropy3, haar_isometry,
-                          shannon_entropy3, von_neumann_entropy3)
+from sqkd3.linalg import (_component_labels, _components, basis_vectors,
+                          entropy3, haar_isometry, shannon_entropy3,
+                          von_neumann_entropy3)
 
 # frozen oracle value: -sum p log3 p at 40 digits (mpmath)
 H3_08_01_01 = 0.5816718657178868
@@ -237,3 +238,103 @@ def test_von_neumann_rejects_fault_inside_one_block_of_a_stack(fault, message):
     stack = np.stack([0.5 * healthy, np.zeros((8, 8)), 0.5 * _state_with_fault(fault)])
     with pytest.raises(ValueError, match=message):
         von_neumann_entropy3(stack)
+
+
+def _linked_blocks(linked):
+    """Connected components of a symmetric boolean pattern, leaving out
+    rows with no True entry, as one (k, m) index array per block size m:
+    a breadth-first search that expands each row once, the reference for
+    the labelling of von_neumann_entropy3."""
+    if linked.all():
+        return [np.arange(len(linked))[None]]
+    unseen = linked.any(axis=1)
+    blocks = []
+    while unseen.any():
+        frontier = unseen.argmax(keepdims=True)
+        block = []
+        while frontier.size:
+            block.append(frontier)
+            unseen[frontier] = False
+            frontier = (linked[frontier].any(axis=0) & unseen).nonzero()[0]
+        blocks.append(np.sort(np.concatenate(block)))
+    return [np.array([b for b in blocks if len(b) == m])
+            for m in sorted({len(b) for b in blocks})]
+
+
+def assert_components_equal_search(stack):
+    """The labels of stack's pattern give the search's index sets, and
+    _components returns the search's components, entry for entry."""
+    linked = stack != 0
+    k, n, _ = linked.shape
+    label = _component_labels(linked).reshape(k, n)
+    expected = []
+    for b in range(k):
+        found = [tuple(idx) for sizes in _linked_blocks(linked[b]) for idx in sizes]
+        groups = {}
+        for r in np.flatnonzero(linked[b].any(axis=1)):
+            groups.setdefault(label[b, r], []).append(r)
+        assert sorted(found) == sorted(tuple(g) for g in groups.values())
+        expected += [stack[b][np.ix_(idx, idx)].tobytes() for idx in found]
+    got = [c.tobytes() for comps in _components(stack) for c in comps]
+    assert sorted(got) == sorted(expected)
+
+
+def _hermitian_with_pattern(pattern, rng):
+    """Hermitian matrix with nonzero entries exactly on a symmetric pattern
+    whose diagonal holds every row that has a True entry."""
+    n = len(pattern)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = np.where(np.triu(pattern, 1), m, 0.0)
+    return m + m.conj().T + np.diag(np.where(pattern.any(axis=1), 1.0 + rng.random(n), 0.0))
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=4),
+       st.booleans())
+@example(0, 1, 5, 1.0, 0, False)   # one fully linked block
+@example(1, 3, 6, 0.3, 2, True)
+@settings(max_examples=80, deadline=None)
+def test_labelling_equals_breadth_first_search(seed, k, n, density, n_zero, zero_block):
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((k + zero_block, n, n), dtype=complex)
+    for b in range(k):
+        pattern = rng.random((n, n)) < density
+        pattern |= pattern.T
+        pattern[np.diag_indices(n)] = True
+        dead = rng.permutation(n)[:n_zero]   # zero rows and columns
+        pattern[dead] = pattern[:, dead] = False
+        stack[b] = _hermitian_with_pattern(pattern, rng)
+    assert_components_equal_search(stack[rng.permutation(len(stack))])
+
+
+@pytest.mark.parametrize("n", [2, 3, 500])
+def test_labelling_of_a_long_chain(n):
+    # a path through the rows in random order, beside the same path with
+    # one row cut out of it
+    rng = np.random.default_rng(n)
+    order = rng.permutation(n)
+    chain = np.zeros((n, n), dtype=bool)
+    chain[order[:-1], order[1:]] = True
+    chain |= chain.T | np.eye(n, dtype=bool)
+    split = chain.copy()
+    half = order[n // 2]
+    split[half] = split[:, half] = False
+    split[half, half] = True
+    stack = np.stack([_hermitian_with_pattern(p, rng) for p in (chain, split)])
+    assert_components_equal_search(stack)
+    label = _component_labels(stack != 0)
+    assert len(set(label[:n])) == 1
+
+
+def test_labelling_of_an_entry_that_cancels_to_zero():
+    # a + (-a) is exactly +0.0: the sum has the pattern of two blocks
+    rng = np.random.default_rng(4)
+    a = _hermitian_with_pattern(np.ones((4, 4), dtype=bool), rng)
+    b = np.zeros_like(a)
+    b[0, 2], b[2, 0], b[0, 3], b[3, 0], b[1, 2], b[1, 3], b[2, 1], b[3, 1] = (
+        -a[0, 2], -a[2, 0], -a[0, 3], -a[3, 0], -a[1, 2], -a[1, 3], -a[2, 1], -a[3, 1])
+    total = a + b
+    assert (total[:2, 2:] == 0).all() and (total[:2, :2] != 0).all()
+    assert_components_equal_search(total[None])
+    assert [c.shape for c in _components(total[None])] == [(2, 2, 2)]

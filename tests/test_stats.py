@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqkd3.term_tables as tables
-from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
-                          vector_families)
+from sqkd3 import verify
+from sqkd3.attack import (VectorFamilies, identity_attack, pauli_twirl_attack,
+                          random_attack, vector_families)
 from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
                          basis_error_direct, check_p_tables, basis_error_expanded, f_gram,
-                         joint_and_marginal, p_table_from_attack,
+                         joint_and_marginal, measure_records, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
 from sqkd3.attack import ChannelScenario
@@ -285,3 +286,18 @@ def test_stat_table_p_must_be_an_array():
     with pytest.raises(ValueError, match="3x3x3"):
         StatTable(p_table_symmetric(0.05, 0.05).tolist(), np.full(6, 0.05),
                   "phi1")
+
+
+@pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])
+def test_p_table_from_attack_of_verify_stacks_keeps_each_attacks_bits(n_attacks,
+                                                                      seed):
+    # attack t of a stack has the table of its own families, which
+    # vector_families gives the bits of a call on that attack alone
+    for fams in verify._random_families(n_attacks, seed):
+        p = p_table_from_attack(fams)
+        assert p.shape == (len(fams.e), 3, 3, 3)
+        assert measure_records(fams).shape == p.shape + fams.ekij.shape[-1:]
+        for t, table in enumerate(p):
+            one = VectorFamilies(*(getattr(fams, name)[t]
+                                   for name in ("e", "ekij", "f", "g", "h")))
+            assert table.tobytes() == p_table_from_attack(one).tobytes()

@@ -521,23 +521,18 @@ def _labelled_blocks(fams: VectorFamilies) -> tuple[np.ndarray, np.ndarray]:
     Returns (support, blocks): support (3, 4, D) marks the nonzero rows of
     the records of each block, and blocks (3, 4, m, m) holds each block on
     its support rows in increasing order, then zero rows up to m, one more
-    than the largest support (m = D when every block spans all D rows).
-    Each record adds its outer product / 3 on its block's support rows, in
-    (j, i, k) order.
+    than the largest support.  Each record adds its outer product / 3 on
+    its block's support rows, in (j, i, k) order.
     """
     recs = _one_attack_records(fams)
     # in_block[i, j, k, c]: record [i, j, k] is one of block [j, c]
     in_block = ERROR_PATTERN[..., None] == np.arange(4)
     support = ((recs != 0)[..., None, :] & in_block[..., None]).any(axis=(0, 2))
-    if support.all():   # no block needs a zero slot
-        width = support.shape[-1]
-    else:
-        width = support.sum(axis=-1).max() + 1
-        # each record on its block's rows; the padding index D reads a zero
-        padded = np.concatenate((recs, np.zeros(recs.shape[:-1] + (1,))),
-                                axis=-1)
-        recs = np.take_along_axis(
-            padded, _support_rows(support, width)[_J, ERROR_PATTERN], axis=-1)
+    width = support.sum(axis=-1).max() + 1
+    # each record on its block's rows; the padding index D reads a zero
+    padded = np.concatenate((recs, np.zeros(recs.shape[:-1] + (1,))), axis=-1)
+    recs = np.take_along_axis(
+        padded, _support_rows(support, width)[_J, ERROR_PATTERN], axis=-1)
     outer = recs[..., :, None] * recs.conj()[..., None, :]
     # Scale the real and imaginary parts by 1/3, at half the cost of the
     # complex x / 3: numpy computes that as (re + im * 0) * (1/3), so the
@@ -562,8 +557,6 @@ def _summed(support: np.ndarray, blocks: np.ndarray
     full-size blocks.
     """
     union = support.any(axis=0)
-    if (support == union).all():   # the terms share their sums' rows
-        return union, sequential_sum(blocks)
     width = union.sum(axis=-1).max() + 1
     # the slot in its sum of each row of each term, then the flat index in
     # the sums of each entry

@@ -177,27 +177,37 @@ def _components(stack: np.ndarray) -> list:
 def _component_labels(linked: np.ndarray) -> np.ndarray:
     """One label per row of a stack (k, n, n) of symmetric boolean patterns,
     flat over (k, n): the rows of one connected component share the flat
-    index of one of them, and a row with no True entry keeps its own.
+    index of the least of them, and a row with no True entry keeps its own.
 
-    Each pass gives every row the least label among its own and its
-    neighbours', then points every label at its label's label until that
-    changes nothing (pointer jumping), so a chain of n rows takes
-    O(log n) passes; the pass that changes no label ends the labelling.
+    Runs _label_pass until a pass changes no label.  A chain of n rows
+    takes at most ceil(log2 n) + 1 passes: each pass merges every tree of
+    rows with a tree next to it, except trees with no lesser label next
+    to them, which on a chain are at most every other tree.
     """
-    k, n, _ = linked.shape
-    label = np.arange(k * n)
-    # every pass reads the labels through this view
-    seen = np.broadcast_to(label.reshape(k, 1, n), linked.shape)
+    label = np.arange(linked.shape[0] * linked.shape[1])
     while True:
-        least = np.minimum.reduce(seen, axis=-1, where=linked,
-                                  initial=k * n).ravel()
-        np.minimum(least, label, out=least)
-        jumped = least[least]
-        while (jumped != least).any():
-            least, jumped = jumped, jumped[jumped]
+        least = _label_pass(linked, label)
         if (least == label).all():
             return label
-        label[:] = least
+        label = least
+
+
+def _label_pass(linked: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """One pass of _component_labels over labels that each point at a root
+    (a row labelled by itself): every row takes the least label among its
+    own and its neighbours', every root the least label that its rows took
+    (hooking its whole tree), then every label points at its label's label
+    until that changes nothing (pointer jumping)."""
+    k, n, _ = linked.shape
+    seen = np.broadcast_to(label.reshape(k, 1, n), linked.shape)
+    least = np.minimum.reduce(seen, axis=-1, where=linked,
+                              initial=k * n).ravel()
+    np.minimum(least, label, out=least)
+    np.minimum.at(least, label, least)
+    jumped = least[least]
+    while (jumped != least).any():
+        least, jumped = jumped, jumped[jumped]
+    return least
 
 
 def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqkd3 import linalg
 from sqkd3.linalg import (_component_labels, _components, basis_vectors,
                           entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
@@ -325,6 +326,30 @@ def test_labelling_of_a_long_chain(n):
     assert_components_equal_search(stack)
     label = _component_labels(stack != 0)
     assert len(set(label[:n])) == 1
+
+
+@pytest.mark.parametrize("order", ["random", "two_ended", "increasing", "decreasing"])
+def test_labelling_of_a_long_chain_takes_few_passes(order, monkeypatch):
+    # a 500-row path in the given row order; the two-ended order (0, 2, 4,
+    # ..., 5, 3, 1) leaves two long trees after the first pass, which a pass
+    # that moves rows but not roots merges one row at a time
+    n = 500
+    order = {"random": np.random.default_rng(7).permutation(n),
+             "two_ended": np.r_[np.arange(0, n, 2), np.arange(1, n, 2)[::-1]],
+             "increasing": np.arange(n), "decreasing": np.arange(n)[::-1]}[order]
+    chain = np.zeros((n, n), dtype=bool)
+    chain[order[:-1], order[1:]] = True
+    chain |= chain.T | np.eye(n, dtype=bool)
+    passes = []
+    label_pass = linalg._label_pass
+
+    def counting(linked, label):
+        passes.append(1)
+        return label_pass(linked, label)
+
+    monkeypatch.setattr(linalg, "_label_pass", counting)
+    assert (_component_labels(chain[None]) == 0).all()
+    assert len(passes) <= int(np.ceil(np.log2(n))) + 1
 
 
 def test_labelling_of_an_entry_that_cancels_to_zero():

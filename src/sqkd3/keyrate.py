@@ -557,6 +557,10 @@ def _summed(support: np.ndarray, blocks: np.ndarray
     full-size blocks.
     """
     union = support.any(axis=0)
+    # the twirl's rho_EC and rho_E terms share their sums' rows, where the
+    # in-order sum takes about a tenth of the time of the scatter below
+    if (support == union).all():
+        return union, sequential_sum(blocks)
     width = union.sum(axis=-1).max() + 1
     # the slot in its sum of each row of each term, then the flat index in
     # the sums of each entry

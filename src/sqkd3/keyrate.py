@@ -558,7 +558,7 @@ def _summed(support: np.ndarray, blocks: np.ndarray
     """
     union = support.any(axis=0)
     # the twirl's rho_EC and rho_E terms share their sums' rows, where the
-    # in-order sum takes about a tenth of the time of the scatter below
+    # in-order sum takes about an eighth of the time of the scatter below
     if (support == union).all():
         return union, sequential_sum(blocks)
     width = union.sum(axis=-1).max() + 1

@@ -38,7 +38,11 @@ The outputs are:
 * the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
   `pauli_twirl_attack(q, q)` at the ends q = 0 and q = 3/8 of its range,
   where the states' blocks span the fewest record rows (none, for some
-  blocks at q = 0).
+  blocks at q = 0);
+* seeded `run_protocol` JSONs for both variants at 2**16 + 65 rounds of
+  `identity_attack()`, `pauli_twirl_attack(0, 0)` and
+  `pauli_twirl_attack(3/8, 3/8)`, whose tables hold zero cells and rows
+  whose cumulative distribution reaches 1 before its last entry.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -53,7 +57,7 @@ import os
 import numpy as np
 
 from sqkd3 import verify
-from sqkd3.attack import (pauli_twirl_attack, random_attack,
+from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           random_attack_stacks, vector_families)
 from sqkd3.cli import main
 from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
@@ -203,6 +207,14 @@ def outputs():
         yield f"rho_bec twirl {q}", rho_bec(fams).tobytes()
         yield (f"conditional_entropies twirl {q}",
                repr(conditional_entropies(fams)))
+    zero_cells = {"identity": identity_attack(),
+                  "twirl 0.0": pauli_twirl_attack(0.0, 0.0),
+                  f"twirl {Q_MAX}": pauli_twirl_attack(Q_MAX, Q_MAX)}
+    for (name, attack), variant in itertools.product(zero_cells.items(),
+                                                     ("phi1", "phi2")):
+        n = 2**16 + 65
+        yield (f"run_protocol({n}, {name}) {variant}",
+               run_protocol(n, attack, variant, seed=n).to_json())
 
 
 if __name__ == "__main__":

@@ -30,6 +30,10 @@ These are the draws of ``Generator.integers`` (Lemire's method, 32 bits at
 a time) and ``Generator.choice``, so a seed gives the counts those calls
 gave, byte for byte; the sampler itself depends only on PCG64's raw words.
 The words are read in chunks of 2**16, so a run holds O(1) memory in n.
+No round is given a value of its own: a chunk packs its rounds' flag and
+sent-value predicates into 64-bit masks and counts the categories with
+popcounts, and a category's outcomes are counted by comparing its words
+with the bounds of the cumulative distribution.
 """
 from __future__ import annotations
 
@@ -128,34 +132,58 @@ class _Words:
         return words.astype("<u8", copy=False).view("<u4")[start % 2:][:stop - start]
 
 
+#: Rows of the bit buffer that _category_sizes fills for each chunk.
+_ALT, _REFLECT, _VALID, _SENT_1, _SENT_2 = range(5)
+
+# Category sizes from the 12 popcounts c[s, f] of the round sets
+# s in {valid, sent >= 1, sent = 2} and f in {valid, alt, reflect,
+# alt & reflect}, by inclusion-exclusion: sent value i is s_i - s_(i+1)
+# (s_3 empty), and flags (alt, reflect) = (0, 0) are valid - alt - reflect
+# + both, (0, 1) reflect - both, (1, 0) alt - both and (1, 1) both.
+_SIZES_FROM_COUNTS = np.kron([[1, -1, 0], [0, 1, -1], [0, 0, 1]],
+                             [[1, -1, -1, 1], [0, 0, 1, -1], [0, 1, 0, -1],
+                              [0, 0, 0, 1]])
+
+
 def _category_sizes(stream: _Words, n: int) -> np.ndarray:
     """Rounds per category over n rounds, keyed sent*4 + alt*2 + reflect.
 
     Reads the flag halves of the stream the module docstring defines and
     leaves `stream` at word ceil(h / 2), h the number of halves read, where
-    the outcome draws start.
+    the outcome draws start.  Each chunk writes its rounds' alt and reflect
+    top bits, a valid-round row and the predicates sent >= 1 and sent = 2
+    into one bit buffer, packs it into 64-bit words and adds the popcounts
+    of the 12 intersections that _SIZES_FROM_COUNTS turns into the sizes.
     """
-    sizes = np.zeros(12, dtype=np.int64)
+    width = min(_CHUNK, -(-n // 64) * 64)
+    bits = np.zeros((5, width), dtype=bool)
+    bits[_VALID] = True
+    counts = np.zeros((3, 4), dtype=np.int64)
     pos = 2 * n  # next half of the sent stream
     for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        alt = stream.halves(start, stop) > 0x7FFFFFFF
-        key = np.add(alt, alt, dtype=np.uint8)
-        key += stream.halves(n + start, n + stop) > 0x7FFFFFFF
-        x = stream.halves(pos, pos + stop - start)
-        pos += stop - start
+        m = min(_CHUNK, n - start)
+        bits[:, m:] = False  # padding of a partial chunk, in every row
+        np.greater(stream.halves(start, start + m), 0x7FFFFFFF, out=bits[_ALT, :m])
+        np.greater(stream.halves(n + start, n + start + m), 0x7FFFFFFF,
+                   out=bits[_REFLECT, :m])
+        x = stream.halves(pos, pos + m)
+        pos += m
         # Lemire's method for the range 3 rejects exactly the half 0
         while not x.all():
             x = x[x != 0]
-            missing = stop - start - x.size
+            missing = m - x.size
             x = np.concatenate([x, stream.halves(pos, pos + missing)])
             pos += missing
-        sent = np.add(x > 0x55555555, x > 0xAAAAAAAA, dtype=np.uint8)
-        sent <<= 2
-        key += sent
-        sizes += np.bincount(key, minlength=12)
+        # sent = (3x) >> 32 is >= 1 from x = 2**32 / 3 on and 2 from 2**33 / 3
+        np.greater(x, 0x55555555, out=bits[_SENT_1, :m])
+        np.greater(x, 0xAAAAAAAA, out=bits[_SENT_2, :m])
+        words = np.packbits(bits, axis=-1).view(np.uint64)
+        flags = np.stack([words[_VALID], words[_ALT], words[_REFLECT],
+                          words[_ALT] & words[_REFLECT]])
+        counts += np.bitwise_count(words[_VALID:, None] & flags).sum(
+            axis=-1, dtype=np.int64)
     stream.seek((pos + 1) // 2)
-    return sizes
+    return _SIZES_FROM_COUNTS @ counts.ravel()
 
 
 def _outcome_counts(stream: _Words, size: int, probs: np.ndarray) -> np.ndarray:
@@ -169,13 +197,16 @@ def _outcome_counts(stream: _Words, size: int, probs: np.ndarray) -> np.ndarray:
     cdf /= cdf[-1]
     # choice takes the uniform k / 2**53, k = w >> 11, of word w to outcome
     # j when it lies in [cdf[j - 1], cdf[j]); k / 2**53 < cdf[j] exactly
-    # when k < ceil(cdf[j] * 2**53), and cdf[-1] is 1
-    bounds = [math.ceil(c * 2**53) for c in cdf[:-1].tolist()]
+    # when k < b = ceil(cdf[j] * 2**53), so when w < b * 2**11, and cdf[-1]
+    # is 1.  A cdf that reaches 1 early gives b = 2**53, which every word is
+    # below.
+    limits = [math.ceil(c * 2**53) << 11 for c in cdf[:-1].tolist()]
     below = np.zeros(p.size + 1, dtype=np.int64)  # below[j + 1]: u < cdf[j]
     below[-1] = size
     for start in range(0, size, _CHUNK):
-        k = stream.words(min(_CHUNK, size - start)) >> 11
-        below[1:-1] += [np.count_nonzero(k < b) for b in bounds]
+        w = stream.words(min(_CHUNK, size - start))
+        below[1:-1] += [np.count_nonzero(w < b) if b < 2**64 else w.size
+                        for b in limits]
     return np.diff(below)
 
 

@@ -173,6 +173,33 @@ def test_chunk_boundaries_match_mask_reference(n, attack, variant):
         _reference_json(n, attack, variant, seed)
 
 
+# Tables whose rows put all their weight on a few cells, so that a cdf
+# reaches 1 before its last entry, around the 64-round words the category
+# counts are packed into.
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+@pytest.mark.parametrize("attack", [identity_attack(), pauli_twirl_attack(0, 0),
+                                    pauli_twirl_attack(0.375, 0.375)],
+                         ids=["identity", "twirl-0", "twirl-3/8"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, _C - 63])
+def test_tables_with_zero_cells_match_mask_reference(n, attack, variant):
+    seed = n + 23
+    assert run_protocol(n, attack, variant, seed).to_json() == \
+        _reference_json(n, attack, variant, seed)
+
+
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+def test_short_run_past_six_sigma_is_the_reference_draw(variant):
+    # 27 rounds in a raw-key cell that expects 8.2 of its sent value's 870:
+    # a binomial tail of 1.4e-7, drawn as the mask reference draws it
+    attack = random_attack(1, 3, 1637110490)
+    res = run_protocol(10_000, attack, variant, 1981593359)
+    assert res.to_json() == _reference_json(10_000, attack, variant, 1981593359)
+    table = stat_table_from_attack(attack, variant)
+    assert res.counts_p[2, 1, 2] == 27
+    assert res.counts_p[2].sum() * table.p[2, 1, 2] == pytest.approx(8.208, abs=1e-3)
+    assert max_deviation_sigma(res, table) == pytest.approx(6.59, abs=5e-3)
+
+
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -237,6 +264,18 @@ def test_outcome_at_a_cdf_step_is_choice_outcome(probs, offset, low_bits):
     assert _pcg64_with_word(0, word).random_raw(1)[0] == word
     assert sim._outcome_counts(stream, 1, probs).tolist() == np.bincount(
         rng.choice(2, size=1, p=probs / probs.sum()), minlength=2).tolist()
+
+
+@pytest.mark.parametrize("probs", [[1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+@pytest.mark.parametrize("word", [0, 2**11 - 1, 2**64 - 2**11, 2**64 - 1])
+def test_outcome_of_a_cdf_that_reaches_one_early_is_choice_outcome(probs, word):
+    # the bound 2**53 of a cdf entry equal to 1 takes every word, the
+    # largest one too
+    probs = np.array(probs)
+    stream = sim._Words(_pcg64_with_word(0, word))
+    rng = np.random.Generator(_pcg64_with_word(0, word))
+    assert sim._outcome_counts(stream, 1, probs).tolist() == np.bincount(
+        rng.choice(probs.size, size=1, p=probs), minlength=probs.size).tolist()
 
 
 @pytest.mark.parametrize("probs", [[0.5, np.nan, 0.5], [0.0, 0.0, 0.0],

@@ -132,15 +132,17 @@ class _Words:
         return words.astype("<u8", copy=False).view("<u4")[start % 2:][:stop - start]
 
 
-#: Rows of the bit buffer that _category_sizes fills for each chunk.
-_ALT, _REFLECT, _VALID, _SENT_1, _SENT_2 = range(5)
+#: Rows of the bit buffer that _category_sizes fills for each chunk: the
+#: round sets s = rows [0, 3) and f = rows [2, 6) whose intersections it counts.
+_SENT_2, _SENT_1, _VALID, _ALT, _REFLECT, _BOTH = range(6)
 
 # Category sizes from the 12 popcounts c[s, f] of the round sets
-# s in {valid, sent >= 1, sent = 2} and f in {valid, alt, reflect,
-# alt & reflect}, by inclusion-exclusion: sent value i is s_i - s_(i+1)
-# (s_3 empty), and flags (alt, reflect) = (0, 0) are valid - alt - reflect
-# + both, (0, 1) reflect - both, (1, 0) alt - both and (1, 1) both.
-_SIZES_FROM_COUNTS = np.kron([[1, -1, 0], [0, 1, -1], [0, 0, 1]],
+# s in {sent = 2, sent >= 1, valid} and f in {valid, alt, reflect,
+# alt & reflect}, by inclusion-exclusion: sent value 0 is valid - (sent >= 1)
+# and 1 is (sent >= 1) - (sent = 2), and flags (alt, reflect) = (0, 0) are
+# valid - alt - reflect + both, (0, 1) reflect - both, (1, 0) alt - both and
+# (1, 1) both.
+_SIZES_FROM_COUNTS = np.kron([[0, -1, 1], [-1, 1, 0], [1, 0, 0]],
                              [[1, -1, -1, 1], [0, 0, 1, -1], [0, 1, 0, -1],
                               [0, 0, 0, 1]])
 
@@ -150,13 +152,14 @@ def _category_sizes(stream: _Words, n: int) -> np.ndarray:
 
     Reads the flag halves of the stream the module docstring defines and
     leaves `stream` at word ceil(h / 2), h the number of halves read, where
-    the outcome draws start.  Each chunk writes its rounds' alt and reflect
-    top bits, a valid-round row and the predicates sent >= 1 and sent = 2
-    into one bit buffer, packs it into 64-bit words and adds the popcounts
-    of the 12 intersections that _SIZES_FROM_COUNTS turns into the sizes.
+    the outcome draws start.  Each chunk writes the predicates sent = 2 and
+    sent >= 1, a valid-round row, its rounds' alt and reflect top bits and
+    their conjunction into one bit buffer, packs it into 64-bit words and
+    adds the popcounts of the 12 intersections that _SIZES_FROM_COUNTS turns
+    into the sizes.
     """
     width = min(_CHUNK, -(-n // 64) * 64)
-    bits = np.zeros((5, width), dtype=bool)
+    bits = np.zeros((6, width), dtype=bool)
     bits[_VALID] = True
     counts = np.zeros((3, 4), dtype=np.int64)
     pos = 2 * n  # next half of the sent stream
@@ -166,6 +169,7 @@ def _category_sizes(stream: _Words, n: int) -> np.ndarray:
         np.greater(stream.halves(start, start + m), 0x7FFFFFFF, out=bits[_ALT, :m])
         np.greater(stream.halves(n + start, n + start + m), 0x7FFFFFFF,
                    out=bits[_REFLECT, :m])
+        np.logical_and(bits[_ALT], bits[_REFLECT], out=bits[_BOTH])
         x = stream.halves(pos, pos + m)
         pos += m
         # Lemire's method for the range 3 rejects exactly the half 0
@@ -175,12 +179,10 @@ def _category_sizes(stream: _Words, n: int) -> np.ndarray:
             x = np.concatenate([x, stream.halves(pos, pos + missing)])
             pos += missing
         # sent = (3x) >> 32 is >= 1 from x = 2**32 / 3 on and 2 from 2**33 / 3
-        np.greater(x, 0x55555555, out=bits[_SENT_1, :m])
         np.greater(x, 0xAAAAAAAA, out=bits[_SENT_2, :m])
+        np.greater(x, 0x55555555, out=bits[_SENT_1, :m])
         words = np.packbits(bits, axis=-1).view(np.uint64)
-        flags = np.stack([words[_VALID], words[_ALT], words[_REFLECT],
-                          words[_ALT] & words[_REFLECT]])
-        counts += np.bitwise_count(words[_VALID:, None] & flags).sum(
+        counts += np.bitwise_count(words[:_VALID + 1, None] & words[_VALID:]).sum(
             axis=-1, dtype=np.int64)
     stream.seek((pos + 1) // 2)
     return _SIZES_FROM_COUNTS @ counts.ravel()

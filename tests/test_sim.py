@@ -162,27 +162,20 @@ def test_stream_and_category_order_match_mask_reference(d_f, d_r, variant):
 _C = sim._CHUNK
 
 
+# The zero-cell attacks' tables put all of a row's weight on a few cells,
+# so a cdf reaches 1 before its last entry; 63, 64 and 65 rounds, and
+# _C - 63, end on and around the 64-round words the category counts pack.
 @pytest.mark.parametrize("variant", ["phi1", "phi2"])
 @pytest.mark.parametrize("attack", [pauli_twirl_attack(0.1, 0.1),
-                                    random_attack(3, 9, seed=39)],
-                         ids=["twirl", "random"])
-@pytest.mark.parametrize("n", [9, _C - 1, _C, _C + 1, 2 * _C - 1, 3 * _C + 1])
+                                    random_attack(3, 9, seed=39),
+                                    identity_attack(), pauli_twirl_attack(0, 0),
+                                    pauli_twirl_attack(0.375, 0.375)],
+                         ids=["twirl", "random", "identity", "twirl-0",
+                              "twirl-3/8"])
+@pytest.mark.parametrize("n", [9, 63, 64, 65, _C - 63, _C - 1, _C, _C + 1,
+                               2 * _C - 1, 3 * _C + 1])
 def test_chunk_boundaries_match_mask_reference(n, attack, variant):
     seed = n + 11
-    assert run_protocol(n, attack, variant, seed).to_json() == \
-        _reference_json(n, attack, variant, seed)
-
-
-# Tables whose rows put all their weight on a few cells, so that a cdf
-# reaches 1 before its last entry, around the 64-round words the category
-# counts are packed into.
-@pytest.mark.parametrize("variant", ["phi1", "phi2"])
-@pytest.mark.parametrize("attack", [identity_attack(), pauli_twirl_attack(0, 0),
-                                    pauli_twirl_attack(0.375, 0.375)],
-                         ids=["identity", "twirl-0", "twirl-3/8"])
-@pytest.mark.parametrize("n", [1, 63, 64, 65, _C - 63])
-def test_tables_with_zero_cells_match_mask_reference(n, attack, variant):
-    seed = n + 23
     assert run_protocol(n, attack, variant, seed).to_json() == \
         _reference_json(n, attack, variant, seed)
 

@@ -42,7 +42,10 @@ The outputs are:
 * seeded `run_protocol` JSONs for both variants at 2**16 + 65 rounds of
   `identity_attack()`, `pauli_twirl_attack(0, 0)` and
   `pauli_twirl_attack(3/8, 3/8)`, whose tables hold zero cells and rows
-  whose cumulative distribution reaches 1 before its last entry.
+  whose cumulative distribution reaches 1 before its last entry;
+* the `key_rate_from_table` JSON of the `stat_table_from_attack` of the
+  nine seeded random attacks above, for each variant, joint weighting and
+  p-mode: tables that no symmetric sweep reaches.
 
 Compare two source trees by running it on each and diffing the outputs:
 
@@ -61,7 +64,8 @@ from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           random_attack_stacks, vector_families)
 from sqkd3.cli import main
 from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
-                           key_rate_curve, rho_be, rho_bec)
+                           key_rate_curve, key_rate_from_table, rho_be,
+                           rho_bec)
 from sqkd3.sim import run_protocol
 from sqkd3.stats import stat_table_from_attack
 
@@ -215,6 +219,15 @@ def outputs():
         n = 2**16 + 65
         yield (f"run_protocol({n}, {name}) {variant}",
                run_protocol(n, attack, variant, seed=n).to_json())
+    for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
+        attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
+        for variant, weighting, p_mode in itertools.product(
+                ("phi1", "phi2"), ("as-printed", "normalized"),
+                ("as-printed", "corrected")):
+            yield (f"key_rate_from_table random_attack({d_f}, {d_r}) "
+                   f"{variant} {weighting} {p_mode}",
+                   key_rate_from_table(stat_table_from_attack(attack, variant),
+                                       weighting, p_mode).to_json())
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ rho -> (1-3Q) rho + Q I exactly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -44,7 +45,11 @@ def _check_isometries(name: str, m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class AttackModel:
-    """Eve's forward/reverse isometries with their ancilla dimensions."""
+    """Eve's forward/reverse isometries with their ancilla dimensions.
+
+    The model keeps read-only copies of the stages it is given, so neither
+    they nor the record families built from them (`families`) can change.
+    """
 
     forward: np.ndarray   # (3*d_f, 3)
     reverse: np.ndarray   # (3*d_f*d_r, 3*d_f)
@@ -65,6 +70,16 @@ class AttackModel:
             raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
         _check_isometries("forward", fw)
         _check_isometries("reverse", rv)
+        for name, stage in (("forward", fw), ("reverse", rv)):
+            stage = stage.copy(order="K")
+            stage.flags.writeable = False
+            object.__setattr__(self, name, stage)
+
+    @functools.cached_property
+    def families(self) -> "VectorFamilies":
+        """The record families of the attack, built on first use and kept:
+        the vector_families of its stages."""
+        return vector_families(self.forward, self.reverse)
 
     def composed(self) -> np.ndarray:
         """V = U_R U_F as a (3*d_f*d_r, 3) isometry (receiver reflecting)."""
@@ -316,14 +331,17 @@ def vector_families(attack: AttackModel | np.ndarray,
                     reverse: np.ndarray | None = None) -> VectorFamilies:
     """Extract every record family of an attack in one pass.
 
-    vector_families(attack) takes one AttackModel.  vector_families(forward,
-    reverse) takes stage stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f)
-    of attacks of one shape, and every family gains their leading axes.
-    One attack is the empty stack, and each attack of a stack gets the bits
-    of its own call.
+    vector_families(attack) takes one AttackModel and returns the families
+    it keeps (AttackModel.families), built on the first call.
+    vector_families(forward, reverse) builds them afresh from stage stacks
+    (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f) of attacks of one shape, and
+    every family gains their leading axes.  One attack is the empty stack,
+    and each attack of a stack gets the bits of its own call.  Every family
+    array is read-only.
     """
-    forward, reverse = ((attack.forward, attack.reverse) if reverse is None
-                        else (attack, reverse))
+    if reverse is None:
+        return attack.families
+    forward = attack
     stack = forward.shape[:-2]
     k = len(stack)   # record axes count from k on
     d_f, dim = forward.shape[-2] // 3, reverse.shape[-2] // 3
@@ -346,4 +364,7 @@ def vector_families(attack: AttackModel | np.ndarray,
                     vin.reshape(stack + (27, 3 * d_f, 1)))
     ekij = out.reshape(stack + (3, 9, 3, dim)).transpose(
         *range(k), k + 2, k, k + 1, k + 3)
-    return VectorFamilies(e, ekij, f, gh[..., 0, :, :], gh[..., 1, :, :])
+    fams = VectorFamilies(e, ekij, f, gh[..., 0, :, :], gh[..., 1, :, :])
+    for family in vars(fams).values():
+        family.flags.writeable = False
+    return fams

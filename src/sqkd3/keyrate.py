@@ -95,20 +95,21 @@ class Sigma1Decomposition:
         return m / (self.p000 + self.p111 + self.p222)
 
 
-#: Flat indices (2, n_terms) of the two cells of each square-root term of
-#: X: the _N_POS positive terms, then the negative ones.
-_X_PAIRS = np.ravel_multi_index(
+#: Flat indices of the two cells of each square-root term of X: the _N_POS
+#: positive terms, then the negative ones.
+_X_LEFT, _X_RIGHT = np.ravel_multi_index(
     np.transpose(tables.X_SQRT_POS + tables.X_SQRT_NEG), (3, 3, 3))
 _N_POS = len(tables.X_SQRT_POS)
 
 
 def _x_stat(p: np.ndarray, basis_err: np.ndarray, variant: str) -> np.ndarray:
     cells = p.reshape(-1, 27).T
-    terms = np.sqrt(cells[_X_PAIRS[0]] * cells[_X_PAIRS[1]])
-    c54 = tables.X54_COEFFICIENT[variant]
-    pos, neg = (sequential_sum(part).reshape(p.shape[:-3])
-                for part in (terms[:_N_POS], terms[_N_POS:]))
-    return 3.0 - 1.5 * basis_err.sum(axis=-1) + c54 * pos - neg
+    terms = cells[_X_LEFT] * cells[_X_RIGHT]
+    np.sqrt(terms, out=terms)
+    x = (3.0 - 1.5 * basis_err.sum(axis=-1)
+         + tables.X54_COEFFICIENT[variant] * sequential_sum(terms[:_N_POS])
+         - sequential_sum(terms[_N_POS:]))
+    return x.reshape(p.shape[:-3])
 
 
 def x_bound(table: StatTable) -> float:
@@ -131,15 +132,15 @@ _NO_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN == 0)
 _ANY_ERROR_CELLS = np.flatnonzero(ERROR_PATTERN)
 
 
-def _no_error_diagonal(p: np.ndarray) -> tuple:
-    """(p000, p111, p222) of tables p (..., 3, 3, 3)."""
-    flat = p.reshape(p.shape[:-3] + (27,))
-    return tuple(flat[..., cell] for cell in _NO_ERROR_CELLS)
+def _no_error_diagonal(p: np.ndarray) -> np.ndarray:
+    """(p000, p111, p222) of tables p (..., 3, 3, 3), as one array (3, ...)."""
+    return p.reshape(-1, 27).T[_NO_ERROR_CELLS].reshape((3,) + p.shape[:-3])
 
 
-def _ceiling(p: np.ndarray) -> np.ndarray:
-    """Largest overlap sum compatible with the three diagonal entries."""
-    p000, p111, p222 = _no_error_diagonal(p)
+def _ceiling(diag) -> np.ndarray:
+    """Largest overlap sum compatible with the diagonal entries
+    diag = (p000, p111, p222)."""
+    p000, p111, p222 = diag
     return p000 * p111 + p000 * p222 + p111 * p222
 
 
@@ -149,8 +150,8 @@ def _is_corrected(mode: str) -> bool:
     return mode == "corrected"
 
 
-def _p_lower(s_clamped, p: np.ndarray, corrected: bool) -> np.ndarray:
-    return np.minimum(s_clamped / 3.0, _ceiling(p)) if corrected else s_clamped
+def _p_lower(s_clamped, diag, corrected: bool) -> np.ndarray:
+    return np.minimum(s_clamped / 3.0, _ceiling(diag)) if corrected else s_clamped
 
 
 def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
@@ -163,7 +164,8 @@ def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float
     the symmetric twirl the corrected value is 2.548 against an exact
     2.342 at Q = 0.02, and 1.968 against 1.566 at Q = 0.05.
     """
-    return float(_p_lower(_clamped_square(x), table.p, _is_corrected(mode)))
+    return float(_p_lower(_clamped_square(x), _no_error_diagonal(table.p),
+                          _is_corrected(mode)))
 
 
 def _h(lam):
@@ -172,14 +174,19 @@ def _h(lam):
     return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
 
 
-def _sigma1_terms(p000, p111, p222, p, corrected: bool):
+def _sigma1_terms(diag, p, corrected: bool):
     """(Re lambda1, Re lambda2, h(lambda1) + h(lambda2)) of the no-error
-    block, by the closed form of the module docstring."""
+    block with diagonal diag = (p000, p111, p222), by the closed form of the
+    module docstring."""
+    p000, p111, p222 = diag
     total = p000 + p111 + p222
-    if np.any(total <= 0):
+    # a ufunc, not `total <= 0`: the entries may be Python floats
+    if np.less_equal(total, 0.0).any():
         raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
-    disc = (4.0 * p + _square(p000) - 2.0 * p000 * p111 + _square(p111)
-            - 2.0 * p000 * p222 - 2.0 * p111 * p222 + _square(p222))
+    sq000, sq111, sq222 = _square(diag)
+    twice000 = 2.0 * p000
+    disc = (4.0 * p + sq000 - twice000 * p111 + sq111
+            - twice000 * p222 - 2.0 * p111 * p222 + sq222)
     disc = np.maximum(disc, 0.0) if corrected else np.asarray(disc, dtype=complex)
     half_spread = np.sqrt(disc) / (2.0 * total)
     # lambda1 and lambda2 stacked; 0.5 + (-s) has the bits of 0.5 - s
@@ -197,14 +204,14 @@ def sigma1_eigenvalues(p000: float, p111: float, p222: float,
     Discriminant floored at zero, results clamped to [0, 1]; the third
     eigenvalue is identically zero.
     """
-    lam1, lam2, _ = _sigma1_terms(p000, p111, p222, p, True)
+    lam1, lam2, _ = _sigma1_terms((p000, p111, p222), p, True)
     return float(lam1), float(lam2)
 
 
 def sigma1_entropy_terms(p000: float, p111: float, p222: float, p: float,
                          mode: str) -> tuple[float, float, float]:
     """(lambda1, lambda2, entropy term sum) under the chosen semantics."""
-    lam1, lam2, ent = _sigma1_terms(p000, p111, p222, p, _is_corrected(mode))
+    lam1, lam2, ent = _sigma1_terms((p000, p111, p222), p, _is_corrected(mode))
     return float(lam1), float(lam2), float(ent)
 
 
@@ -222,8 +229,9 @@ def _s_ec_upper(t: np.ndarray, ent) -> np.ndarray:
 
     The paper's printed expression, not a bound: see s_ec_upper.
     """
-    return (entropy3(t / 3) + (t[..., 1] + t[..., 2] + t[..., 3]) / 3.0
-            + t[..., 0] / 3.0 * ent)
+    third = t / 3
+    return (entropy3(third) + (t[..., 1] + t[..., 2] + t[..., 3]) / 3.0
+            + third[..., 0] * ent)
 
 
 def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
@@ -272,12 +280,12 @@ def s_ec_bound(p: np.ndarray, overlap: float) -> float:
     if p.shape != (3, 3, 3):
         raise ValueError("p must be a 3x3x3 table")
     check_p_tables(p)
-    diag = np.array(_no_error_diagonal(p))
+    diag = _no_error_diagonal(p)
     t1 = diag.sum()
     outer = entropy3(np.concatenate([[t1], p.reshape(27)[_ANY_ERROR_CELLS]]) / 3.0)
     if t1 <= 0.0:
         return float(outer)
-    overlap = min(max(overlap, 0.0), float(_ceiling(p)))
+    overlap = min(max(overlap, 0.0), float(_ceiling(diag)))
     purity = (np.sum(diag * diag) + 2.0 * overlap) / (t1 * t1)
     a = min((1.0 + np.sqrt(2.0 * max(3.0 * purity - 1.0, 0.0))) / 3.0, 1.0)
     b = (1.0 - a) / 2.0
@@ -305,8 +313,9 @@ def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
     x = _x_stat(p, basis_err, variant)
     s_clamped = _clamped_square(x)
     corrected = _is_corrected(p_mode)
-    p_low = _p_lower(s_clamped, p, corrected)
-    lam1, lam2, ent = _sigma1_terms(*_no_error_diagonal(p), p_low, corrected)
+    diag = _no_error_diagonal(p)
+    p_low = _p_lower(s_clamped, diag, corrected)
+    lam1, lam2, ent = _sigma1_terms(diag, p_low, corrected)
     bec = _s_bec(p)
     ec_upper = _s_ec_upper(t, ent)
     hba = _h_b_given_a(*joint_tables(p, weighting))
@@ -371,7 +380,7 @@ def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
     p-mode and table variant in use; a flag that names another value for
     one of those three raises ValueError.
     """
-    cols = {k: v[0].item() for k, v in _evaluate(
+    cols = {k: v.item() for k, v in _evaluate(
         table.p[None], table.basis_err[None], table.variant, weighting,
         p_mode).items()}
     flags = dict(convention_flags or {})

@@ -66,16 +66,21 @@ def entropy3(probs) -> np.ndarray:
     the sum over its positive entries alone.
     """
     p = np.ascontiguousarray(probs, dtype=float)
-    if not (p > 0).all():   # the all-positive path makes no second pass
+    # the minimum is NaN if an entry is; the all-positive path makes no
+    # second pass
+    if not p.min(initial=np.inf) > 0:
         valid = p >= -1e-12  # False at NaN
         if not valid.all():
             raise ValueError(f"invalid probability {p[~valid][0]} in entropy argument")
         p = np.where(p > 0, p, 1.0)
+    terms = np.log(p)
+    terms *= p
     # -s / LN3 and s / -LN3 are the same float
-    out = (p * np.log(p)).sum(axis=-1) / -LN3
-    # A +inf entry has an infinite term, so its row entropy is -inf; one
-    # test of the row entropies stands for a second pass over p.
-    if not np.isfinite(out).all():
+    out = terms.sum(axis=-1) / -LN3
+    # Every entry is now positive, so no row entropy is NaN or +inf, and a
+    # +inf entry has an infinite term, which makes its row entropy -inf: one
+    # test of the least row entropy stands for a second pass over p.
+    if not out.min(initial=np.inf) > -np.inf:
         raise ValueError(f"invalid probability {p.max()} in entropy argument")
     return out
 

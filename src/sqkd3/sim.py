@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,10 +221,17 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     docstring defines: the alternative-basis flags from halves [0, n), the
     reflect flags from halves [n, 2n), the sent values from the nonzero
     halves after, then one word per round of each category in key order.
-    Time is linear in n and memory does not grow with it.
+    Time is linear in n and memory does not grow with it.  n is any
+    integer >= 1, a numpy integer included, but not a bool.
     """
-    if n < 1:
-        raise ValueError("need at least one round")
+    try:
+        rounds = operator.index(n)   # refuses floats, even integral ones
+    except TypeError:
+        rounds = 0
+    # bool is a subclass of int
+    if isinstance(n, bool) or rounds < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = rounds
     fams = vector_families(attack)
     counts_p = np.zeros((3, 9), dtype=np.int64)
     alt_reflect = np.zeros((3, 3), dtype=np.int64)

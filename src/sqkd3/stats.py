@@ -89,6 +89,8 @@ class JointDistribution:
 
 
 _I, _J, _K = np.indices((3, 3, 3))
+#: Index of record e^k_{j, 3i+j} in ekij, at [i, j, k].
+_MEASURED = (_K, _J, 3 * _I + _J)
 
 #: Error pattern of cell [i, j, k] (sent, receiver found, sender found):
 #: 0 no error, 1 outbound error only, 2 return error only, 3 both.
@@ -99,7 +101,7 @@ def measure_records(fams: VectorFamilies) -> np.ndarray:
     """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
     (sent |i>, receiver found |j>, sender finds |k>), (..., 3, 3, 3, D) at
     [..., i, j, k], with the families' stack axes leading."""
-    return fams.ekij[..., _K, _J, 3 * _I + _J, :]
+    return fams.ekij[(..., *_MEASURED, slice(None))]
 
 
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
@@ -209,14 +211,18 @@ def basis_error_expanded(gram: np.ndarray, variant: str) -> np.ndarray:
 #: receiver-major (j, i, k) order they are added.
 _JIK = np.arange(27).reshape(3, 3, 3).transpose(1, 0, 2).ravel()
 _T_CELLS = [_JIK[ERROR_PATTERN.ravel()[_JIK] == c] for c in range(3)]
+#: The cells of _T_CELLS in one gather, and the run of each pattern in it.
+_T_ORDER = np.concatenate(_T_CELLS)
+_T_RUNS = (slice(0, 3), slice(3, 9), slice(9, 15))
 
 
 def t_value_array(p: np.ndarray) -> np.ndarray:
     """t_values of tables p (..., 3, 3, 3), stacked on a last axis of 4."""
     flat = p.reshape(-1, 27)
+    cells = flat.T[_T_ORDER]
     t = np.empty((len(flat), 4))
-    for c, cells in enumerate(_T_CELLS):
-        t[:, c] = sequential_sum(flat.T[cells])
+    for c, run in enumerate(_T_RUNS):
+        t[:, c] = sequential_sum(cells[run])
     t[:, 3] = flat.sum(axis=-1) - t[:, 0] - t[:, 1] - t[:, 2]
     return t.reshape(p.shape[:-3] + (4,))
 
@@ -240,7 +246,7 @@ def joint_tables(p: np.ndarray, weighting: str = "as-printed"
     check_conventions(joint_weighting=weighting)
     joint = _JOINT_WEIGHTS * p.sum(axis=-3)
     if weighting == "normalized":
-        joint = joint / joint.sum(axis=(-2, -1))[..., None, None]
+        joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
     return joint, joint.sum(axis=-2)
 
 

@@ -304,6 +304,53 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                 == basis_error_expanded(f_gram(flat), variant).tobytes())
 
 
+def test_attack_keeps_its_families():
+    attack = random_attack(3, 9, seed=12)
+    assert vector_families(attack) is vector_families(attack)
+    assert vector_families(attack) is attack.families
+
+
+def test_statistics_and_run_build_the_families_once(monkeypatch):
+    # the model builds its families through the stage-stack form of
+    # vector_families, which the counter sees
+    built = []
+    build = attack_module.vector_families
+
+    def counting(attack, reverse=None):
+        built.append(reverse is not None)
+        return build(attack, reverse)
+
+    monkeypatch.setattr(attack_module, "vector_families", counting)
+    attack = random_attack(3, 9, seed=12)
+    for variant in ("phi1", "phi2"):
+        stat_table_from_attack(attack, variant)
+    run_protocol(100, attack, "phi1", seed=1)
+    assert built.count(True) == 1
+
+
+@pytest.mark.parametrize("stage", ["forward", "reverse"])
+def test_attack_stages_are_read_only_copies(stage):
+    given = random_attack(3, 3, seed=11)
+    stages = {"forward": given.forward.copy(), "reverse": given.reverse.copy()}
+    attack = AttackModel(stages["forward"], stages["reverse"], 3, 3)
+    kept = getattr(attack, stage)
+    assert kept.tobytes() == stages[stage].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 0.0
+    # the caller's array stays writable, and writing it leaves the model
+    stages[stage][0, 0] = 0.0
+    assert kept[0, 0] == getattr(given, stage)[0, 0] != 0.0
+
+
+@pytest.mark.parametrize("name", ["e", "ekij", "f", "g", "h"])
+def test_family_arrays_are_read_only(name):
+    attack = random_attack(3, 3, seed=11)
+    fw, rv = random_attack_stacks(3, 3, [11, 12]).__next__()
+    for fams in (vector_families(attack), vector_families(fw, rv)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fams, name)[..., 0] = 0.0
+
+
 def test_random_attacks_of_no_seeds_is_empty():
     assert list(random_attack_stacks(3, 3, [])) == []
 

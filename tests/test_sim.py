@@ -49,6 +49,21 @@ def test_unknown_variant_rejected_before_sampling(variant, monkeypatch):
         run_protocol(100, attack, variant, seed=0)
 
 
+@pytest.mark.parametrize("n", [1, 5, 2**16 + 1])
+def test_numpy_integer_round_count_gives_the_int_json(n):
+    attack = pauli_twirl_attack(0.1, 0.1)
+    for variant in ("phi1", "phi2"):
+        assert (run_protocol(np.int64(n), attack, variant, seed=3).to_json()
+                == run_protocol(n, attack, variant, seed=3).to_json())
+
+
+@pytest.mark.parametrize("n", [True, False, np.True_, 1.5, 1e4, np.float64(100),
+                               "5", 0, -1, np.int64(0)])
+def test_round_count_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+        run_protocol(n, pauli_twirl_attack(0.1, 0.1))
+
+
 def test_sifted_fraction_converges():
     res = run_protocol(100_000, identity_attack(), "phi1", seed=3)
     sd = np.sqrt(0.25 * 0.75 / res.n_rounds)

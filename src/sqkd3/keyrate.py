@@ -184,9 +184,8 @@ def _sigma1_terms(diag, p, corrected: bool):
     if np.less_equal(total, 0.0).any():
         raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
     sq000, sq111, sq222 = _square(diag)
-    twice000 = 2.0 * p000
-    disc = (4.0 * p + sq000 - twice000 * p111 + sq111
-            - twice000 * p222 - 2.0 * p111 * p222 + sq222)
+    disc = (4.0 * p + sq000 - 2.0 * p000 * p111 + sq111
+            - 2.0 * p000 * p222 - 2.0 * p111 * p222 + sq222)
     disc = np.maximum(disc, 0.0) if corrected else np.asarray(disc, dtype=complex)
     half_spread = np.sqrt(disc) / (2.0 * total)
     # lambda1 and lambda2 stacked; 0.5 + (-s) has the bits of 0.5 - s

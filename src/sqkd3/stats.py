@@ -89,8 +89,8 @@ class JointDistribution:
 
 
 _I, _J, _K = np.indices((3, 3, 3))
-#: Index of record e^k_{j, 3i+j} in ekij, at [i, j, k].
-_MEASURED = (_K, _J, 3 * _I + _J)
+#: 3i + j at [i, j, k]: the forward record index of a measured round.
+_IJ = 3 * _I + _J
 
 #: Error pattern of cell [i, j, k] (sent, receiver found, sender found):
 #: 0 no error, 1 outbound error only, 2 return error only, 3 both.
@@ -101,7 +101,7 @@ def measure_records(fams: VectorFamilies) -> np.ndarray:
     """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
     (sent |i>, receiver found |j>, sender finds |k>), (..., 3, 3, 3, D) at
     [..., i, j, k], with the families' stack axes leading."""
-    return fams.ekij[(..., *_MEASURED, slice(None))]
+    return fams.ekij[..., _K, _J, _IJ, :]
 
 
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:

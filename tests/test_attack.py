@@ -345,7 +345,7 @@ def test_attack_stages_are_read_only_copies(stage):
 @pytest.mark.parametrize("name", ["e", "ekij", "f", "g", "h"])
 def test_family_arrays_are_read_only(name):
     attack = random_attack(3, 3, seed=11)
-    fw, rv = random_attack_stacks(3, 3, [11, 12]).__next__()
+    fw, rv = next(random_attack_stacks(3, 3, [11, 12]))
     for fams in (vector_families(attack), vector_families(fw, rv)):
         with pytest.raises(ValueError, match="read-only"):
             getattr(fams, name)[..., 0] = 0.0

@@ -14,12 +14,13 @@ The outputs are:
   most categories are empty;
 * the `verify` text;
 * the forward and reverse isometries of `pauli_twirl_attack(q, q)` and its
-  five record families, at q in {0, 0.1, 3/8};
+  five record families, at q in {0, 0.1, 3/8}, and apart its measured
+  records (`measure_records`, the family `records`);
 * the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
   `pauli_twirl_attack(q, q)`, at q in {0.02, 0.1, 0.3};
-* the `conditional_entropies`, and for both variants the
-  `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON, of
-  one seeded random attack per (d_f, d_r) in {1, 3, 9}^2;
+* the `conditional_entropies` and measured records, and for both variants
+  the `stat_table_from_attack` and a seeded 2000-round `run_protocol` JSON,
+  of one seeded random attack per (d_f, d_r) in {1, 3, 9}^2;
 * seeded `run_protocol` JSONs for both variants at the round counts around
   the sampler's 2**16-round chunks (2**16 - 1, 2**16, 2**16 + 1,
   3 * 2**16 + 1), on the twirl at q = 0.1 and on a seeded random attack,
@@ -67,7 +68,7 @@ from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
                            key_rate_curve, key_rate_from_table, rho_be,
                            rho_bec)
 from sqkd3.sim import run_protocol
-from sqkd3.stats import stat_table_from_attack
+from sqkd3.stats import measure_records, stat_table_from_attack
 
 CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
                "--p-mode": ("printed", "corrected"),
@@ -148,6 +149,8 @@ def outputs():
             arr.tobytes().hex() for arr in (attack.forward, attack.reverse,
                                             fams.e, fams.ekij, fams.f, fams.g,
                                             fams.h))
+        yield (f"measure_records pauli_twirl_attack({q}, {q})",
+               measure_records(fams).tobytes().hex())
     for q in (0.02, 0.1, 0.3):
         fams = vector_families(pauli_twirl_attack(q, q))
         # rho_bec is 15 MB: hash its bytes, not their hex
@@ -159,6 +162,8 @@ def outputs():
         attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
         yield (f"conditional_entropies random_attack({d_f}, {d_r})",
                repr(conditional_entropies(vector_families(attack))))
+        yield (f"measure_records random_attack({d_f}, {d_r})",
+               measure_records(vector_families(attack)).tobytes().hex())
         for variant in ("phi1", "phi2"):
             table = stat_table_from_attack(attack, variant)
             yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",

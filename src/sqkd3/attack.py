@@ -77,8 +77,8 @@ class AttackModel:
 
     @functools.cached_property
     def families(self) -> "VectorFamilies":
-        """The record families of the attack, built on first use and kept:
-        the vector_families of its stages."""
+        """The record families of the attack, kept with it: the
+        vector_families of its stages, each family built on its first read."""
         return vector_families(self.forward, self.reverse)
 
     def composed(self) -> np.ndarray:
@@ -131,28 +131,6 @@ def _json_numbers(doc: dict, name: str, shape: tuple) -> np.ndarray:
         raise ValueError(f"{name} must be a JSON array of numbers of "
                          f"shape {shape}")
     return np.array(doc[name], dtype=float)
-
-
-@dataclass(frozen=True)
-class VectorFamilies:
-    """Eve's unnormalized record vectors for one attack, as complex arrays.
-
-    Each record is a vector along the last axis; D = d_f * d_r.
-
-    e    (9, d_f)       e[3i+j]: forward record when |i> was sent and |j>
-                        arrives.
-    ekij (3, 3, 9, D)   ekij[k, i, j]: record after the reverse stage maps
-                        |i, e_j> onto |k> (j indexes e, so 0 <= j < 9).
-    f    (9, D)         f[3i+j]: records of the composed round trip V|i,0>.
-    g    (9, D)         g[3i+j]: same, expressed on the T basis.
-    h    (9, D)         h[3i+j]: same, expressed on the K basis.
-    """
-
-    e: np.ndarray = field(repr=False)
-    ekij: np.ndarray = field(repr=False)
-    f: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    h: np.ndarray = field(repr=False)
 
 
 #: The allowed values of each convention flag, the default first, in the
@@ -288,7 +266,8 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
     the reverse stage's, as random_attack draws them.  The matrices of each
     stage are factored in one stacked QR call per stack, of at most
     _QR_STACK_BYTES of input, which gives every attack the bits of its own
-    per-matrix calls.  Each stack passes the isometry check of AttackModel.
+    per-matrix calls.  Each stack passes the isometry check of AttackModel
+    and is read-only, so vector_families keeps it without a copy.
     """
     fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
     # 16-byte entries; the reverse stage is the larger, and a shape that
@@ -305,66 +284,152 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
         rv = isometries_from_gaussian(np.array(rv_z))
         _check_isometries("forward", fw)
         _check_isometries("reverse", rv)
+        fw.flags.writeable = rv.flags.writeable = False
         yield fw, rv
 
 
-def _basis_change_coefficients() -> np.ndarray:
-    """Coefficients (9, 2, 9) that express the round-trip records on the T
-    and K bases.
+def _basis_change_coefficients(basis_id: str) -> np.ndarray:
+    """Coefficients (9, 9) that express the round-trip records on the T or
+    K basis.
 
     If V|i,0> = sum_j |j, f_{3i+j}> on the canonical basis, then on a basis
     with kets b_i the same operator reads V|b_i,0> = sum_j |b_j, v_{3i+j}>
     with v_{3i+j} = sum_{a,c} B[a,i] conj(B[c,j]) f_{3a+c}; entry
-    [3a+c, basis, 3i+j] is that coefficient.
+    [3a+c, 3i+j] is that coefficient.
     """
+    b = basis_vectors(basis_id)
     # scalar products: a broadcast array product rounds differently
-    return np.array([[[b[a, i] * np.conj(b[c, j])
-                       for i in range(3) for j in range(3)]
-                      for b in (basis_vectors("T"), basis_vectors("K"))]
+    return np.array([[b[a, i] * np.conj(b[c, j])
+                      for i in range(3) for j in range(3)]
                      for a in range(3) for c in range(3)])
 
 
-_BASIS_CHANGE = _basis_change_coefficients()
+_T_CHANGE = _basis_change_coefficients("T")
+_K_CHANGE = _basis_change_coefficients("K")
+
+
+def _family(build):
+    """A family of VectorFamilies: built by `build` on first read, then kept
+    read-only, so no write can make it stale."""
+    @functools.wraps(build)
+    def family(self):
+        array = build(self)
+        array.flags.writeable = False
+        return array
+    return functools.cached_property(family)
+
+
+@dataclass(frozen=True)
+class VectorFamilies:
+    """Eve's unnormalized record vectors, as complex arrays, for the stage
+    stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f) of attacks of one
+    shape; one attack is the empty stack.
+
+    Each family is built the first time it is read and kept read-only; it
+    gains the stages' leading axes, and each attack of a stack gets the
+    bits of its own families.  A writeable stage is kept as a read-only
+    copy, a read-only one (AttackModel's own copies) as it is.
+
+    Each record is a vector along the last axis; D = d_f * d_r.
+
+    e       (9, d_f)      e[3i+j]: forward record when |i> was sent and |j>
+                          arrives.
+    ekij    (3, 3, 9, D)  ekij[k, i, j]: record after the reverse stage
+                          maps |i, e_j> onto |k> (j indexes e, so
+                          0 <= j < 9).
+    records (3, 3, 3, D)  records[i, j, k] = ekij[k, j, 3i+j]: the records
+                          of the canonical measure-and-resend rounds (sent
+                          |i>, receiver found |j>, sender finds |k>).
+    f       (9, D)        f[3i+j]: records of the composed round trip
+                          V|i,0>.
+    g       (9, D)        g[3i+j]: same, expressed on the T basis.
+    h       (9, D)        h[3i+j]: same, expressed on the K basis.
+    """
+
+    forward: np.ndarray = field(repr=False)
+    reverse: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("forward", "reverse"):
+            stage = getattr(self, name)
+            if stage.flags.writeable:
+                stage = stage.copy(order="K")
+                stage.flags.writeable = False
+                object.__setattr__(self, name, stage)
+
+    @property
+    def _stack(self) -> tuple:
+        return self.forward.shape[:-2]
+
+    @_family
+    def e(self) -> np.ndarray:
+        d_f = self.forward.shape[-2] // 3
+        return self.forward.swapaxes(-1, -2).reshape(self._stack + (9, d_f))
+
+    @_family
+    def f(self) -> np.ndarray:
+        dim = self.reverse.shape[-2] // 3
+        return (self.reverse @ self.forward).swapaxes(-1, -2).reshape(
+            self._stack + (9, dim))
+
+    @_family
+    def g(self) -> np.ndarray:
+        return self._on_basis(_T_CHANGE)
+
+    @_family
+    def h(self) -> np.ndarray:
+        return self._on_basis(_K_CHANGE)
+
+    def _on_basis(self, change: np.ndarray) -> np.ndarray:
+        """f expressed on the basis of the coefficients `change`."""
+        k = len(self._stack)   # record axes count from k on
+        # a sequential sum over a leading (a, c) axis, whose terms are laid
+        # out in C order: numpy's pairwise sums would round differently
+        return sequential_sum(np.multiply(
+            change.reshape((9,) + (1,) * k + (9, 1)),
+            self.f.transpose(k, *range(k), k + 1)[..., None, :], order="C"))
+
+    def _reverse_images(self, vin: np.ndarray) -> np.ndarray:
+        """The reverse stage applied to each input vector (..., n, 3*d_f)
+        of vin, one matrix-vector product per input (an einsum would round
+        differently), as (..., n, 3, D)."""
+        stack, n = self._stack, vin.shape[-2]
+        out = np.matmul(self.reverse[..., None, :, :],
+                        vin.reshape(stack + (n, vin.shape[-1], 1)))
+        return out.reshape(stack + (n, 3, self.reverse.shape[-2] // 3))
+
+    @_family
+    def ekij(self) -> np.ndarray:
+        stack, k = self._stack, len(self._stack)
+        # vin[i, j] = |i> x e_j
+        vin = np.zeros(stack + (3, 9, 3, self.e.shape[-1]), dtype=complex)
+        for i in range(3):
+            vin[..., i, :, i, :] = self.e
+        out = self._reverse_images(vin.reshape(stack + (27, -1)))
+        return out.reshape(stack + (3, 9) + out.shape[-2:]).transpose(
+            *range(k), k + 2, k, k + 1, k + 3)
+
+    @_family
+    def records(self) -> np.ndarray:
+        stack = self._stack
+        # vin[i, j] = |j> x e_{3i+j}: the 9 inputs of ekij that rounds of
+        # the canonical basis measure
+        vin = np.zeros(stack + (3, 3, 3, self.e.shape[-1]), dtype=complex)
+        j = np.arange(3)
+        vin[..., :, j, j, :] = self.e.reshape(stack + (3, 3, -1))
+        return self._reverse_images(vin.reshape(stack + (9, -1))).reshape(
+            stack + (3, 3, 3, -1))
 
 
 def vector_families(attack: AttackModel | np.ndarray,
                     reverse: np.ndarray | None = None) -> VectorFamilies:
-    """Extract every record family of an attack in one pass.
+    """The record families of an attack, each built on its first read.
 
     vector_families(attack) takes one AttackModel and returns the families
-    it keeps (AttackModel.families), built on the first call.
-    vector_families(forward, reverse) builds them afresh from stage stacks
-    (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f) of attacks of one shape, and
-    every family gains their leading axes.  One attack is the empty stack,
-    and each attack of a stack gets the bits of its own call.  Every family
-    array is read-only.
+    it keeps (AttackModel.families).  vector_families(forward, reverse)
+    returns new families of stage stacks (..., 3*d_f, 3) and
+    (..., 3*d_f*d_r, 3*d_f) of attacks of one shape.
     """
     if reverse is None:
         return attack.families
-    forward = attack
-    stack = forward.shape[:-2]
-    k = len(stack)   # record axes count from k on
-    d_f, dim = forward.shape[-2] // 3, reverse.shape[-2] // 3
-    f = (reverse @ forward).swapaxes(-1, -2).reshape(stack + (9, dim))
-    # a sequential sum over a leading (a, c) axis, whose terms are laid out
-    # in C order: numpy's pairwise sums would round differently.  The terms
-    # are freed before ekij is built, which bounds a stack's peak memory.
-    terms = np.multiply(_BASIS_CHANGE.reshape((9,) + (1,) * k + (2, 9, 1)),
-                        f.transpose(k, *range(k), k + 1)[..., None, None, :],
-                        order="C")
-    gh = sequential_sum(terms)
-    del terms
-    e = forward.swapaxes(-1, -2).reshape(stack + (9, d_f))
-    # vin[i, j] = |i> x e_j, mapped by the reverse stage one matrix-vector
-    # product per input (an einsum would round differently)
-    vin = np.zeros(stack + (3, 9, 3, d_f), dtype=complex)
-    for i in range(3):
-        vin[..., i, :, i, :] = e
-    out = np.matmul(reverse[..., None, :, :],
-                    vin.reshape(stack + (27, 3 * d_f, 1)))
-    ekij = out.reshape(stack + (3, 9, 3, dim)).transpose(
-        *range(k), k + 2, k, k + 1, k + 3)
-    fams = VectorFamilies(e, ekij, f, gh[..., 0, :, :], gh[..., 1, :, :])
-    for family in vars(fams).values():
-        family.flags.writeable = False
-    return fams
+    return VectorFamilies(attack, reverse)

@@ -217,10 +217,16 @@ def _label_pass(linked: np.ndarray, label: np.ndarray) -> np.ndarray:
 
 def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian rows x cols matrix (rows >= cols) that haar_isometry
-    factors: rng draws all the real parts, then all the imaginary parts."""
+    factors: rng draws all the real parts, then all the imaginary parts.
+
+    The draws are written into one complex array.  rng.normal adds its loc
+    0.0, so it never returns -0.0, and the matrix has the bits of
+    rng.normal(...) + 1j * rng.normal(...)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    z = np.empty((rows, cols), dtype=complex)
+    z.real, z.imag = rng.normal(size=(2, rows, cols))
+    return z
 
 
 def isometries_from_gaussian(z: np.ndarray) -> np.ndarray:

@@ -213,6 +213,19 @@ def _outcome_counts(stream: _Words, size: int, probs: np.ndarray) -> np.ndarray:
     return np.diff(below)
 
 
+def _integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; a ValueError names it unless it is an integer
+    >= least, a numpy integer included, but not a bool."""
+    try:
+        number = operator.index(value)   # refuses floats, even integral ones
+    except TypeError:
+        number = least - 1
+    # bool is a subclass of int
+    if isinstance(value, bool) or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
+
+
 def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
                  seed: int = 0) -> SimulationResult:
     """Simulate n rounds and aggregate the protocol statistics.
@@ -222,16 +235,11 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     reflect flags from halves [n, 2n), the sent values from the nonzero
     halves after, then one word per round of each category in key order.
     Time is linear in n and memory does not grow with it.  n is any
-    integer >= 1, a numpy integer included, but not a bool.
+    integer >= 1 and seed any integer >= 0, numpy integers included, but
+    not bools; the result holds them as ints.
     """
-    try:
-        rounds = operator.index(n)   # refuses floats, even integral ones
-    except TypeError:
-        rounds = 0
-    # bool is a subclass of int
-    if isinstance(n, bool) or rounds < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = rounds
+    n = _integer_at_least("n", n, 1)
+    seed = _integer_at_least("seed", seed, 0)
     fams = vector_families(attack)
     counts_p = np.zeros((3, 9), dtype=np.int64)
     alt_reflect = np.zeros((3, 3), dtype=np.int64)

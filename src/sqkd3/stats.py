@@ -89,8 +89,6 @@ class JointDistribution:
 
 
 _I, _J, _K = np.indices((3, 3, 3))
-#: 3i + j at [i, j, k]: the forward record index of a measured round.
-_IJ = 3 * _I + _J
 
 #: Error pattern of cell [i, j, k] (sent, receiver found, sender found):
 #: 0 no error, 1 outbound error only, 2 return error only, 3 both.
@@ -100,8 +98,8 @@ ERROR_PATTERN = (_I != _J) + 2 * (_J != _K)
 def measure_records(fams: VectorFamilies) -> np.ndarray:
     """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
     (sent |i>, receiver found |j>, sender finds |k>), (..., 3, 3, 3, D) at
-    [..., i, j, k], with the families' stack axes leading."""
-    return fams.ekij[..., _K, _J, _IJ, :]
+    [..., i, j, k], with the families' stack axes leading: fams.records."""
+    return fams.records
 
 
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:

@@ -15,8 +15,9 @@ from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
                           pauli_twirl_isometry, random_attack,
                           random_attack_stacks, ternary_channel_apply,
                           vector_families)
-from sqkd3.keyrate import (find_threshold, key_rate_curve, key_rate_from_table,
-                           lemma1_check, p_lower_bound, sigma1_entropy_terms)
+from sqkd3.keyrate import (conditional_entropies, find_threshold, key_rate_curve,
+                           key_rate_from_table, lemma1_check, p_lower_bound,
+                           sigma1_entropy_terms)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.sim import run_protocol
 from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
@@ -265,7 +266,7 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
     seeds = range(700, 700 + per_call + 2)   # one full stack and a partial one
     stacks = list(random_attack_stacks(d_f, d_r, seeds))
     assert [len(fw) for fw, _ in stacks] == [per_call, 2]
-    names = ("e", "ekij", "f", "g", "h")
+    names = ("e", "ekij", "records", "f", "g", "h")
     seed = iter(seeds)
     for fw, rv in stacks:
         fams = vector_families(fw, rv)
@@ -328,6 +329,53 @@ def test_statistics_and_run_build_the_families_once(monkeypatch):
     assert built.count(True) == 1
 
 
+#: ekij's index [k, j, 3i+j] of the measured record at [i, j, k]
+_I, _J, _K = np.indices((3, 3, 3))
+
+
+def _records_of_ekij(fams):
+    return fams.ekij[..., _K, _J, 3 * _I + _J, :]
+
+
+@pytest.mark.parametrize("d_f", [1, 3, 9])
+@pytest.mark.parametrize("d_r", [1, 3, 9])
+def test_records_are_the_measured_cells_of_ekij(d_f, d_r):
+    fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
+    assert fams.records.shape == (3, 3, 3, d_f * d_r)
+    assert fams.records.tobytes() == _records_of_ekij(fams).tobytes()
+
+
+@pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])
+def test_records_of_verify_stacks_are_the_measured_cells_of_ekij(n_attacks,
+                                                                  seed):
+    for fams in verify._random_families(n_attacks, seed):
+        assert fams.records.tobytes() == _records_of_ekij(fams).tobytes()
+
+
+def test_statistics_and_entropies_build_only_the_families_they_read():
+    attack = random_attack(3, 3, seed=5)
+    for variant in ("phi1", "phi2"):
+        stat_table_from_attack(attack, variant)
+    conditional_entropies(attack.families)
+    assert {"e", "records", "g", "h"} <= vars(attack.families).keys()
+    assert "ekij" not in vars(attack.families)
+    twirl = pauli_twirl_attack(0.1, 0.1)
+    run_protocol(100, twirl, "phi2", seed=1)
+    assert {"records", "h"} <= vars(twirl.families).keys()
+    assert not {"ekij", "g"} & vars(twirl.families).keys()
+
+
+def test_families_keep_a_read_only_copy_of_a_writeable_stage():
+    given = random_attack(3, 3, seed=11)
+    fw, rv = given.forward.copy(), given.reverse.copy()
+    fams = vector_families(fw, rv)
+    rv[:] = 0.0   # after the families were made, before a family is read
+    assert fams.records.tobytes() == given.families.records.tobytes()
+    assert not (fams.forward.flags.writeable or fams.reverse.flags.writeable)
+    # a read-only stage is kept as it is
+    assert vector_families(given.forward, given.reverse).reverse is given.reverse
+
+
 @pytest.mark.parametrize("stage", ["forward", "reverse"])
 def test_attack_stages_are_read_only_copies(stage):
     given = random_attack(3, 3, seed=11)
@@ -342,7 +390,7 @@ def test_attack_stages_are_read_only_copies(stage):
     assert kept[0, 0] == getattr(given, stage)[0, 0] != 0.0
 
 
-@pytest.mark.parametrize("name", ["e", "ekij", "f", "g", "h"])
+@pytest.mark.parametrize("name", ["e", "ekij", "records", "f", "g", "h"])
 def test_family_arrays_are_read_only(name):
     attack = random_attack(3, 3, seed=11)
     fw, rv = next(random_attack_stacks(3, 3, [11, 12]))

@@ -22,7 +22,7 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
 from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
 from sqkd3.stats import (StatTable, check_p_tables, joint_and_marginal,
-                         p_table_from_attack, p_table_symmetric,
+                         measure_records, p_table_from_attack, p_table_symmetric,
                          stat_table_for_scenario, stat_table_from_attack,
                          t_values)
 
@@ -880,12 +880,28 @@ def test_conditional_entropies_equal_dense_states_at_the_ends_of_the_twirl(q):
 
 def _families_with_records(records: dict, dim: int) -> VectorFamilies:
     """Families whose measure records e^k_{j, 3i+j} are records[(i, j, k)],
-    and zero for the cells not named; only the records are read."""
-    ekij = np.zeros((3, 3, 9, dim), dtype=complex)
+    and zero for the cells not named; only the records are read.
+
+    Forward record 3i+j is the unit vector 3i+j (d_f = 9), and the reverse
+    stage maps |j> x e_{3i+j} onto the records [i, j, :] and every other
+    input onto zero."""
+    forward = np.zeros((3, 9, 3), dtype=complex)      # [j, a, i]
+    reverse = np.zeros((3, dim, 3, 9), dtype=complex)  # [k, row, j, a]
+    for i, j in itertools.product(range(3), repeat=2):
+        forward[j, 3 * i + j, i] = 1.0
     for (i, j, k), vec in records.items():
-        ekij[k, j, 3 * i + j] = vec
-    zero = np.zeros((9, dim), dtype=complex)
-    return VectorFamilies(zero, ekij, zero, zero, zero)
+        reverse[k, :, j, 3 * i + j] = vec
+    return VectorFamilies(forward.reshape(27, 3), reverse.reshape(3 * dim, 27))
+
+
+def test_families_with_records_hold_the_named_records():
+    rng = np.random.default_rng(8)
+    vecs = rng.normal(size=(27, 5)) + 1j * rng.normal(size=(27, 5))
+    named = dict(zip(itertools.product(range(3), repeat=3), vecs))
+    del named[(2, 1, 0)]
+    recs = measure_records(_families_with_records(named, 5))
+    vecs[2 * 9 + 1 * 3 + 0] = 0.0
+    assert np.array_equal(recs.reshape(27, 5), vecs)
 
 
 def test_conditional_entropies_equal_dense_states_where_records_cancel():

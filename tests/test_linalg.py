@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from sqkd3 import linalg
 from sqkd3.linalg import (_component_labels, _components, basis_vectors,
-                          entropy3, haar_isometry, shannon_entropy3,
-                          von_neumann_entropy3)
+                          entropy3, gaussian_matrix, haar_isometry,
+                          shannon_entropy3, von_neumann_entropy3)
 
 # frozen oracle value: -sum p log3 p at 40 digits (mpmath)
 H3_08_01_01 = 0.5816718657178868
@@ -354,3 +354,22 @@ def test_labelling_of_an_entry_that_cancels_to_zero():
     assert (total[:2, 2:] == 0).all() and (total[:2, :2] != 0).all()
     assert_components_equal_search(total[None])
     assert [c.shape for c in _components(total[None])] == [(2, 2, 2)]
+
+
+#: the (rows, cols) of every stage that random_attack draws, d_f, d_r in
+#: {1, 3, 9}
+_STAGE_SHAPES = sorted({(3 * d_f, 3) for d_f in (1, 3, 9)}
+                       | {(3 * d_f * d_r, 3 * d_f)
+                          for d_f in (1, 3, 9) for d_r in (1, 3, 9)})
+
+
+@pytest.mark.parametrize("rows,cols", _STAGE_SHAPES)
+def test_gaussian_matrix_has_the_bits_of_the_sum_of_its_parts(rows, cols):
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        z = gaussian_matrix(rows, cols, rng)
+        want = (ref.normal(size=(rows, cols))
+                + 1j * ref.normal(size=(rows, cols)))
+        assert z.tobytes() == want.tobytes()
+        # and the generator is left where the two draws leave it
+        assert rng.normal() == ref.normal()

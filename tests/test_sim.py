@@ -64,6 +64,25 @@ def test_round_count_must_be_a_positive_integer(n):
         run_protocol(n, pauli_twirl_attack(0.1, 0.1))
 
 
+def test_numpy_integer_seed_gives_the_int_json():
+    attack = pauli_twirl_attack(0.1, 0.1)
+    got = run_protocol(5, attack, "phi1", np.int64(3))
+    assert type(got.seed) is int
+    assert got.to_json() == run_protocol(5, attack, "phi1", 3).to_json()
+    assert json.loads(got.to_json())["seed"] == 3
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_, -1, np.int64(-1), 1.5,
+                                  np.float64(3), "3"])
+def test_seed_must_be_a_nonnegative_integer(seed, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("run_protocol drew rounds")
+    monkeypatch.setattr(sim, "vector_families", no_draws)
+    monkeypatch.setattr(sim, "_Words", no_draws)
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        run_protocol(5, pauli_twirl_attack(0.1, 0.1), "phi1", seed)
+
+
 def test_sifted_fraction_converges():
     res = run_protocol(100_000, identity_attack(), "phi1", seed=3)
     sd = np.sqrt(0.25 * 0.75 / res.n_rounds)

@@ -298,6 +298,5 @@ def test_p_table_from_attack_of_verify_stacks_keeps_each_attacks_bits(n_attacks,
         assert p.shape == (len(fams.e), 3, 3, 3)
         assert measure_records(fams).shape == p.shape + fams.ekij.shape[-1:]
         for t, table in enumerate(p):
-            one = VectorFamilies(*(getattr(fams, name)[t]
-                                   for name in ("e", "ekij", "f", "g", "h")))
+            one = VectorFamilies(fams.forward[t], fams.reverse[t])
             assert table.tobytes() == p_table_from_attack(one).tobytes()

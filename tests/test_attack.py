@@ -266,7 +266,7 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
     seeds = range(700, 700 + per_call + 2)   # one full stack and a partial one
     stacks = list(random_attack_stacks(d_f, d_r, seeds))
     assert [len(fw) for fw, _ in stacks] == [per_call, 2]
-    names = ("e", "ekij", "records", "f", "g", "h")
+    names = ("e", "ekij", "f", "g", "h")
     seed = iter(seeds)
     for fw, rv in stacks:
         fams = vector_families(fw, rv)
@@ -374,6 +374,8 @@ def test_families_keep_a_read_only_copy_of_a_writeable_stage():
     assert not (fams.forward.flags.writeable or fams.reverse.flags.writeable)
     # a read-only stage is kept as it is
     assert vector_families(given.forward, given.reverse).reverse is given.reverse
+    with pytest.raises(ValueError, match="read-only"):
+        fams.records[..., 0] = 0.0
 
 
 @pytest.mark.parametrize("stage", ["forward", "reverse"])
@@ -390,7 +392,7 @@ def test_attack_stages_are_read_only_copies(stage):
     assert kept[0, 0] == getattr(given, stage)[0, 0] != 0.0
 
 
-@pytest.mark.parametrize("name", ["e", "ekij", "records", "f", "g", "h"])
+@pytest.mark.parametrize("name", ["e", "ekij", "f", "g", "h"])
 def test_family_arrays_are_read_only(name):
     attack = random_attack(3, 3, seed=11)
     fw, rv = next(random_attack_stacks(3, 3, [11, 12]))

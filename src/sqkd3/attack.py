@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -30,6 +31,19 @@ ISOMETRY_TOL = 1e-12
 #: Largest per-pair flip probability of the analytic scenarios: the twirl
 #: weight 1 - 8Q/3 of the error-free pattern stays nonnegative up to 3/8.
 Q_MAX = 0.375
+
+
+def _integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; a ValueError names it unless it is an integer
+    >= least, a numpy integer included, but not a bool."""
+    try:
+        number = operator.index(value)   # refuses floats, even integral ones
+    except TypeError:
+        number = least - 1
+    # bool is a subclass of int
+    if isinstance(value, bool) or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
 def _check_isometries(name: str, m: np.ndarray) -> None:
@@ -58,11 +72,7 @@ class AttackModel:
 
     def __post_init__(self):
         for name in ("d_f", "d_r"):
-            value = getattr(self, name)
-            # bool is a subclass of int, and numpy integers are not ints
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _integer_at_least(name, getattr(self, name), 1)
         fw, rv = self.forward, self.reverse
         if fw.shape != (3 * self.d_f, 3):
             raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
@@ -145,8 +155,12 @@ CONVENTIONS = {
 
 
 def check_conventions(**values) -> None:
-    """Reject a value that is not in CONVENTIONS[name], for each name=value."""
+    """Reject a name that is not in CONVENTIONS, and a value that is not in
+    CONVENTIONS[name], for each name=value."""
     for name, value in values.items():
+        if name not in CONVENTIONS:
+            raise ValueError(f"unknown convention flag {name!r}, expected one of "
+                             + ", ".join(CONVENTIONS))
         if value not in CONVENTIONS[name]:
             raise ValueError(f"unknown {name} {value!r}, expected one of "
                              + ", ".join(CONVENTIONS[name]))
@@ -245,8 +259,11 @@ def identity_attack() -> AttackModel:
 
 
 def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
-    """Haar-random two-stage attack; seed is required for reproducibility."""
-    rng = np.random.default_rng(seed)
+    """Haar-random two-stage attack; seed is required for reproducibility.
+
+    seed is any integer >= 0, a numpy integer included, but not a bool.
+    """
+    rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
     return AttackModel(haar_isometry(3 * d_f, 3, rng),
                        haar_isometry(3 * d_f * d_r, 3 * d_f, rng), d_f, d_r)
 
@@ -267,7 +284,8 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
     stage are factored in one stacked QR call per stack, of at most
     _QR_STACK_BYTES of input, which gives every attack the bits of its own
     per-matrix calls.  Each stack passes the isometry check of AttackModel
-    and is read-only, so vector_families keeps it without a copy.
+    and is read-only, so vector_families keeps it without a copy.  Each
+    seed is checked as random_attack checks it, before its draws.
     """
     fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
     # 16-byte entries; the reverse stage is the larger, and a shape that
@@ -277,7 +295,7 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
     while chunk := list(itertools.islice(seeds, per_call)):
         fw_z, rv_z = [], []
         for seed in chunk:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
             fw_z.append(gaussian_matrix(*fw_shape, rng))
             rv_z.append(gaussian_matrix(*rv_shape, rng))
         fw = isometries_from_gaussian(np.array(fw_z))

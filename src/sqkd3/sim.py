@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackModel, vector_families
+from .attack import AttackModel, _integer_at_least, vector_families
 from .stats import _ERROR_CELLS, StatTable, alt_basis_table, p_table_from_attack
 
 _ERR_SENT = _ERROR_CELLS[0]
@@ -211,19 +210,6 @@ def _outcome_counts(stream: _Words, size: int, probs: np.ndarray) -> np.ndarray:
         below[1:-1] += [np.count_nonzero(w < b) if b < 2**64 else w.size
                         for b in limits]
     return np.diff(below)
-
-
-def _integer_at_least(name: str, value, least: int) -> int:
-    """value as an int; a ValueError names it unless it is an integer
-    >= least, a numpy integer included, but not a bool."""
-    try:
-        number = operator.index(value)   # refuses floats, even integral ones
-    except TypeError:
-        number = least - 1
-    # bool is a subclass of int
-    if isinstance(value, bool) or number < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
 
 
 def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",

@@ -411,6 +411,31 @@ def test_random_attack_rejects_empty_ancilla(d_f, d_r):
         random_attack(d_f, d_r, 1)
 
 
+_SEED_DRAWS = {
+    "random_attack": lambda seed: random_attack(1, 1, seed),
+    "random_attack_stacks": lambda seed: next(random_attack_stacks(1, 1, [seed])),
+}
+
+
+@pytest.mark.parametrize("draw", _SEED_DRAWS.values(), ids=_SEED_DRAWS.keys())
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5])
+def test_random_attack_seed_must_be_a_nonnegative_integer(draw, seed):
+    # None drew from fresh OS entropy, True ran as seed 1, and -1 and 1.5
+    # got numpy's own errors
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, "
+                                         rf"got {re.escape(repr(seed))}$"):
+        draw(seed)
+
+
+def test_random_attack_takes_a_numpy_integer_seed():
+    one = random_attack(3, 3, np.int64(4))
+    assert one.forward.tobytes() == random_attack(3, 3, 4).forward.tobytes()
+    assert one.reverse.tobytes() == random_attack(3, 3, 4).reverse.tobytes()
+    fw, rv = next(random_attack_stacks(3, 3, [np.int64(4)]))
+    assert fw[0].tobytes() == one.forward.tobytes()
+    assert rv[0].tobytes() == one.reverse.tobytes()
+
+
 def reference_plan(n_attacks, seed):
     """verify's seeded random attacks in draw order, one QR call each."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
+import sqkd3.linalg as linalg
 from sqkd3.attack import ChannelScenario, VectorFamilies, \
     alternative_basis_error, pauli_twirl_attack, random_attack, \
     random_attack_stacks, vector_families
@@ -354,6 +356,19 @@ def test_report_from_table_keeps_consistent_and_other_flags():
                                  scenario.flags())
     assert report.convention_flags == scenario.flags()
     assert report == key_rate(scenario)
+
+
+@pytest.mark.parametrize("flags,message", [
+    ({"model": "bogus"},
+     "unknown model 'bogus', expected one of dependent, independent"),
+    ({"foo": 1}, "unknown convention flag 'foo', expected one of variant, "
+                 "model, basis_noise_convention, joint_weighting, p_mode"),
+], ids=["unknown-value", "unknown-name"])
+def test_report_from_table_rejects_unknown_flags(flags, message):
+    # both were stamped on the report as given
+    table = stat_table_for_scenario(ChannelScenario(q=0.05))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        key_rate_from_table(table, convention_flags=flags)
 
 
 def test_find_threshold_reports_absence(monkeypatch):
@@ -937,6 +952,45 @@ def test_states_equal_dense_sums_where_record_rows_overlap(seed):
     assert bec.tobytes() == _rho_bec_outer_products(fams).tobytes()
     assert rho_be(fams).tobytes() == _trace_out_register(bec).tobytes()
     assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+def test_states_equal_dense_sums_where_no_block_uses_a_row():
+    # rows 2 and 5 carry no record, so every sum taken on all rows holds
+    # them as zero rows, beside the padding row cut off after the scatter
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(27, 6)) + 1j * rng.normal(size=(27, 6))
+    vecs *= rng.random((27, 6)) < 0.5
+    vecs[:, [2, 5]] = 0.0
+    vecs *= math.sqrt(3.0 / np.sum(np.abs(vecs) ** 2))
+    fams = _families_with_records(dict(zip(itertools.product(range(3), repeat=3),
+                                           vecs)), 6)
+    support, _ = keyrate._labelled_blocks(fams)
+    assert not support[..., [2, 5]].any()
+    # the blocks summed into rho_be lie on different rows
+    assert not (support == support.any(axis=1, keepdims=True)).all()
+    bec = rho_bec(fams)
+    assert bec.tobytes() == _rho_bec_outer_products(fams).tobytes()
+    assert rho_be(fams).tobytes() == _trace_out_register(bec).tobytes()
+    assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
+
+
+@pytest.mark.parametrize("q,width", [(0.1, 36), (0.0, 1)])
+def test_labelled_blocks_are_as_wide_as_the_largest_support(q, width):
+    support, blocks = keyrate._labelled_blocks(
+        vector_families(pauli_twirl_attack(q, q)))
+    assert support.sum(axis=-1).max() == width
+    assert blocks.shape == (3, 4, width, width)
+
+
+@pytest.mark.parametrize("d_f,d_r", itertools.product((1, 3, 9), repeat=2))
+def test_conditional_entropies_of_random_attacks_label_no_components(
+        d_f, d_r, monkeypatch):
+    # every block of a Haar-random attack is dense, and so is every sum of
+    # them, so each stack is one fully linked component
+    def refuse(linked):
+        raise AssertionError("components labelled")
+    monkeypatch.setattr(linalg, "_component_labels", refuse)
+    conditional_entropies(vector_families(random_attack(d_f, d_r, seed=d_f + d_r)))
 
 
 def test_conditional_entropies_traced_peak_on_the_twirl():

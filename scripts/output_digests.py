@@ -15,7 +15,7 @@ The outputs are:
 * the `verify` text;
 * the forward and reverse isometries of `pauli_twirl_attack(q, q)` and its
   five record families, at q in {0, 0.1, 3/8}, and apart its measured
-  records (`measure_records`, the family `records`);
+  records (the family `records`);
 * the bytes of `rho_be` and `rho_bec` and the `conditional_entropies` of
   `pauli_twirl_attack(q, q)`, at q in {0.02, 0.1, 0.3};
 * the `conditional_entropies` and measured records, and for both variants
@@ -68,7 +68,7 @@ from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
                            key_rate_curve, key_rate_from_table, rho_be,
                            rho_bec)
 from sqkd3.sim import run_protocol
-from sqkd3.stats import measure_records, stat_table_from_attack
+from sqkd3.stats import stat_table_from_attack
 
 CONVENTIONS = {"--variant": ("phi1", "phi2"), "--model": ("dep", "indep"),
                "--p-mode": ("printed", "corrected"),
@@ -149,8 +149,9 @@ def outputs():
             arr.tobytes().hex() for arr in (attack.forward, attack.reverse,
                                             fams.e, fams.ekij, fams.f, fams.g,
                                             fams.h))
+        # the labels keep the name of the function that once read them
         yield (f"measure_records pauli_twirl_attack({q}, {q})",
-               measure_records(fams).tobytes().hex())
+               fams.records.tobytes().hex())
     for q in (0.02, 0.1, 0.3):
         fams = vector_families(pauli_twirl_attack(q, q))
         # rho_bec is 15 MB: hash its bytes, not their hex
@@ -163,7 +164,7 @@ def outputs():
         yield (f"conditional_entropies random_attack({d_f}, {d_r})",
                repr(conditional_entropies(vector_families(attack))))
         yield (f"measure_records random_attack({d_f}, {d_r})",
-               measure_records(vector_families(attack)).tobytes().hex())
+               vector_families(attack).records.tobytes().hex())
         for variant in ("phi1", "phi2"):
             table = stat_table_from_attack(attack, variant)
             yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",

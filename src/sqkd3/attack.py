@@ -57,69 +57,6 @@ def _check_isometries(name: str, m: np.ndarray) -> None:
         raise ValueError(f"{name} stage is not an isometry")
 
 
-@dataclass(frozen=True)
-class AttackModel:
-    """Eve's forward/reverse isometries with their ancilla dimensions.
-
-    The model keeps read-only copies of the stages it is given, so neither
-    they nor the record families built from them (`families`) can change.
-    """
-
-    forward: np.ndarray   # (3*d_f, 3)
-    reverse: np.ndarray   # (3*d_f*d_r, 3*d_f)
-    d_f: int
-    d_r: int
-
-    def __post_init__(self):
-        for name in ("d_f", "d_r"):
-            _integer_at_least(name, getattr(self, name), 1)
-        fw, rv = self.forward, self.reverse
-        if fw.shape != (3 * self.d_f, 3):
-            raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
-        if rv.shape != (3 * self.d_f * self.d_r, 3 * self.d_f):
-            raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
-        _check_isometries("forward", fw)
-        _check_isometries("reverse", rv)
-        for name, stage in (("forward", fw), ("reverse", rv)):
-            stage = stage.copy(order="K")
-            stage.flags.writeable = False
-            object.__setattr__(self, name, stage)
-
-    @functools.cached_property
-    def families(self) -> "VectorFamilies":
-        """The record families of the attack, kept with it: the
-        vector_families of its stages, each family built on its first read."""
-        return vector_families(self.forward, self.reverse)
-
-    def composed(self) -> np.ndarray:
-        """V = U_R U_F as a (3*d_f*d_r, 3) isometry (receiver reflecting)."""
-        return self.reverse @ self.forward
-
-    def to_json(self) -> str:
-        def pairs(m):
-            return [[float(z.real), float(z.imag)] for z in m.ravel()]
-        return json.dumps({"d_f": int(self.d_f), "d_r": int(self.d_r),
-                           "forward": pairs(self.forward),
-                           "reverse": pairs(self.reverse)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackModel":
-        doc = _json_document(text, ("d_f", "d_r", "forward", "reverse"))
-        for name in ("d_f", "d_r"):
-            # a JSON number with a fraction or exponent loads as float, and
-            # true/false as bool, a subclass of int
-            if type(doc[name]) is not int or doc[name] < 1:
-                raise ValueError(f"{name} must be a JSON integer >= 1, "
-                                 f"got {doc[name]!r}")
-        d_f, d_r = doc["d_f"], doc["d_r"]
-        # entries are [re, im] pairs; a C-ordered pair viewed as complex is
-        # the complex(re, im) of its two floats
-        fw = _json_numbers(doc, "forward", (9 * d_f, 2)).view(complex)
-        rv = _json_numbers(doc, "reverse", (9 * d_f * d_f * d_r, 2)).view(complex)
-        return cls(fw.reshape(3 * d_f, 3), rv.reshape(3 * d_f * d_r, 3 * d_f),
-                   d_f, d_r)
-
-
 def _json_document(text: str, names: tuple) -> dict:
     """The JSON object in text; a ValueError names the first missing field."""
     doc = json.loads(text)
@@ -261,8 +198,10 @@ def identity_attack() -> AttackModel:
 def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
     """Haar-random two-stage attack; seed is required for reproducibility.
 
-    seed is any integer >= 0, a numpy integer included, but not a bool.
+    d_f and d_r are integers >= 1 and seed any integer >= 0, numpy integers
+    included, but not bools; each is checked before any draw.
     """
+    d_f, d_r = _integer_at_least("d_f", d_f, 1), _integer_at_least("d_r", d_r, 1)
     rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
     return AttackModel(haar_isometry(3 * d_f, 3, rng),
                        haar_isometry(3 * d_f * d_r, 3 * d_f, rng), d_f, d_r)
@@ -284,13 +223,13 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
     stage are factored in one stacked QR call per stack, of at most
     _QR_STACK_BYTES of input, which gives every attack the bits of its own
     per-matrix calls.  Each stack passes the isometry check of AttackModel
-    and is read-only, so vector_families keeps it without a copy.  Each
-    seed is checked as random_attack checks it, before its draws.
+    and is read-only, so vector_families keeps it without a copy.  The
+    dimensions and seeds are checked as random_attack checks them.
     """
+    d_f, d_r = _integer_at_least("d_f", d_f, 1), _integer_at_least("d_r", d_r, 1)
     fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
-    # 16-byte entries; the reverse stage is the larger, and a shape that
-    # gaussian_matrix rejects counts as one entry
-    per_call = max(1, _QR_STACK_BYTES // (16 * max(math.prod(rv_shape), 1)))
+    # 16-byte entries; the reverse stage is the larger
+    per_call = max(1, _QR_STACK_BYTES // (16 * math.prod(rv_shape)))
     seeds = iter(seeds)
     while chunk := list(itertools.islice(seeds, per_call)):
         fw_z, rv_z = [], []
@@ -346,7 +285,7 @@ class VectorFamilies:
     Each family is built the first time it is read and kept read-only; it
     gains the stages' leading axes, and each attack of a stack gets the
     bits of its own families.  A writeable stage is kept as a read-only
-    copy, a read-only one (AttackModel's own copies) as it is.
+    copy, a read-only one as it is; an AttackModel copies every stage.
 
     Each record is a vector along the last axis; D = d_f * d_r.
 
@@ -439,15 +378,65 @@ class VectorFamilies:
             stack + (3, 3, 3, -1))
 
 
+@dataclass(frozen=True)
+class AttackModel(VectorFamilies):
+    """One attack: Eve's forward/reverse isometries, then their ancilla
+    dimensions, and its record families, each built on its first read.
+
+    The model keeps read-only copies of the stages it is given, so neither
+    they nor its families can change.
+    """
+
+    d_f: int
+    d_r: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "d_f", _integer_at_least("d_f", self.d_f, 1))
+        object.__setattr__(self, "d_r", _integer_at_least("d_r", self.d_r, 1))
+        fw, rv = self.forward, self.reverse
+        if fw.shape != (3 * self.d_f, 3):
+            raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
+        if rv.shape != (3 * self.d_f * self.d_r, 3 * self.d_f):
+            raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
+        _check_isometries("forward", fw)
+        _check_isometries("reverse", rv)
+        for name, stage in (("forward", fw), ("reverse", rv)):
+            stage = stage.copy(order="K")
+            stage.flags.writeable = False
+            object.__setattr__(self, name, stage)
+
+    def to_json(self) -> str:
+        def pairs(m):
+            return [[float(z.real), float(z.imag)] for z in m.ravel()]
+        return json.dumps({"d_f": self.d_f, "d_r": self.d_r,
+                           "forward": pairs(self.forward),
+                           "reverse": pairs(self.reverse)})
+
+    @classmethod
+    def from_json(cls, text: str) -> "AttackModel":
+        doc = _json_document(text, ("d_f", "d_r", "forward", "reverse"))
+        for name in ("d_f", "d_r"):
+            # a JSON number with a fraction or exponent loads as float, and
+            # true/false as bool, a subclass of int
+            if type(doc[name]) is not int or doc[name] < 1:
+                raise ValueError(f"{name} must be a JSON integer >= 1, "
+                                 f"got {doc[name]!r}")
+        d_f, d_r = doc["d_f"], doc["d_r"]
+        # entries are [re, im] pairs; a C-ordered pair viewed as complex is
+        # the complex(re, im) of its two floats
+        fw = _json_numbers(doc, "forward", (9 * d_f, 2)).view(complex)
+        rv = _json_numbers(doc, "reverse", (9 * d_f * d_f * d_r, 2)).view(complex)
+        return cls(fw.reshape(3 * d_f, 3), rv.reshape(3 * d_f * d_r, 3 * d_f),
+                   d_f, d_r)
+
+
 def vector_families(attack: AttackModel | np.ndarray,
                     reverse: np.ndarray | None = None) -> VectorFamilies:
     """The record families of an attack, each built on its first read.
 
-    vector_families(attack) takes one AttackModel and returns the families
-    it keeps (AttackModel.families).  vector_families(forward, reverse)
-    returns new families of stage stacks (..., 3*d_f, 3) and
-    (..., 3*d_f*d_r, 3*d_f) of attacks of one shape.
+    vector_families(attack) returns the AttackModel itself, which is the
+    families of its one attack.  vector_families(forward, reverse) returns
+    new families of stage stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f)
+    of attacks of one shape.
     """
-    if reverse is None:
-        return attack.families
-    return VectorFamilies(attack, reverse)
+    return attack if reverse is None else VectorFamilies(attack, reverse)

@@ -33,8 +33,8 @@ from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
 from .stats import (_J, ERROR_PATTERN, JointDistribution, StatTable,
-                    check_p_tables, joint_tables, measure_records,
-                    p_table_symmetric, stat_table_for_scenario, t_value_array)
+                    check_p_tables, joint_tables, p_table_symmetric,
+                    stat_table_for_scenario, t_value_array)
 
 
 @dataclass(frozen=True)
@@ -494,9 +494,9 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _one_attack_records(fams: VectorFamilies) -> np.ndarray:
-    """measure_records of the families of one attack, which the
-    scalar-valued functions below take; a stack of attacks raises."""
-    recs = measure_records(fams)
+    """The measured records fams.records of the families of one attack,
+    which the functions below take; a stack of attacks raises."""
+    recs = fams.records
     if recs.ndim != 4:
         raise ValueError("expected the record families of one attack, "
                          f"got a stack of shape {recs.shape[:-4]}")
@@ -545,13 +545,25 @@ def _labelled_blocks(fams: VectorFamilies) -> tuple[np.ndarray, np.ndarray]:
     return support, blocks
 
 
-def _on_rows(support: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The sums over the leading axis of blocks (t, ..., m, m) on support
-    masks (t, ..., D), adding the t terms in order, on all D rows:
-    (..., D, D).  Each term is written by row index; no entry of a block
-    is -0.0, so a lone term keeps its bits."""
+def _summed(support: np.ndarray, blocks: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the leading axis of blocks (t, n, m, m) on support masks
+    (t, n, D), adding the t terms in order: (support, blocks) of the n
+    sums.
+
+    Terms that all lie on one support are summed as they lie.  Other sums
+    are taken on all D rows, and their support is all D rows: each term is
+    written by row index.  No entry of a block is -0.0, so a term that is
+    zero at an entry leaves the sum there as it is: each entry has the bits
+    of the sum of the full-size blocks.
+    """
+    union = support.any(axis=0)
+    # the twirl's rho_EC and rho_E terms share their sums' rows, where the
+    # in-order sum takes about a tenth of the time of the scatter below
+    if (support == union).all():
+        return union, sequential_sum(blocks)
     dim, width = support.shape[-1], blocks.shape[-1]
-    rows = _support_rows(support, width).reshape(len(support), -1, width)
+    rows = _support_rows(support, width)
     # the flat index in the sums, on D + 1 rows, of each entry of each term
     at = ((np.arange(rows.shape[1])[:, None, None] * (dim + 1)
            + rows[..., :, None]) * (dim + 1) + rows[..., None, :])
@@ -560,55 +572,34 @@ def _on_rows(support: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     # Within one term only padding slots repeat an index (row or column D),
     # and they carry exact zeros, so each buffered += is exact; row D is
     # then cut off.
-    for index, block in zip(at, blocks.reshape(at.shape)):
+    for index, block in zip(at, blocks):
         flat[index] += block
     # a contiguous copy: conditional_entropies on the strided view read
     # 10-17 % slower in perfbench's analytic workload
-    sums = np.ascontiguousarray(total[:, :dim, :dim])
-    return sums.reshape(support.shape[1:] + (dim,))
-
-
-def _summed(support: np.ndarray, blocks: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over the leading axis of blocks (t, n, m, m) on support masks
-    (t, n, D), adding the t terms in order: (support, blocks) of the n
-    sums.
-
-    Terms that all lie on one support are summed as they lie.  Other sums
-    are taken on all D rows (_on_rows), and their support is all D rows.
-    No entry of a block is -0.0, so a term that is zero at an entry leaves
-    the sum there as it is: each entry has the bits of the sum of the
-    full-size blocks.
-    """
-    union = support.any(axis=0)
-    # the twirl's rho_EC and rho_E terms share their sums' rows, where the
-    # in-order sum takes about a tenth of the time of _on_rows
-    if (support == union).all():
-        return union, sequential_sum(blocks)
-    return np.ones_like(union), _on_rows(support, blocks)
-
-
-def _block_diagonal(support: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The operator with diagonal blocks [j, c] (3, dim_c, m, m) on support
-    masks (3, dim_c, dim_e), index order (j, e, c)."""
-    _, dim_c, dim_e = support.shape
-    j, c = np.indices((3, dim_c))
-    rho = np.zeros((3, dim_e, dim_c, 3, dim_e, dim_c), dtype=complex)
-    rho[j, :, c, j, :, c] = _on_rows(support[None], blocks[None])
-    return rho.reshape(3 * dim_e * dim_c, 3 * dim_e * dim_c)
-
-
-def rho_be(fams: VectorFamilies) -> np.ndarray:
-    """Receiver/eavesdropper state of the raw-key rounds: rho_bec summed over c."""
-    support, blocks = _labelled_blocks(fams)
-    support, blocks = _summed(support.swapaxes(0, 1), blocks.swapaxes(0, 1))
-    return _block_diagonal(support[:, None], blocks[:, None])
+    return np.ones_like(union), np.ascontiguousarray(total[:, :dim, :dim])
 
 
 def rho_bec(fams: VectorFamilies) -> np.ndarray:
-    """Same state with the four-level error-pattern register attached,
-    index order (j, e, c) with c = stats.ERROR_PATTERN[i, j, k]."""
-    return _block_diagonal(*_labelled_blocks(fams))
+    """Receiver/eavesdropper state of the raw-key rounds with the
+    four-level error-pattern register, index order (j, e, c): record
+    [i, j, k] adds its outer product / 3 at (j, c = ERROR_PATTERN[i, j, k]),
+    in (j, i, k) order."""
+    recs = _one_attack_records(fams)
+    dim_e = recs.shape[-1]
+    rho = np.zeros((3, dim_e, 4, 3, dim_e, 4), dtype=complex)
+    for j, i, k in itertools.product(range(3), repeat=3):
+        c = ERROR_PATTERN[i, j, k]
+        rho[j, :, c, j, :, c] += np.outer(recs[i, j, k], recs[i, j, k].conj()) / 3.0
+    return rho.reshape(12 * dim_e, 12 * dim_e)
+
+
+def rho_be(fams: VectorFamilies) -> np.ndarray:
+    """Receiver/eavesdropper state of the raw-key rounds: rho_bec traced
+    over the register c, adding c = 0, 1, 2, 3 in that order."""
+    bec = rho_bec(fams)
+    dim = len(bec) // 4
+    blocks = bec.reshape(dim, 4, dim, 4)
+    return sum(blocks[:, c, :, c] for c in range(4))
 
 
 def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackModel, _integer_at_least, vector_families
+from .attack import AttackModel, _integer_at_least
 from .stats import _ERROR_CELLS, StatTable, alt_basis_table, p_table_from_attack
 
 _ERR_SENT = _ERROR_CELLS[0]
@@ -226,13 +226,12 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     """
     n = _integer_at_least("n", n, 1)
     seed = _integer_at_least("seed", seed, 0)
-    fams = vector_families(attack)
     counts_p = np.zeros((3, 9), dtype=np.int64)
     alt_reflect = np.zeros((3, 3), dtype=np.int64)
     # kind = alt*2 + reflect: raw key (canonical basis, measured) and noise
     # estimation (alternative basis, reflected) with their outcome tables
-    reported = {0: (p_table_from_attack(fams).reshape(3, 9), counts_p),
-                3: (alt_basis_table(fams, variant), alt_reflect)}
+    reported = {0: (p_table_from_attack(attack).reshape(3, 9), counts_p),
+                3: (alt_basis_table(attack, variant), alt_reflect)}
 
     stream = _Words(np.random.PCG64(seed))
     sizes = _category_sizes(stream, n)

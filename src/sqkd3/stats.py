@@ -14,8 +14,7 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
-                     _json_document, _json_numbers, check_conventions,
-                     vector_families)
+                     _json_document, _json_numbers, check_conventions)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -95,17 +94,10 @@ _I, _J, _K = np.indices((3, 3, 3))
 ERROR_PATTERN = (_I != _J) + 2 * (_J != _K)
 
 
-def measure_records(fams: VectorFamilies) -> np.ndarray:
-    """Records e^k_{j, 3i+j} of the canonical measure-and-resend rounds
-    (sent |i>, receiver found |j>, sender finds |k>), (..., 3, 3, 3, D) at
-    [..., i, j, k], with the families' stack axes leading: fams.records."""
-    return fams.records
-
-
 def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
     """27 probabilities (..., 3, 3, 3) from the record vectors: squared
-    norms of e^k_{j, 3i+j}, with the families' stack axes leading."""
-    return sq_norms(measure_records(fams))
+    norms of fams.records, with the families' stack axes leading."""
+    return sq_norms(fams.records)
 
 
 def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
@@ -262,9 +254,8 @@ def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed") -> JointDis
 
 def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:
     """Exact observed statistics of a concrete attack."""
-    fams = vector_families(attack)
-    return StatTable(p_table_from_attack(fams),
-                     basis_error_direct(fams, variant), variant)
+    return StatTable(p_table_from_attack(attack),
+                     basis_error_direct(attack, variant), variant)
 
 
 def stat_table_for_scenario(scenario: ChannelScenario) -> StatTable:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (CONVENTIONS, pauli_twirl_attack, random_attack_stacks,
-                     ternary_channel_apply, vector_families)
+from .attack import (CONVENTIONS, VectorFamilies, pauli_twirl_attack,
+                     random_attack_stacks, ternary_channel_apply)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues)
@@ -50,7 +50,7 @@ def _random_families(n_attacks: int, seed: int):
         plan.setdefault((_DIMS[i], _DIMS[j]), []).append(seed + 1 + trial)
     for (d_f, d_r), seeds in plan.items():
         for fw, rv in random_attack_stacks(d_f, d_r, seeds):
-            yield vector_families(fw, rv)
+            yield VectorFamilies(fw, rv)
 
 
 def check_sum_rules() -> tuple[bool, str]:
@@ -160,11 +160,11 @@ def check_entropy_inequalities() -> tuple[bool, str]:
     notes = []
     ok = True
     for q in (0.02, 0.05):
-        fams = vector_families(pauli_twirl_attack(q, q))
-        ents = conditional_entropies(fams)
+        attack = pauli_twirl_attack(q, q)
+        ents = conditional_entropies(attack)
         gap = ents["S_B_given_E"] - ents["S_B_given_EC"]
-        p_tab = p_table_from_attack(fams)
-        p_exact = no_error_overlap(fams)
+        p_tab = p_table_from_attack(attack)
+        p_exact = no_error_overlap(attack)
         slack = s_ec_bound(p_tab, p_exact) - ents["S_EC_exact"]
         ok = ok and gap >= -1e-9 and slack >= -1e-9
         lam1, lam2 = sigma1_eigenvalues(*_no_error_diagonal(p_tab), p_exact)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqkd3 import attack as attack_module
 from sqkd3 import linalg, verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
-                          identity_attack, pauli_twirl_attack,
+                          VectorFamilies, identity_attack, pauli_twirl_attack,
                           pauli_twirl_isometry, random_attack,
                           random_attack_stacks, ternary_channel_apply,
                           vector_families)
@@ -126,7 +126,7 @@ def reference_records(attack):
             vin = np.zeros(3 * d_f, dtype=complex)
             vin[i * d_f:(i + 1) * d_f] = e[j]
             ek[:, i, j] = (attack.reverse @ vin).reshape(3, dim)
-    v = attack.composed()
+    v = attack.reverse @ attack.forward
     f = [v[:, i].reshape(3, dim)[j] for i in range(3) for j in range(3)]
 
     def on_basis(b):
@@ -307,26 +307,25 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
 
 def test_attack_keeps_its_families():
     attack = random_attack(3, 9, seed=12)
-    assert vector_families(attack) is vector_families(attack)
-    assert vector_families(attack) is attack.families
+    assert vector_families(attack) is attack
 
 
 def test_statistics_and_run_build_the_families_once(monkeypatch):
-    # the model builds its families through the stage-stack form of
-    # vector_families, which the counter sees
-    built = []
-    build = attack_module.vector_families
+    # the measured records are the one family built from reverse-stage
+    # products that the statistics passes and the run read
+    calls = []
+    images = VectorFamilies._reverse_images
 
-    def counting(attack, reverse=None):
-        built.append(reverse is not None)
-        return build(attack, reverse)
+    def counting(self, vin):
+        calls.append(self)
+        return images(self, vin)
 
-    monkeypatch.setattr(attack_module, "vector_families", counting)
+    monkeypatch.setattr(VectorFamilies, "_reverse_images", counting)
     attack = random_attack(3, 9, seed=12)
     for variant in ("phi1", "phi2"):
         stat_table_from_attack(attack, variant)
     run_protocol(100, attack, "phi1", seed=1)
-    assert built.count(True) == 1
+    assert len(calls) == 1 and calls[0] is attack
 
 
 #: ekij's index [k, j, 3i+j] of the measured record at [i, j, k]
@@ -356,13 +355,13 @@ def test_statistics_and_entropies_build_only_the_families_they_read():
     attack = random_attack(3, 3, seed=5)
     for variant in ("phi1", "phi2"):
         stat_table_from_attack(attack, variant)
-    conditional_entropies(attack.families)
-    assert {"e", "records", "g", "h"} <= vars(attack.families).keys()
-    assert "ekij" not in vars(attack.families)
+    conditional_entropies(attack)
+    assert {"e", "records", "g", "h"} <= vars(attack).keys()
+    assert "ekij" not in vars(attack)
     twirl = pauli_twirl_attack(0.1, 0.1)
     run_protocol(100, twirl, "phi2", seed=1)
-    assert {"records", "h"} <= vars(twirl.families).keys()
-    assert not {"ekij", "g"} & vars(twirl.families).keys()
+    assert {"records", "h"} <= vars(twirl).keys()
+    assert not {"ekij", "g"} & vars(twirl).keys()
 
 
 def test_families_keep_a_read_only_copy_of_a_writeable_stage():
@@ -370,7 +369,7 @@ def test_families_keep_a_read_only_copy_of_a_writeable_stage():
     fw, rv = given.forward.copy(), given.reverse.copy()
     fams = vector_families(fw, rv)
     rv[:] = 0.0   # after the families were made, before a family is read
-    assert fams.records.tobytes() == given.families.records.tobytes()
+    assert fams.records.tobytes() == given.records.tobytes()
     assert not (fams.forward.flags.writeable or fams.reverse.flags.writeable)
     # a read-only stage is kept as it is
     assert vector_families(given.forward, given.reverse).reverse is given.reverse
@@ -405,12 +404,6 @@ def test_random_attacks_of_no_seeds_is_empty():
     assert list(random_attack_stacks(3, 3, [])) == []
 
 
-@pytest.mark.parametrize("d_f,d_r", [(0, 3), (3, 0), (-1, 3)])
-def test_random_attack_rejects_empty_ancilla(d_f, d_r):
-    with pytest.raises(ValueError, match="isometry needs rows >= cols"):
-        random_attack(d_f, d_r, 1)
-
-
 _SEED_DRAWS = {
     "random_attack": lambda seed: random_attack(1, 1, seed),
     "random_attack_stacks": lambda seed: next(random_attack_stacks(1, 1, [seed])),
@@ -432,6 +425,16 @@ def test_random_attack_takes_a_numpy_integer_seed():
     assert one.forward.tobytes() == random_attack(3, 3, 4).forward.tobytes()
     assert one.reverse.tobytes() == random_attack(3, 3, 4).reverse.tobytes()
     fw, rv = next(random_attack_stacks(3, 3, [np.int64(4)]))
+    assert fw[0].tobytes() == one.forward.tobytes()
+    assert rv[0].tobytes() == one.reverse.tobytes()
+
+
+def test_random_attack_takes_numpy_integer_dimensions():
+    one = random_attack(np.int64(3), np.int32(9), 4)
+    assert type(one.d_f) is int and type(one.d_r) is int
+    assert one.forward.tobytes() == random_attack(3, 9, 4).forward.tobytes()
+    assert one.reverse.tobytes() == random_attack(3, 9, 4).reverse.tobytes()
+    fw, rv = next(random_attack_stacks(np.int64(3), np.uint8(9), [4]))
     assert fw[0].tobytes() == one.forward.tobytes()
     assert rv[0].tobytes() == one.reverse.tobytes()
 
@@ -635,7 +638,9 @@ def test_attack_json_rejects_a_dimension_that_is_not_an_integer(field, value):
                          ids=["int64-int", "int-int32", "uint8-int64"])
 def test_attack_json_round_trip_of_numpy_dimensions(d_f, d_r):
     attack = random_attack(1, 1, seed=11)
-    text = AttackModel(attack.forward, attack.reverse, d_f, d_r).to_json()
+    model = AttackModel(attack.forward, attack.reverse, d_f, d_r)
+    text = model.to_json()
+    assert type(model.d_f) is int and type(model.d_r) is int
     doc = json.loads(text)
     assert type(doc["d_f"]) is int and type(doc["d_r"]) is int
     clone = AttackModel.from_json(text)
@@ -644,17 +649,40 @@ def test_attack_json_round_trip_of_numpy_dimensions(d_f, d_r):
     assert clone.reverse.tobytes() == attack.reverse.tobytes()
 
 
-@pytest.mark.parametrize("field", ["d_f", "d_r"])
-@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 1.5, "1", 0, -1,
-                                   np.int64(0)],
-                         ids=["True", "bool_", "1.0", "1.5", "str", "0", "-1",
-                              "int64-0"])
+#: The builders of an attack from its dimensions; the model's own
+#: constructor takes the stages of random_attack(1, 1, 11).  A case's id is
+#: value-field, then the builder's name if it draws.
+_DIMENSION_BUILDS = {
+    "": lambda stages, dims: AttackModel(*stages, **dims),
+    "random_attack": lambda stages, dims: random_attack(**dims, seed=1),
+    "random_attack_stacks":
+        lambda stages, dims: next(random_attack_stacks(**dims, seeds=[1])),
+}
+_BAD_DIMENSIONS = {"True": True, "bool_": np.bool_(True), "1.0": 1.0,
+                   "1.5": 1.5, "str": "1", "0": 0, "-1": -1,
+                   "int64-0": np.int64(0)}
+
+
+@pytest.mark.parametrize("build,field,value", [
+    pytest.param(build, field, value,
+                 id="-".join(filter(None, (name, field, builder))))
+    for builder, build in _DIMENSION_BUILDS.items()
+    for field in ("d_f", "d_r") for name, value in _BAD_DIMENSIONS.items()])
 def test_attack_model_rejects_a_dimension_that_is_not_a_positive_integer(
-        field, value):
-    attack = random_attack(1, 1, seed=11)
-    dims = {"d_f": 1, "d_r": 1, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
-        AttackModel(attack.forward, attack.reverse, **dims)
+        build, field, value, monkeypatch):
+    # the other dimension is 3, so (0, 3), (3, 0) and (-1, 3) are among the
+    # cases; a builder that draws checks both dimensions before any draw
+    stages = random_attack(1, 1, seed=11)
+    stages = (stages.forward, stages.reverse)
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the dimensions")
+    monkeypatch.setattr(attack_module, "haar_isometry", no_draws)
+    monkeypatch.setattr(attack_module, "gaussian_matrix", no_draws)
+    dims = {"d_f": 3, "d_r": 3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, "
+                                         rf"got {re.escape(repr(value))}$"):
+        build(stages, dims)
 
 
 def _edited_json(make, field, value):

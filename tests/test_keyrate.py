@@ -24,7 +24,7 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
 from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
 from sqkd3.stats import (StatTable, check_p_tables, joint_and_marginal,
-                         measure_records, p_table_from_attack, p_table_symmetric,
+                         p_table_from_attack, p_table_symmetric,
                          stat_table_for_scenario, stat_table_from_attack,
                          t_values)
 
@@ -779,12 +779,25 @@ def _rho_bec_outer_products(fams):
     return rho
 
 
-@pytest.mark.parametrize("attack", [pauli_twirl_attack(0.05, 0.05),
-                                    random_attack(3, 9, seed=17)],
-                         ids=["twirl", "random"])
-def test_rho_bec_bit_equal_to_outer_products(attack):
-    fams = vector_families(attack)
-    assert rho_bec(fams).tobytes() == _rho_bec_outer_products(fams).tobytes()
+#: The nine seeded random attacks of scripts/output_digests.py.
+_DIGEST_ATTACKS = {f"{d_f}-{d_r}": functools.partial(random_attack, d_f, d_r,
+                                                     seed=10 * d_f + d_r)
+                   for d_f, d_r in itertools.product((1, 3, 9), repeat=2)}
+_OUTER_PRODUCT_CASES = {
+    "twirl": functools.partial(pauli_twirl_attack, 0.05, 0.05),
+    "random": functools.partial(random_attack, 3, 9, seed=17),
+    **{f"twirl-{q}": functools.partial(pauli_twirl_attack, q, q)
+       for q in (0.0, Q_MAX)},
+    **_DIGEST_ATTACKS}
+
+
+@pytest.mark.parametrize("make_attack", _OUTER_PRODUCT_CASES.values(),
+                         ids=_OUTER_PRODUCT_CASES.keys())
+def test_rho_bec_bit_equal_to_outer_products(make_attack):
+    fams = vector_families(make_attack())
+    oracle = _rho_bec_outer_products(fams)
+    assert rho_bec(fams).tobytes() == oracle.tobytes()
+    assert rho_be(fams).tobytes() == _trace_out_register(oracle).tobytes()
 
 
 def _trace_out_register(bec):
@@ -795,9 +808,7 @@ def _trace_out_register(bec):
 _REGISTER_CASES = {
     **{f"twirl-{q}": functools.partial(pauli_twirl_attack, q, q)
        for q in (0.02, 0.1, 0.3)},
-    **{f"{d_f}-{d_r}": functools.partial(random_attack, d_f, d_r,
-                                         seed=10 * d_f + d_r)
-       for d_f, d_r in itertools.product((1, 3, 9), repeat=2)}}
+    **_DIGEST_ATTACKS}
 
 
 @pytest.mark.parametrize("make_attack", _REGISTER_CASES.values(),
@@ -876,9 +887,10 @@ def test_conditional_entropies_assemble_no_dense_state(monkeypatch):
     fams = vector_families(pauli_twirl_attack(0.05, 0.05))
     expected = conditional_entropies(fams)
 
-    def refuse(blocks):
+    def refuse(fams):
         raise AssertionError("dense state assembled")
-    monkeypatch.setattr(keyrate, "_block_diagonal", refuse)
+    monkeypatch.setattr(keyrate, "rho_be", refuse)
+    monkeypatch.setattr(keyrate, "rho_bec", refuse)
     assert conditional_entropies(fams) == expected
 
 
@@ -914,7 +926,7 @@ def test_families_with_records_hold_the_named_records():
     vecs = rng.normal(size=(27, 5)) + 1j * rng.normal(size=(27, 5))
     named = dict(zip(itertools.product(range(3), repeat=3), vecs))
     del named[(2, 1, 0)]
-    recs = measure_records(_families_with_records(named, 5))
+    recs = _families_with_records(named, 5).records
     vecs[2 * 9 + 1 * 3 + 0] = 0.0
     assert np.array_equal(recs.reshape(27, 5), vecs)
 

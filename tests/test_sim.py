@@ -12,7 +12,7 @@ from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
                           vector_families)
 from sqkd3.linalg import basis_vectors, sq_norms
 from sqkd3.sim import SimulationResult, max_deviation_sigma, run_protocol
-from sqkd3.stats import (alt_basis_table, basis_error_direct, measure_records,
+from sqkd3.stats import (alt_basis_table, basis_error_direct,
                          p_table_from_attack, stat_table_from_attack)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
@@ -77,7 +77,7 @@ def test_numpy_integer_seed_gives_the_int_json():
 def test_seed_must_be_a_nonnegative_integer(seed, monkeypatch):
     def no_draws(*args):
         raise AssertionError("run_protocol drew rounds")
-    monkeypatch.setattr(sim, "vector_families", no_draws)
+    monkeypatch.setattr(sim, "p_table_from_attack", no_draws)
     monkeypatch.setattr(sim, "_Words", no_draws)
     with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
         run_protocol(5, pauli_twirl_attack(0.1, 0.1), "phi1", seed)
@@ -129,7 +129,7 @@ def _reference_tables(attack, variant):
     # by linearity, sending alt ket i and measuring alt ket k on the way
     # back leaves sum_ab alt[a,i] conj(alt[b,k]) e^b_{j,3a+j}
     alt_m = sq_norms(np.einsum("ai,bk,ajbd->ijkd", alt, alt.conj(),
-                               measure_records(fams)))
+                               fams.records))
     return {("A", "M"): p_table_from_attack(fams),
             ("A", "R"): sq_norms(fams.f).reshape(3, 3),
             ("alt", "M"): alt_m, ("alt", "R"): alt_basis_table(fams, variant)}

@@ -11,7 +11,7 @@ from sqkd3.attack import (VectorFamilies, identity_attack, pauli_twirl_attack,
                           random_attack, vector_families)
 from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
                          basis_error_direct, check_p_tables, basis_error_expanded, f_gram,
-                         joint_and_marginal, measure_records, p_table_from_attack,
+                         joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
 from sqkd3.attack import ChannelScenario
@@ -296,7 +296,7 @@ def test_p_table_from_attack_of_verify_stacks_keeps_each_attacks_bits(n_attacks,
     for fams in verify._random_families(n_attacks, seed):
         p = p_table_from_attack(fams)
         assert p.shape == (len(fams.e), 3, 3, 3)
-        assert measure_records(fams).shape == p.shape + fams.ekij.shape[-1:]
+        assert fams.records.shape == p.shape + fams.ekij.shape[-1:]
         for t, table in enumerate(p):
             one = VectorFamilies(fams.forward[t], fams.reverse[t])
             assert table.tobytes() == p_table_from_attack(one).tobytes()

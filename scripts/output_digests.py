@@ -193,8 +193,9 @@ def outputs():
             yield (f"random_attacks{shape} of verify's seeds "
                    f"{seed + 1}-{seed + n_attacks}",
                    b"".join(forward.tobytes() + reverse.tobytes()
-                            for fw, rv in random_attack_stacks(*shape, seeds)
-                            for forward, reverse in zip(fw, rv)))
+                            for stack in random_attack_stacks(*shape, seeds)
+                            for forward, reverse in zip(stack.forward,
+                                                        stack.reverse)))
     # argparse wraps its text to the terminal width it reads from COLUMNS
     os.environ["COLUMNS"] = "80"
     for argv in ([], ["sweep"], ["threshold"], ["simulate"], ["verify"]):

@@ -3,9 +3,9 @@ protocol: collective-attack model, observed statistics, asymptotic
 key-rate lower bound, and a Monte Carlo protocol simulator.
 """
 
-from .attack import (AttackModel, ChannelScenario, VectorFamilies,
-                     identity_attack, pauli_twirl_attack, pauli_twirl_isometry,
-                     random_attack, ternary_channel_apply, vector_families)
+from .attack import (AttackModel, ChannelScenario, identity_attack,
+                     pauli_twirl_attack, pauli_twirl_isometry, random_attack,
+                     ternary_channel_apply, vector_families)
 from .keyrate import (KeyRateReport, Sigma1Decomposition, find_threshold,
                       key_rate, key_rate_curve, key_rate_from_table,
                       lemma1_check, no_error_overlap, p_lower_bound, s_bec,
@@ -19,7 +19,7 @@ from .stats import (JointDistribution, StatTable, basis_error_direct,
 
 __all__ = [
     "AttackModel", "ChannelScenario", "JointDistribution", "KeyRateReport",
-    "Sigma1Decomposition", "SimulationResult", "StatTable", "VectorFamilies",
+    "Sigma1Decomposition", "SimulationResult", "StatTable",
     "basis_error_direct", "basis_error_expanded", "basis_vectors",
     "find_threshold", "identity_attack", "joint_and_marginal", "key_rate",
     "key_rate_curve", "key_rate_from_table", "lemma1_check",

@@ -186,13 +186,13 @@ def pauli_twirl_attack(q_forward: float, q_reverse: float) -> AttackModel:
     rv = np.zeros((3, 9, 9, 3, 9), dtype=complex)
     af = np.arange(9)
     rv[:, af, :, :, af] += pauli_twirl_isometry(q_reverse).reshape(3, 9, 3)
-    return AttackModel(fw, rv.reshape(243, 27), 9, 9)
+    return AttackModel(fw, rv.reshape(243, 27))
 
 
 def identity_attack() -> AttackModel:
     """No-op attack (d_f = d_r = 1)."""
     eye = np.eye(3, dtype=complex)
-    return AttackModel(eye.copy(), eye.copy(), 1, 1)
+    return AttackModel(eye, eye)
 
 
 def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
@@ -204,7 +204,7 @@ def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
     d_f, d_r = _integer_at_least("d_f", d_f, 1), _integer_at_least("d_r", d_r, 1)
     rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
     return AttackModel(haar_isometry(3 * d_f, 3, rng),
-                       haar_isometry(3 * d_f * d_r, 3 * d_f, rng), d_f, d_r)
+                       haar_isometry(3 * d_f * d_r, 3 * d_f, rng))
 
 
 #: Most bytes of Gaussian input that random_attack_stacks factors in one
@@ -212,19 +212,17 @@ def random_attack(d_f: int, d_r: int, seed: int) -> AttackModel:
 _QR_STACK_BYTES = 256 * 1024
 
 
-def random_attack_stacks(d_f: int, d_r: int, seeds
-                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def random_attack_stacks(d_f: int, d_r: int, seeds) -> Iterator[AttackModel]:
     """Haar-random two-stage attacks of one shape, one per seed, as
-    (forward, reverse) stage stacks (n, 3*d_f, 3) and (n, 3*d_f*d_r, 3*d_f)
-    of consecutive seeds, with the bits of random_attack(d_f, d_r, seed).
+    AttackModel stacks of n consecutive seeds, stages (n, 3*d_f, 3) and
+    (n, 3*d_f*d_r, 3*d_f), with the bits of random_attack(d_f, d_r, seed).
 
     Each seed's generator draws the forward stage's Gaussian matrix, then
     the reverse stage's, as random_attack draws them.  The matrices of each
     stage are factored in one stacked QR call per stack, of at most
     _QR_STACK_BYTES of input, which gives every attack the bits of its own
-    per-matrix calls.  Each stack passes the isometry check of AttackModel
-    and is read-only, so vector_families keeps it without a copy.  The
-    dimensions and seeds are checked as random_attack checks them.
+    per-matrix calls.  The dimensions and seeds are checked as random_attack
+    checks them.
     """
     d_f, d_r = _integer_at_least("d_f", d_f, 1), _integer_at_least("d_r", d_r, 1)
     fw_shape, rv_shape = (3 * d_f, 3), (3 * d_f * d_r, 3 * d_f)
@@ -237,12 +235,8 @@ def random_attack_stacks(d_f: int, d_r: int, seeds
             rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
             fw_z.append(gaussian_matrix(*fw_shape, rng))
             rv_z.append(gaussian_matrix(*rv_shape, rng))
-        fw = isometries_from_gaussian(np.array(fw_z))
-        rv = isometries_from_gaussian(np.array(rv_z))
-        _check_isometries("forward", fw)
-        _check_isometries("reverse", rv)
-        fw.flags.writeable = rv.flags.writeable = False
-        yield fw, rv
+        yield AttackModel(isometries_from_gaussian(np.array(fw_z)),
+                          isometries_from_gaussian(np.array(rv_z)))
 
 
 def _basis_change_coefficients(basis_id: str) -> np.ndarray:
@@ -266,7 +260,7 @@ _K_CHANGE = _basis_change_coefficients("K")
 
 
 def _family(build):
-    """A family of VectorFamilies: built by `build` on first read, then kept
+    """A family of AttackModel: built by `build` on first read, then kept
     read-only, so no write can make it stale."""
     @functools.wraps(build)
     def family(self):
@@ -276,18 +270,21 @@ def _family(build):
     return functools.cached_property(family)
 
 
-@dataclass(frozen=True)
-class VectorFamilies:
-    """Eve's unnormalized record vectors, as complex arrays, for the stage
-    stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f) of attacks of one
-    shape; one attack is the empty stack.
+@dataclass(frozen=True, eq=False)
+class AttackModel:
+    """Eve's two-stage attack, or a stack of attacks of one shape: the
+    forward stages (..., 3*d_f, 3) and reverse stages (..., 3*d_f*d_r,
+    3*d_f), with equal leading axes, and the record families of each.
+
+    d_f and d_r are read off the stage shapes.  The model checks that every
+    stage is an isometry and keeps read-only copies of the stages it is
+    given, so neither they nor its families can change.  Equality is
+    identity.
 
     Each family is built the first time it is read and kept read-only; it
     gains the stages' leading axes, and each attack of a stack gets the
-    bits of its own families.  A writeable stage is kept as a read-only
-    copy, a read-only one as it is; an AttackModel copies every stage.
-
-    Each record is a vector along the last axis; D = d_f * d_r.
+    bits of its own families.  Each record is a vector along the last axis;
+    D = d_f * d_r.
 
     e       (9, d_f)      e[3i+j]: forward record when |i> was sent and |j>
                           arrives.
@@ -307,12 +304,28 @@ class VectorFamilies:
     reverse: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("forward", "reverse"):
-            stage = getattr(self, name)
-            if stage.flags.writeable:
-                stage = stage.copy(order="K")
-                stage.flags.writeable = False
-                object.__setattr__(self, name, stage)
+        fw, rv = self.forward, self.reverse
+        if fw.ndim < 2 or fw.shape[-1] != 3 or fw.shape[-2] % 3:
+            raise ValueError(f"forward shape {fw.shape} is not (..., 3*d_f, 3)")
+        cols = fw.shape[-2]
+        if (rv.ndim != fw.ndim or rv.shape[:-2] != fw.shape[:-2]
+                or rv.shape[-1] != cols or rv.shape[-2] % cols):
+            raise ValueError(f"reverse shape {rv.shape} is not (..., 3*d_f*d_r, "
+                             f"3*d_f) with forward shape {fw.shape}")
+        _check_isometries("forward", fw)
+        _check_isometries("reverse", rv)
+        for name, stage in (("forward", fw), ("reverse", rv)):
+            stage = stage.copy(order="K")
+            stage.flags.writeable = False
+            object.__setattr__(self, name, stage)
+
+    @property
+    def d_f(self) -> int:
+        return self.forward.shape[-2] // 3
+
+    @property
+    def d_r(self) -> int:
+        return self.reverse.shape[-2] // self.reverse.shape[-1]
 
     @property
     def _stack(self) -> tuple:
@@ -320,8 +333,8 @@ class VectorFamilies:
 
     @_family
     def e(self) -> np.ndarray:
-        d_f = self.forward.shape[-2] // 3
-        return self.forward.swapaxes(-1, -2).reshape(self._stack + (9, d_f))
+        return self.forward.swapaxes(-1, -2).reshape(
+            self._stack + (9, self.d_f))
 
     @_family
     def f(self) -> np.ndarray:
@@ -377,35 +390,8 @@ class VectorFamilies:
         return self._reverse_images(vin.reshape(stack + (9, -1))).reshape(
             stack + (3, 3, 3, -1))
 
-
-@dataclass(frozen=True)
-class AttackModel(VectorFamilies):
-    """One attack: Eve's forward/reverse isometries, then their ancilla
-    dimensions, and its record families, each built on its first read.
-
-    The model keeps read-only copies of the stages it is given, so neither
-    they nor its families can change.
-    """
-
-    d_f: int
-    d_r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_f", _integer_at_least("d_f", self.d_f, 1))
-        object.__setattr__(self, "d_r", _integer_at_least("d_r", self.d_r, 1))
-        fw, rv = self.forward, self.reverse
-        if fw.shape != (3 * self.d_f, 3):
-            raise ValueError(f"forward shape {fw.shape} != (3*d_f, 3)")
-        if rv.shape != (3 * self.d_f * self.d_r, 3 * self.d_f):
-            raise ValueError(f"reverse shape {rv.shape} != (3*d_f*d_r, 3*d_f)")
-        _check_isometries("forward", fw)
-        _check_isometries("reverse", rv)
-        for name, stage in (("forward", fw), ("reverse", rv)):
-            stage = stage.copy(order="K")
-            stage.flags.writeable = False
-            object.__setattr__(self, name, stage)
-
     def to_json(self) -> str:
+        _one_attack(self)
         def pairs(m):
             return [[float(z.real), float(z.imag)] for z in m.ravel()]
         return json.dumps({"d_f": self.d_f, "d_r": self.d_r,
@@ -426,17 +412,19 @@ class AttackModel(VectorFamilies):
         # the complex(re, im) of its two floats
         fw = _json_numbers(doc, "forward", (9 * d_f, 2)).view(complex)
         rv = _json_numbers(doc, "reverse", (9 * d_f * d_f * d_r, 2)).view(complex)
-        return cls(fw.reshape(3 * d_f, 3), rv.reshape(3 * d_f * d_r, 3 * d_f),
-                   d_f, d_r)
+        return cls(fw.reshape(3 * d_f, 3), rv.reshape(3 * d_f * d_r, 3 * d_f))
 
 
-def vector_families(attack: AttackModel | np.ndarray,
-                    reverse: np.ndarray | None = None) -> VectorFamilies:
-    """The record families of an attack, each built on its first read.
+def _one_attack(attack: AttackModel) -> AttackModel:
+    """attack, which every function of a single attack passes through
+    first; a stack of attacks raises."""
+    if attack._stack:
+        raise ValueError("expected the record families of one attack, "
+                         f"got a stack of shape {attack._stack}")
+    return attack
 
-    vector_families(attack) returns the AttackModel itself, which is the
-    families of its one attack.  vector_families(forward, reverse) returns
-    new families of stage stacks (..., 3*d_f, 3) and (..., 3*d_f*d_r, 3*d_f)
-    of attacks of one shape.
-    """
-    return attack if reverse is None else VectorFamilies(attack, reverse)
+
+def vector_families(attack: AttackModel) -> AttackModel:
+    """The record families of an attack: the AttackModel itself, which
+    builds each on its first read."""
+    return attack

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (Q_MAX, ChannelScenario, VectorFamilies,
+from .attack import (Q_MAX, AttackModel, ChannelScenario, _one_attack,
                      alternative_basis_error, check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
@@ -249,9 +249,9 @@ def s_ec_upper(t: tuple, lam1: float, lam2: float) -> float:
     return float(_s_ec_upper(np.asarray(t, dtype=float), ent))
 
 
-def no_error_overlap(fams: VectorFamilies) -> float:
+def no_error_overlap(fams: AttackModel) -> float:
     """Sum over a < b of |<e_aaa|e_bbb>|^2, the no-error block's overlaps."""
-    vecs = _one_attack_records(fams).reshape(27, -1)[_NO_ERROR_CELLS]
+    vecs = _one_attack(fams).records.reshape(27, -1)[_NO_ERROR_CELLS]
     return float(sum(abs(np.vdot(vecs[a], vecs[b])) ** 2
                      for a, b in ((0, 1), (0, 2), (1, 2))))
 
@@ -493,16 +493,6 @@ def lemma1_check(blocks: list) -> tuple[float, float]:
 # Explicit conditioned states for entropy-inequality verification
 # ---------------------------------------------------------------------------
 
-def _one_attack_records(fams: VectorFamilies) -> np.ndarray:
-    """The measured records fams.records of the families of one attack,
-    which the functions below take; a stack of attacks raises."""
-    recs = fams.records
-    if recs.ndim != 4:
-        raise ValueError("expected the record families of one attack, "
-                         f"got a stack of shape {recs.shape[:-4]}")
-    return recs
-
-
 def _support_rows(support: np.ndarray, width: int) -> np.ndarray:
     """Rows (..., width) of the True entries of each support mask (..., D),
     in increasing order, then the padding index D."""
@@ -512,7 +502,7 @@ def _support_rows(support: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _labelled_blocks(fams: VectorFamilies) -> tuple[np.ndarray, np.ndarray]:
+def _labelled_blocks(fams: AttackModel) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal blocks [j, c] of rho_bec, with c the error-pattern register
     ERROR_PATTERN[i, j, k], on the rows that their records touch; every
     other conditioned state of the raw-key rounds is a sum of these blocks.
@@ -523,7 +513,7 @@ def _labelled_blocks(fams: VectorFamilies) -> tuple[np.ndarray, np.ndarray]:
     largest support.  Each record adds its outer product / 3 on its
     block's support rows, in (j, i, k) order.
     """
-    recs = _one_attack_records(fams)
+    recs = _one_attack(fams).records
     # in_block[i, j, k, c]: record [i, j, k] is one of block [j, c]
     in_block = ERROR_PATTERN[..., None] == np.arange(4)
     support = ((recs != 0)[..., None, :] & in_block[..., None]).any(axis=(0, 2))
@@ -579,12 +569,12 @@ def _summed(support: np.ndarray, blocks: np.ndarray
     return np.ones_like(union), np.ascontiguousarray(total[:, :dim, :dim])
 
 
-def rho_bec(fams: VectorFamilies) -> np.ndarray:
+def rho_bec(fams: AttackModel) -> np.ndarray:
     """Receiver/eavesdropper state of the raw-key rounds with the
     four-level error-pattern register, index order (j, e, c): record
     [i, j, k] adds its outer product / 3 at (j, c = ERROR_PATTERN[i, j, k]),
     in (j, i, k) order."""
-    recs = _one_attack_records(fams)
+    recs = _one_attack(fams).records
     dim_e = recs.shape[-1]
     rho = np.zeros((3, dim_e, 4, 3, dim_e, 4), dtype=complex)
     for j, i, k in itertools.product(range(3), repeat=3):
@@ -593,7 +583,7 @@ def rho_bec(fams: VectorFamilies) -> np.ndarray:
     return rho.reshape(12 * dim_e, 12 * dim_e)
 
 
-def rho_be(fams: VectorFamilies) -> np.ndarray:
+def rho_be(fams: AttackModel) -> np.ndarray:
     """Receiver/eavesdropper state of the raw-key rounds: rho_bec traced
     over the register c, adding c = 0, 1, 2, 3 in that order."""
     bec = rho_bec(fams)
@@ -608,7 +598,7 @@ def trace_out_receiver(rho: np.ndarray, dim_rest: int) -> np.ndarray:
     return np.einsum("jajb->ab", r)
 
 
-def conditional_entropies(fams: VectorFamilies) -> dict:
+def conditional_entropies(fams: AttackModel) -> dict:
     """S(B|E) and S(B|EC) of the raw-key rounds, and S(EC).
 
     The states are taken as their diagonal blocks, never assembled, and all

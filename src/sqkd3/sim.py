@@ -43,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackModel, _integer_at_least
+from .attack import AttackModel, _integer_at_least, _one_attack
 from .stats import _ERROR_CELLS, StatTable, alt_basis_table, p_table_from_attack
 
 _ERR_SENT = _ERROR_CELLS[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Aggregated statistics of one seeded run.
 
@@ -222,8 +222,9 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
     halves after, then one word per round of each category in key order.
     Time is linear in n and memory does not grow with it.  n is any
     integer >= 1 and seed any integer >= 0, numpy integers included, but
-    not bools; the result holds them as ints.
+    not bools; the result holds them as ints.  A stack of attacks raises.
     """
+    _one_attack(attack)
     n = _integer_at_least("n", n, 1)
     seed = _integer_at_least("seed", seed, 0)
     counts_p = np.zeros((3, 9), dtype=np.int64)

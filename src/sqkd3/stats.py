@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (Q_MAX, AttackModel, ChannelScenario, VectorFamilies,
-                     _json_document, _json_numbers, check_conventions)
+from .attack import (Q_MAX, AttackModel, ChannelScenario, _json_document,
+                     _json_numbers, check_conventions)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatTable:
     """27 canonical-basis probabilities plus six alternative-basis errors.
 
@@ -78,7 +78,7 @@ def check_p_tables(p: np.ndarray) -> None:
         raise ValueError(f"per-input sums {rows[bad][0]} differ from 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint raw-key distribution p(b, a) and the sender marginal."""
 
@@ -94,13 +94,13 @@ _I, _J, _K = np.indices((3, 3, 3))
 ERROR_PATTERN = (_I != _J) + 2 * (_J != _K)
 
 
-def p_table_from_attack(fams: VectorFamilies) -> np.ndarray:
+def p_table_from_attack(fams: AttackModel) -> np.ndarray:
     """27 probabilities (..., 3, 3, 3) from the record vectors: squared
     norms of fams.records, with the families' stack axes leading."""
     return sq_norms(fams.records)
 
 
-def alt_basis_table(fams: VectorFamilies, variant: str) -> np.ndarray:
+def alt_basis_table(fams: AttackModel, variant: str) -> np.ndarray:
     """P(final | sent) (..., 3, 3) of the alternative-basis reflection
     rounds: squared norms of the T-basis (phi1) or K-basis (phi2) round-trip
     records, with the families' stack axes leading."""
@@ -136,13 +136,13 @@ def p_table_symmetric(q_forward, q_reverse) -> np.ndarray:
 _ERROR_CELLS = tuple(np.transpose(tables.BASIS_ERROR_ORDER))
 
 
-def basis_error_direct(fams: VectorFamilies, variant: str) -> np.ndarray:
+def basis_error_direct(fams: AttackModel, variant: str) -> np.ndarray:
     """Six alternative-basis error probabilities (..., 6) as direct squared
     norms."""
     return alt_basis_table(fams, variant)[(..., *_ERROR_CELLS)]
 
 
-def f_gram(fams: VectorFamilies) -> np.ndarray:
+def f_gram(fams: AttackModel) -> np.ndarray:
     """9x9 Gram matrices <f_m|f_n> (..., 9, 9) of the round-trip record
     vectors."""
     return fams.f.conj() @ fams.f.swapaxes(-1, -2)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (CONVENTIONS, VectorFamilies, pauli_twirl_attack,
-                     random_attack_stacks, ternary_channel_apply)
+from .attack import (CONVENTIONS, pauli_twirl_attack, random_attack_stacks,
+                     ternary_channel_apply)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues)
@@ -38,10 +38,10 @@ def check_mub() -> tuple[bool, str]:
 
 
 def _random_families(n_attacks: int, seed: int):
-    """Record families of seeded random attacks: attack t has seed
-    seed + 1 + t and (d_f, d_r) drawn from _DIMS.  They come one shape at a
-    time, as one stack of families per stacked QR call; the groups take
-    maxima over them, which do not depend on the order."""
+    """Seeded random attacks: attack t has seed seed + 1 + t and (d_f, d_r)
+    drawn from _DIMS.  They come one shape at a time, as one AttackModel
+    stack per stacked QR call; the groups take maxima over them, which do
+    not depend on the order."""
     rng = np.random.default_rng(seed)
     plan = {}   # (d_f, d_r) -> attack seeds, shapes in order of first draw
     # the values and generator state of 2 n_attacks rng.choice(_DIMS) calls
@@ -49,8 +49,7 @@ def _random_families(n_attacks: int, seed: int):
     for trial, (i, j) in enumerate(picks):
         plan.setdefault((_DIMS[i], _DIMS[j]), []).append(seed + 1 + trial)
     for (d_f, d_r), seeds in plan.items():
-        for fw, rv in random_attack_stacks(d_f, d_r, seeds):
-            yield VectorFamilies(fw, rv)
+        yield from random_attack_stacks(d_f, d_r, seeds)
 
 
 def check_sum_rules() -> tuple[bool, str]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqkd3 import attack as attack_module
 from sqkd3 import linalg, verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
-                          VectorFamilies, identity_attack, pauli_twirl_attack,
+                          identity_attack, pauli_twirl_attack,
                           pauli_twirl_isometry, random_attack,
                           random_attack_stacks, ternary_channel_apply,
                           vector_families)
@@ -188,8 +188,7 @@ def reference_haar_isometry(rows, cols, rng):
 def reference_random_attack(d_f, d_r, seed):
     rng = np.random.default_rng(seed)
     fw = reference_haar_isometry(3 * d_f, 3, rng)
-    return AttackModel(fw, reference_haar_isometry(3 * d_f * d_r, 3 * d_f, rng),
-                       d_f, d_r)
+    return AttackModel(fw, reference_haar_isometry(3 * d_f * d_r, 3 * d_f, rng))
 
 
 @pytest.mark.parametrize("d_f", [1, 3, 9])
@@ -209,8 +208,8 @@ def test_random_attacks_bit_equal_to_per_matrix_reference(d_f, d_r, monkeypatch)
     # one call per stage and stack, each within the budget
     assert len(qr_inputs) == 2 * math.ceil(len(seeds) / per_call)
     assert max(16 * math.prod(shape) for shape in qr_inputs) <= budget
-    stages = [(forward, reverse) for fw, rv in stacks
-              for forward, reverse in zip(fw, rv)]
+    stages = [stage for stack in stacks
+              for stage in zip(stack.forward, stack.reverse)]
     assert len(stages) == len(seeds)
     for seed, (forward, reverse) in zip(seeds, stages):
         ref = reference_random_attack(d_f, d_r, seed)
@@ -265,17 +264,17 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
     per_call = attack_module._QR_STACK_BYTES // (16 * 9 * d_f**2 * d_r)
     seeds = range(700, 700 + per_call + 2)   # one full stack and a partial one
     stacks = list(random_attack_stacks(d_f, d_r, seeds))
-    assert [len(fw) for fw, _ in stacks] == [per_call, 2]
-    names = ("e", "ekij", "f", "g", "h")
+    assert [len(stack.forward) for stack in stacks] == [per_call, 2]
+    names = ("forward", "reverse", "e", "ekij", "f", "g", "h")
     seed = iter(seeds)
-    for fw, rv in stacks:
-        fams = vector_families(fw, rv)
+    for fams in stacks:
+        assert (fams.d_f, fams.d_r) == (d_f, d_r)
         gram = f_gram(fams)
         errors = {variant: (basis_error_direct(fams, variant),
                             basis_error_expanded(gram, variant))
                   for variant in ("phi1", "phi2")}
-        for t in range(len(fw)):
-            one = vector_families(random_attack(d_f, d_r, next(seed)))
+        for t in range(len(fams.forward)):
+            one = random_attack(d_f, d_r, next(seed))
             for name in names:
                 assert (getattr(fams, name)[t].tobytes()
                         == getattr(one, name).tobytes())
@@ -287,11 +286,13 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                 assert (expanded[t].tobytes()
                         == basis_error_expanded(one_gram, variant).tobytes())
     # two leading axes: the first stack's attacks as a (2, m) grid
-    fw, rv = stacks[0]
+    fw, rv = stacks[0].forward, stacks[0].reverse
     m = per_call // 2
-    flat = vector_families(fw[:2 * m], rv[:2 * m])
-    grid = vector_families(fw[:2 * m].reshape(2, m, *fw.shape[1:]),
-                           rv[:2 * m].reshape(2, m, *rv.shape[1:]))
+    flat = AttackModel(fw[:2 * m], rv[:2 * m])
+    grid = AttackModel(fw[:2 * m].reshape(2, m, *fw.shape[1:]),
+                       rv[:2 * m].reshape(2, m, *rv.shape[1:]))
+    assert (grid.d_f, grid.d_r) == (d_f, d_r)
+    assert type(grid.d_f) is int and type(grid.d_r) is int
     for name in names:
         want = getattr(flat, name)
         assert (getattr(grid, name).tobytes()
@@ -314,13 +315,13 @@ def test_statistics_and_run_build_the_families_once(monkeypatch):
     # the measured records are the one family built from reverse-stage
     # products that the statistics passes and the run read
     calls = []
-    images = VectorFamilies._reverse_images
+    images = AttackModel._reverse_images
 
     def counting(self, vin):
         calls.append(self)
         return images(self, vin)
 
-    monkeypatch.setattr(VectorFamilies, "_reverse_images", counting)
+    monkeypatch.setattr(AttackModel, "_reverse_images", counting)
     attack = random_attack(3, 9, seed=12)
     for variant in ("phi1", "phi2"):
         stat_table_from_attack(attack, variant)
@@ -367,21 +368,28 @@ def test_statistics_and_entropies_build_only_the_families_they_read():
 def test_families_keep_a_read_only_copy_of_a_writeable_stage():
     given = random_attack(3, 3, seed=11)
     fw, rv = given.forward.copy(), given.reverse.copy()
-    fams = vector_families(fw, rv)
+    fams = AttackModel(fw, rv)
     rv[:] = 0.0   # after the families were made, before a family is read
     assert fams.records.tobytes() == given.records.tobytes()
     assert not (fams.forward.flags.writeable or fams.reverse.flags.writeable)
-    # a read-only stage is kept as it is
-    assert vector_families(given.forward, given.reverse).reverse is given.reverse
     with pytest.raises(ValueError, match="read-only"):
         fams.records[..., 0] = 0.0
+    # a read-only view is copied too: it was once kept as it was, so a
+    # write to its base changed forward under families already built
+    view = fw[None]
+    view.flags.writeable = False
+    stack = AttackModel(view, given.reverse[None])
+    e = stack.e.tobytes()
+    fw *= 1j
+    assert stack.forward[0].tobytes() == given.forward.tobytes()
+    assert stack.e.tobytes() == e == given.e.tobytes()
 
 
 @pytest.mark.parametrize("stage", ["forward", "reverse"])
 def test_attack_stages_are_read_only_copies(stage):
     given = random_attack(3, 3, seed=11)
     stages = {"forward": given.forward.copy(), "reverse": given.reverse.copy()}
-    attack = AttackModel(stages["forward"], stages["reverse"], 3, 3)
+    attack = AttackModel(stages["forward"], stages["reverse"])
     kept = getattr(attack, stage)
     assert kept.tobytes() == stages[stage].tobytes()
     with pytest.raises(ValueError, match="read-only"):
@@ -391,11 +399,50 @@ def test_attack_stages_are_read_only_copies(stage):
     assert kept[0, 0] == getattr(given, stage)[0, 0] != 0.0
 
 
+def _stages(d_f, d_r, seeds):
+    stack = next(random_attack_stacks(d_f, d_r, seeds))
+    return stack.forward.copy(), stack.reverse.copy()
+
+
+def _non_isometric_member(stages):
+    fw, rv = stages
+    rv[1, 0, 0] += 1e-9
+    return fw, rv
+
+
+_BAD_SHAPES = {
+    "leading-axes": (lambda: (_stages(1, 3, [1, 2])[0],
+                              _stages(1, 3, [1, 2, 3])[1]),
+                     r"^reverse shape \(3, 9, 3\) is not .* with forward "
+                     r"shape \(2, 3, 3\)$"),
+    "stack-depth": (lambda: (_stages(1, 3, [1])[0], random_attack(1, 3, 1).reverse),
+                    r"^reverse shape \(9, 3\) is not "),
+    "forward-rows": (lambda: (np.eye(4, 3, dtype=complex), np.eye(8, 4)),
+                     r"^forward shape \(4, 3\) is not \(\.\.\., 3\*d_f, 3\)$"),
+    "forward-columns": (lambda: (np.eye(6, 2, dtype=complex), np.eye(6)),
+                        r"^forward shape \(6, 2\) is not "),
+    "reverse-rows": (lambda: (np.eye(6, 3, dtype=complex), np.eye(9, 6)),
+                     r"^reverse shape \(9, 6\) is not \(\.\.\., 3\*d_f\*d_r, "
+                     r"3\*d_f\) with forward shape \(6, 3\)$"),
+    "reverse-columns": (lambda: (np.eye(6, 3, dtype=complex), np.eye(12, 3)),
+                        r"^reverse shape \(12, 3\) is not "),
+    "non-isometric-member": (lambda: _non_isometric_member(_stages(1, 3, [1, 2, 3])),
+                             r"^reverse stage is not an isometry$"),
+}
+
+
+@pytest.mark.parametrize("stages,message", _BAD_SHAPES.values(),
+                         ids=_BAD_SHAPES.keys())
+def test_attack_model_rejects_stages_with_one_line(stages, message):
+    with pytest.raises(ValueError, match=message) as err:
+        AttackModel(*stages())
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["e", "ekij", "f", "g", "h"])
 def test_family_arrays_are_read_only(name):
-    attack = random_attack(3, 3, seed=11)
-    fw, rv = next(random_attack_stacks(3, 3, [11, 12]))
-    for fams in (vector_families(attack), vector_families(fw, rv)):
+    for fams in (random_attack(3, 3, seed=11),
+                 next(random_attack_stacks(3, 3, [11, 12]))):
         with pytest.raises(ValueError, match="read-only"):
             getattr(fams, name)[..., 0] = 0.0
 
@@ -424,9 +471,9 @@ def test_random_attack_takes_a_numpy_integer_seed():
     one = random_attack(3, 3, np.int64(4))
     assert one.forward.tobytes() == random_attack(3, 3, 4).forward.tobytes()
     assert one.reverse.tobytes() == random_attack(3, 3, 4).reverse.tobytes()
-    fw, rv = next(random_attack_stacks(3, 3, [np.int64(4)]))
-    assert fw[0].tobytes() == one.forward.tobytes()
-    assert rv[0].tobytes() == one.reverse.tobytes()
+    stack = next(random_attack_stacks(3, 3, [np.int64(4)]))
+    assert stack.forward[0].tobytes() == one.forward.tobytes()
+    assert stack.reverse[0].tobytes() == one.reverse.tobytes()
 
 
 def test_random_attack_takes_numpy_integer_dimensions():
@@ -434,9 +481,9 @@ def test_random_attack_takes_numpy_integer_dimensions():
     assert type(one.d_f) is int and type(one.d_r) is int
     assert one.forward.tobytes() == random_attack(3, 9, 4).forward.tobytes()
     assert one.reverse.tobytes() == random_attack(3, 9, 4).reverse.tobytes()
-    fw, rv = next(random_attack_stacks(np.int64(3), np.uint8(9), [4]))
-    assert fw[0].tobytes() == one.forward.tobytes()
-    assert rv[0].tobytes() == one.reverse.tobytes()
+    stack = next(random_attack_stacks(np.int64(3), np.uint8(9), [4]))
+    assert stack.forward[0].tobytes() == one.forward.tobytes()
+    assert stack.reverse[0].tobytes() == one.reverse.tobytes()
 
 
 def reference_plan(n_attacks, seed):
@@ -598,8 +645,7 @@ def test_twirl_reverse_is_dilation_on_qutrit(q):
 
 def test_attack_model_validation():
     with pytest.raises(ValueError):
-        AttackModel(np.zeros((9, 3), dtype=complex),
-                    np.eye(9, dtype=complex), 3, 1)
+        AttackModel(np.zeros((9, 3), dtype=complex), np.eye(9, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -609,7 +655,7 @@ def test_attack_model_rejects_non_finite_stage(stage, bad):
     stages = {"forward": attack.forward.copy(), "reverse": attack.reverse.copy()}
     stages[stage][0, 0] = bad
     with pytest.raises(ValueError, match=f"{stage} stage is not an isometry"):
-        AttackModel(stages["forward"], stages["reverse"], 3, 3)
+        AttackModel(stages["forward"], stages["reverse"])
     doc = json.loads(attack.to_json())
     doc[stage][0] = [bad, 0.0]
     with pytest.raises(ValueError, match=f"{stage} stage is not an isometry"):
@@ -622,6 +668,25 @@ def test_attack_json_round_trip():
     assert clone.d_f == attack.d_f and clone.d_r == attack.d_r
     assert np.allclose(clone.forward, attack.forward)
     assert np.allclose(clone.reverse, attack.reverse)
+
+
+_DIMENSION_CASES = {
+    "identity": (identity_attack, (1, 1)),
+    "twirl": (lambda: pauli_twirl_attack(0.1, 0.2), (9, 9)),
+    "random-3-9": (lambda: random_attack(3, 9, seed=1), (3, 9)),
+    "json-9-1": (lambda: AttackModel.from_json(random_attack(9, 1, 2).to_json()),
+                 (9, 1)),
+}
+
+
+@pytest.mark.parametrize("make,dims", _DIMENSION_CASES.values(),
+                         ids=_DIMENSION_CASES.keys())
+def test_dimensions_are_read_off_the_stage_shapes(make, dims):
+    attack = make()
+    assert (attack.d_f, attack.d_r) == dims
+    assert type(attack.d_f) is int and type(attack.d_r) is int
+    doc = json.loads(attack.to_json())
+    assert (doc["d_f"], doc["d_r"]) == dims
 
 
 @pytest.mark.parametrize("field", ["d_f", "d_r"])
@@ -638,7 +703,7 @@ def test_attack_json_rejects_a_dimension_that_is_not_an_integer(field, value):
                          ids=["int64-int", "int-int32", "uint8-int64"])
 def test_attack_json_round_trip_of_numpy_dimensions(d_f, d_r):
     attack = random_attack(1, 1, seed=11)
-    model = AttackModel(attack.forward, attack.reverse, d_f, d_r)
+    model = random_attack(d_f, d_r, seed=11)
     text = model.to_json()
     assert type(model.d_f) is int and type(model.d_r) is int
     doc = json.loads(text)
@@ -649,14 +714,12 @@ def test_attack_json_round_trip_of_numpy_dimensions(d_f, d_r):
     assert clone.reverse.tobytes() == attack.reverse.tobytes()
 
 
-#: The builders of an attack from its dimensions; the model's own
-#: constructor takes the stages of random_attack(1, 1, 11).  A case's id is
-#: value-field, then the builder's name if it draws.
+#: The builders of an attack from its dimensions.  A case's id is
+#: value-field-builder.
 _DIMENSION_BUILDS = {
-    "": lambda stages, dims: AttackModel(*stages, **dims),
-    "random_attack": lambda stages, dims: random_attack(**dims, seed=1),
+    "random_attack": lambda dims: random_attack(**dims, seed=1),
     "random_attack_stacks":
-        lambda stages, dims: next(random_attack_stacks(**dims, seeds=[1])),
+        lambda dims: next(random_attack_stacks(**dims, seeds=[1])),
 }
 _BAD_DIMENSIONS = {"True": True, "bool_": np.bool_(True), "1.0": 1.0,
                    "1.5": 1.5, "str": "1", "0": 0, "-1": -1,
@@ -664,17 +727,13 @@ _BAD_DIMENSIONS = {"True": True, "bool_": np.bool_(True), "1.0": 1.0,
 
 
 @pytest.mark.parametrize("build,field,value", [
-    pytest.param(build, field, value,
-                 id="-".join(filter(None, (name, field, builder))))
+    pytest.param(build, field, value, id=f"{name}-{field}-{builder}")
     for builder, build in _DIMENSION_BUILDS.items()
     for field in ("d_f", "d_r") for name, value in _BAD_DIMENSIONS.items()])
 def test_attack_model_rejects_a_dimension_that_is_not_a_positive_integer(
         build, field, value, monkeypatch):
     # the other dimension is 3, so (0, 3), (3, 0) and (-1, 3) are among the
-    # cases; a builder that draws checks both dimensions before any draw
-    stages = random_attack(1, 1, seed=11)
-    stages = (stages.forward, stages.reverse)
-
+    # cases; each builder checks both dimensions before any draw
     def no_draws(*args):
         raise AssertionError("drew before checking the dimensions")
     monkeypatch.setattr(attack_module, "haar_isometry", no_draws)
@@ -682,7 +741,7 @@ def test_attack_model_rejects_a_dimension_that_is_not_a_positive_integer(
     dims = {"d_f": 3, "d_r": 3, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, "
                                          rf"got {re.escape(repr(value))}$"):
-        build(stages, dims)
+        build(dims)
 
 
 def _edited_json(make, field, value):

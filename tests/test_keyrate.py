@@ -1,8 +1,10 @@
 import functools
 import itertools
+import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
 import sqkd3.linalg as linalg
-from sqkd3.attack import ChannelScenario, VectorFamilies, \
+from sqkd3.attack import AttackModel, ChannelScenario, \
     alternative_basis_error, pauli_twirl_attack, random_attack, \
     random_attack_stacks, vector_families
 from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
@@ -23,6 +25,7 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            trace_out_receiver, x_bound)
 from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
+from sqkd3.sim import run_protocol
 from sqkd3.stats import (StatTable, check_p_tables, joint_and_marginal,
                          p_table_from_attack, p_table_symmetric,
                          stat_table_for_scenario, stat_table_from_attack,
@@ -767,14 +770,14 @@ def test_twirl_exact_conditioned_entropy_pieces():
 
 def _rho_bec_outer_products(fams):
     """rho_bec as a sum of 27 outer products of full-length vectors."""
-    dim_e = fams.ekij[(0, 0, 0)].shape[0]
+    dim_e = fams.records.shape[-1]
     dim = 3 * dim_e * 4
     rho = np.zeros((dim, dim), dtype=complex)
     for j, i, k in itertools.product(range(3), repeat=3):
         flips = int(i != j) + int(j != k)
         c = (0 if flips == 0 else 1) if j == k else (2 if flips == 1 else 3)
         big = np.zeros(dim, dtype=complex)
-        big[j * dim_e * 4 + c::4][:dim_e] = fams.ekij[(k, j, 3 * i + j)]
+        big[j * dim_e * 4 + c::4][:dim_e] = fams.records[i, j, k]
         rho += np.outer(big, big.conj()) / 3.0
     return rho
 
@@ -905,20 +908,15 @@ def test_conditional_entropies_equal_dense_states_at_the_ends_of_the_twirl(q):
     assert conditional_entropies(fams) == _dense_conditional_entropies(fams)
 
 
-def _families_with_records(records: dict, dim: int) -> VectorFamilies:
-    """Families whose measure records e^k_{j, 3i+j} are records[(i, j, k)],
-    and zero for the cells not named; only the records are read.
-
-    Forward record 3i+j is the unit vector 3i+j (d_f = 9), and the reverse
-    stage maps |j> x e_{3i+j} onto the records [i, j, :] and every other
-    input onto zero."""
-    forward = np.zeros((3, 9, 3), dtype=complex)      # [j, a, i]
-    reverse = np.zeros((3, dim, 3, 9), dtype=complex)  # [k, row, j, a]
-    for i, j in itertools.product(range(3), repeat=2):
-        forward[j, 3 * i + j, i] = 1.0
-    for (i, j, k), vec in records.items():
-        reverse[k, :, j, 3 * i + j] = vec
-    return VectorFamilies(forward.reshape(27, 3), reverse.reshape(3 * dim, 27))
+def _families_with_records(records: dict, dim: int) -> SimpleNamespace:
+    """A stand-in for one attack whose measured records are
+    records[(i, j, k)], and zero for the cells not named: the state
+    functions read only the records and the (empty) stack axes of an
+    AttackModel, and these records need not come from isometries."""
+    recs = np.zeros((3, 3, 3, dim), dtype=complex)
+    for cell, vec in records.items():
+        recs[cell] = vec
+    return SimpleNamespace(records=recs, _stack=())
 
 
 def test_families_with_records_hold_the_named_records():
@@ -1020,9 +1018,18 @@ def test_conditional_entropies_traced_peak_on_the_twirl():
 
 
 @pytest.mark.parametrize("fn", [no_error_overlap, conditional_entropies,
-                                rho_be, rho_bec])
-def test_functions_of_one_attack_refuse_a_stack(fn):
-    fams = vector_families(*next(random_attack_stacks(3, 3, [1, 2, 3, 4])))
+                                rho_be, rho_bec,
+                                lambda stack: run_protocol(10, stack),
+                                AttackModel.to_json])
+def test_functions_of_one_attack_refuse_a_stack(fn, monkeypatch):
+    # run_protocol once failed in a reshape, and to_json wrote a flat
+    # document that from_json rejects; neither draws nor writes first
+    fams = next(random_attack_stacks(3, 3, [1, 2, 3, 4]))
+
+    def no_output(*args, **kwargs):
+        raise AssertionError("drew or wrote before refusing the stack")
+    monkeypatch.setattr(np.random, "PCG64", no_output)
+    monkeypatch.setattr(json, "dumps", no_output)
     with pytest.raises(ValueError, match=r"one attack, got a stack of shape \(4,\)$"):
         fn(fams)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sqkd3.term_tables as tables
 from sqkd3 import verify
-from sqkd3.attack import (VectorFamilies, identity_attack, pauli_twirl_attack,
+from sqkd3.attack import (AttackModel, identity_attack, pauli_twirl_attack,
                           random_attack, vector_families)
 from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
                          basis_error_direct, check_p_tables, basis_error_expanded, f_gram,
@@ -291,12 +291,12 @@ def test_stat_table_p_must_be_an_array():
 @pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])
 def test_p_table_from_attack_of_verify_stacks_keeps_each_attacks_bits(n_attacks,
                                                                       seed):
-    # attack t of a stack has the table of its own families, which
-    # vector_families gives the bits of a call on that attack alone
+    # attack t of a stack has the table of its own families, with the bits
+    # of an AttackModel of that attack alone
     for fams in verify._random_families(n_attacks, seed):
         p = p_table_from_attack(fams)
         assert p.shape == (len(fams.e), 3, 3, 3)
         assert fams.records.shape == p.shape + fams.ekij.shape[-1:]
         for t, table in enumerate(p):
-            one = VectorFamilies(fams.forward[t], fams.reverse[t])
+            one = AttackModel(fams.forward[t], fams.reverse[t])
             assert table.tobytes() == p_table_from_attack(one).tobytes()

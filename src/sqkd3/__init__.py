@@ -12,13 +12,13 @@ from .keyrate import (KeyRateReport, Sigma1Decomposition, find_threshold,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues, x_bound)
 from .linalg import basis_vectors, shannon_entropy3, von_neumann_entropy3
 from .sim import SimulationResult, max_deviation_sigma, run_protocol
-from .stats import (JointDistribution, StatTable, basis_error_direct,
-                    basis_error_expanded, joint_and_marginal,
-                    p_table_from_attack, p_table_symmetric,
-                    stat_table_for_scenario, stat_table_from_attack, t_values)
+from .stats import (StatTable, basis_error_direct, basis_error_expanded,
+                    joint_and_marginal, p_table_from_attack,
+                    p_table_symmetric, stat_table_for_scenario,
+                    stat_table_from_attack, t_values)
 
 __all__ = [
-    "AttackModel", "ChannelScenario", "JointDistribution", "KeyRateReport",
+    "AttackModel", "ChannelScenario", "KeyRateReport",
     "Sigma1Decomposition", "SimulationResult", "StatTable",
     "basis_error_direct", "basis_error_expanded", "basis_vectors",
     "find_threshold", "identity_attack", "joint_and_marginal", "key_rate",

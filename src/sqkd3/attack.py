@@ -125,11 +125,6 @@ class ChannelScenario:
             raise ValueError(f"q={self.q} outside [0, 3/8]")
         check_conventions(**self.flags())
 
-    def basis_error_value(self) -> float:
-        """Per-pair alternative-basis error probability for this scenario."""
-        return alternative_basis_error(self.q, self.model,
-                                       self.basis_noise_convention)
-
     def flags(self) -> dict:
         return {name: getattr(self, name) for name in CONVENTIONS}
 

@@ -32,9 +32,9 @@ from .attack import (Q_MAX, AttackModel, ChannelScenario, _one_attack,
                      alternative_basis_error, check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
-from .stats import (_J, ERROR_PATTERN, JointDistribution, StatTable,
-                    check_p_tables, joint_tables, p_table_symmetric,
-                    stat_table_for_scenario, t_value_array)
+from .stats import (_J, ERROR_PATTERN, StatTable, check_p_tables,
+                    joint_and_marginal, p_table_symmetric,
+                    stat_table_for_scenario, t_values)
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,18 @@ def _h(lam):
     return np.where(zero, 0.0, (-lam * np.log(np.where(zero, 1.0, lam))).real / LN3)
 
 
-def _sigma1_terms(diag, p, corrected: bool):
+def sigma1_entropy_terms(p000, p111, p222, p, mode: str):
     """(Re lambda1, Re lambda2, h(lambda1) + h(lambda2)) of the no-error
-    block with diagonal diag = (p000, p111, p222), by the closed form of the
-    module docstring."""
-    p000, p111, p222 = diag
+    block with diagonal (p000, p111, p222) and overlap quantity p, by the
+    closed form of the module docstring under p mode `mode`.  The inputs
+    broadcast; one table's scalars give numpy float scalars.
+    """
+    corrected = _is_corrected(mode)
     total = p000 + p111 + p222
     # a ufunc, not `total <= 0`: the entries may be Python floats
     if np.less_equal(total, 0.0).any():
         raise ValueError("eigenvalue forms need p000 + p111 + p222 > 0")
-    sq000, sq111, sq222 = _square(diag)
+    sq000, sq111, sq222 = _square(p000), _square(p111), _square(p222)
     disc = (4.0 * p + sq000 - 2.0 * p000 * p111 + sq111
             - 2.0 * p000 * p222 - 2.0 * p111 * p222 + sq222)
     disc = np.maximum(disc, 0.0) if corrected else np.asarray(disc, dtype=complex)
@@ -196,22 +198,13 @@ def _sigma1_terms(diag, p, corrected: bool):
     return lam[0].real, lam[1].real, h[0] + h[1]
 
 
-def sigma1_eigenvalues(p000: float, p111: float, p222: float,
-                       p: float) -> tuple[float, float]:
+def sigma1_eigenvalues(p000, p111, p222, p):
     """Closed-form nonzero eigenvalues of the normalized no-error block.
 
     Discriminant floored at zero, results clamped to [0, 1]; the third
     eigenvalue is identically zero.
     """
-    lam1, lam2, _ = _sigma1_terms((p000, p111, p222), p, True)
-    return float(lam1), float(lam2)
-
-
-def sigma1_entropy_terms(p000: float, p111: float, p222: float, p: float,
-                         mode: str) -> tuple[float, float, float]:
-    """(lambda1, lambda2, entropy term sum) under the chosen semantics."""
-    lam1, lam2, ent = _sigma1_terms((p000, p111, p222), p, _is_corrected(mode))
-    return float(lam1), float(lam2), float(ent)
+    return sigma1_entropy_terms(p000, p111, p222, p, "corrected")[:2]
 
 
 def _s_bec(p: np.ndarray) -> np.ndarray:
@@ -291,13 +284,11 @@ def s_ec_bound(p: np.ndarray, overlap: float) -> float:
     return float(outer + t1 / 3.0 * entropy3([a, b, b]))
 
 
-def _h_b_given_a(joint: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+def h_b_given_a(jd: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Conditional entropy H(B|A) = H(joint) - H(marginal of A) of each
+    (joint, marginal) pair that joint_and_marginal returns."""
+    joint, marginal = jd
     return entropy3(joint.reshape(joint.shape[:-2] + (9,))) - entropy3(marginal)
-
-
-def h_b_given_a(jd: JointDistribution) -> float:
-    """Conditional entropy H(B|A) = H(joint) - H(marginal of A)."""
-    return float(_h_b_given_a(jd.joint, jd.marginal_a))
 
 
 def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
@@ -308,16 +299,15 @@ def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
     (t1..t4, X, p_lower, lambda1, lambda2, S_BEC, S_EC_upper, H_B_given_A,
     r) plus S_clamped.
     """
-    t = t_value_array(p)
+    t = t_values(p)
     x = _x_stat(p, basis_err, variant)
     s_clamped = _clamped_square(x)
-    corrected = _is_corrected(p_mode)
     diag = _no_error_diagonal(p)
-    p_low = _p_lower(s_clamped, diag, corrected)
-    lam1, lam2, ent = _sigma1_terms(diag, p_low, corrected)
+    p_low = _p_lower(s_clamped, diag, _is_corrected(p_mode))
+    lam1, lam2, ent = sigma1_entropy_terms(*diag, p_low, p_mode)
     bec = _s_bec(p)
     ec_upper = _s_ec_upper(t, ent)
-    hba = _h_b_given_a(*joint_tables(p, weighting))
+    hba = h_b_given_a(joint_and_marginal(p, weighting))
     return {"t1": t[:, 0], "t2": t[:, 1], "t3": t[:, 2], "t4": t[:, 3], "X": x,
             "S_clamped": s_clamped, "p_lower": p_low, "lambda1": lam1,
             "lambda2": lam2, "S_BEC": bec, "S_EC_upper": ec_upper,

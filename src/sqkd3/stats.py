@@ -14,7 +14,8 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, _json_document,
-                     _json_numbers, check_conventions)
+                     _json_numbers, _one_attack, alternative_basis_error,
+                     check_conventions)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -25,7 +26,9 @@ class StatTable:
     """27 canonical-basis probabilities plus six alternative-basis errors.
 
     basis_err is ordered (0->1, 0->2, 1->0, 1->2, 2->0, 2->1).  Both are
-    numpy arrays of probabilities, each in [0, 1] up to 1e-12.
+    numpy arrays of probabilities, each in [0, 1] up to 1e-12.  The table
+    keeps read-only copies of the arrays it is given, so no later write
+    reaches a value that was not checked.  Equality is identity.
     """
 
     p: np.ndarray          # (3, 3, 3) float
@@ -38,6 +41,10 @@ class StatTable:
             raise ValueError("p must be a 3x3x3 table")
         if not (isinstance(err, np.ndarray) and err.shape == (6,)):
             raise ValueError("basis_err must be an array of six entries")
+        p, err = p.copy(), err.copy()
+        for name, array in (("p", p), ("basis_err", err)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         check_conventions(variant=self.variant)
         check_p_tables(p)  # NaN and infinite entries included
         if not _in_unit_interval(err):
@@ -76,15 +83,6 @@ def check_p_tables(p: np.ndarray) -> None:
     bad = np.abs(rows - 1.0).max(axis=-1) > ROW_SUM_TOL
     if bad.any():
         raise ValueError(f"per-input sums {rows[bad][0]} differ from 1")
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint raw-key distribution p(b, a) and the sender marginal."""
-
-    joint: np.ndarray      # (3, 3), index [b, a]
-    marginal_a: np.ndarray  # (3,)
-    weighting: str
 
 
 _I, _J, _K = np.indices((3, 3, 3))
@@ -206,8 +204,14 @@ _T_ORDER = np.concatenate(_T_CELLS)
 _T_RUNS = (slice(0, 3), slice(3, 9), slice(9, 15))
 
 
-def t_value_array(p: np.ndarray) -> np.ndarray:
-    """t_values of tables p (..., 3, 3, 3), stacked on a last axis of 4."""
+def t_values(p: np.ndarray) -> np.ndarray:
+    """Total probabilities (..., 4) of the four error patterns of a round,
+    for tables p (..., 3, 3, 3).
+
+    t1: no error either way; t2: outbound error only; t3: return error
+    only; t4: errors both ways.  They sum to 3 (one per prepared state).
+    """
+    p = np.asarray(p, dtype=float)
     flat = p.reshape(-1, 27)
     cells = flat.T[_T_ORDER]
     t = np.empty((len(flat), 4))
@@ -217,43 +221,29 @@ def t_value_array(p: np.ndarray) -> np.ndarray:
     return t.reshape(p.shape[:-3] + (4,))
 
 
-def t_values(p: np.ndarray) -> tuple[float, float, float, float]:
-    """Total probabilities of the four error patterns of a round.
-
-    t1: no error either way; t2: outbound error only; t3: return error
-    only; t4: errors both ways.  They sum to 3 (one per prepared state).
-    """
-    return tuple(t_value_array(np.asarray(p, dtype=float)).tolist())
-
-
 _JOINT_WEIGHTS = np.where(np.eye(3, dtype=bool), 1.0 / 3.0, 2.0 / 3.0)
 
 
-def joint_tables(p: np.ndarray, weighting: str = "as-printed"
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint raw-key distributions (..., 3, 3), index [b, a], of tables p
-    (..., 3, 3, 3), with their sender marginals (..., 3)."""
-    check_conventions(joint_weighting=weighting)
-    joint = _JOINT_WEIGHTS * p.sum(axis=-3)
-    if weighting == "normalized":
-        joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
-    return joint, joint.sum(axis=-2)
-
-
-def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed") -> JointDistribution:
-    """Raw-key joint distribution p(b, a) with its sender marginal.
+def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed"
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-key joint distributions p(b, a) (..., 3, 3), index [b, a], of
+    tables p (..., 3, 3, 3), with their sender marginals (..., 3).
 
     The as-printed weighting gives matching-symbol cells weight 1/3 and
     mismatched cells 2/3, which does not sum to 1 under noise (mass
     1 + 2Q for the symmetric channel); "normalized" rescales by the total
     mass.  Both are exposed because the two disagree on H(B|A).
     """
-    joint, marginal = joint_tables(np.asarray(p, dtype=float), weighting)
-    return JointDistribution(joint, marginal, weighting)
+    check_conventions(joint_weighting=weighting)
+    joint = _JOINT_WEIGHTS * np.asarray(p, dtype=float).sum(axis=-3)
+    if weighting == "normalized":
+        joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
+    return joint, joint.sum(axis=-2)
 
 
 def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:
-    """Exact observed statistics of a concrete attack."""
+    """Exact observed statistics of a concrete attack; a stack raises."""
+    _one_attack(attack)
     return StatTable(p_table_from_attack(attack),
                      basis_error_direct(attack, variant), variant)
 
@@ -261,5 +251,6 @@ def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:
 def stat_table_for_scenario(scenario: ChannelScenario) -> StatTable:
     """Analytic statistics of a noise scenario (symmetric channel)."""
     p = p_table_symmetric(scenario.q, scenario.q)
-    err = np.full(6, scenario.basis_error_value())
+    err = np.full(6, alternative_basis_error(
+        scenario.q, scenario.model, scenario.basis_noise_convention))
     return StatTable(p, err, scenario.variant)

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from sqkd3 import attack as attack_module
 from sqkd3 import linalg, verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
-                          identity_attack, pauli_twirl_attack,
-                          pauli_twirl_isometry, random_attack,
-                          random_attack_stacks, ternary_channel_apply,
-                          vector_families)
-from sqkd3.keyrate import (conditional_entropies, find_threshold, key_rate_curve,
-                           key_rate_from_table, lemma1_check, p_lower_bound,
-                           sigma1_entropy_terms)
+                          alternative_basis_error, identity_attack,
+                          pauli_twirl_attack, pauli_twirl_isometry,
+                          random_attack, random_attack_stacks,
+                          ternary_channel_apply, vector_families)
+from sqkd3.keyrate import (conditional_entropies, find_threshold, h_b_given_a,
+                           key_rate_curve, key_rate_from_table, lemma1_check,
+                           p_lower_bound, sigma1_entropy_terms)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.sim import run_protocol
 from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
                          basis_error_expanded, f_gram, joint_and_marginal,
-                         p_table_from_attack, stat_table_from_attack)
+                         p_table_from_attack, p_table_symmetric,
+                         stat_table_from_attack, t_values)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
@@ -258,6 +259,35 @@ def test_random_attack_rejects_a_bad_stage(stage, corrupt, monkeypatch):
         random_attack(3, 3, 5)
 
 
+def assert_statistics_equal_per_table_calls(p):
+    """t_values, joint_and_marginal, h_b_given_a and sigma1_entropy_terms of
+    a stack of tables p (..., 3, 3, 3) against their calls on each table
+    alone, bit for bit.  The overlap quantities run from 0 to twice each
+    table's feasibility ceiling, so both signs of the discriminant and the
+    clamp of lambda1 are reached."""
+    t = t_values(p)
+    joints = {w: joint_and_marginal(p, w) for w in CONVENTIONS["joint_weighting"]}
+    h = {w: h_b_given_a(jd) for w, jd in joints.items()}
+    p000, p111, p222 = p[..., 0, 0, 0], p[..., 1, 1, 1], p[..., 2, 2, 2]
+    ceiling = p000 * p111 + p000 * p222 + p111 * p222
+    overlap = 2.0 * ceiling * np.linspace(0.0, 1.0, ceiling.size).reshape(ceiling.shape)
+    terms = {mode: sigma1_entropy_terms(p000, p111, p222, overlap, mode)
+             for mode in CONVENTIONS["p_mode"]}
+    for idx in np.ndindex(p.shape[:-3]):
+        one = p[idx]
+        assert t[idx].tobytes() == t_values(one).tobytes()
+        for w, jd in joints.items():
+            one_jd = joint_and_marginal(one, w)
+            for stacked, single in zip(jd, one_jd):
+                assert stacked[idx].tobytes() == single.tobytes()
+            assert h[w][idx].tobytes() == h_b_given_a(one_jd).tobytes()
+        for mode, stacked in terms.items():
+            single = sigma1_entropy_terms(one[0, 0, 0], one[1, 1, 1], one[2, 2, 2],
+                                          overlap[idx], mode)
+            for a, b in zip(stacked, single):
+                assert a[idx].tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("d_f", [1, 3, 9])
 @pytest.mark.parametrize("d_r", [1, 3, 9])
 def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
@@ -285,6 +315,7 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                         == basis_error_direct(one, variant).tobytes())
                 assert (expanded[t].tobytes()
                         == basis_error_expanded(one_gram, variant).tobytes())
+        assert_statistics_equal_per_table_calls(p_table_from_attack(fams))
     # two leading axes: the first stack's attacks as a (2, m) grid
     fw, rv = stacks[0].forward, stacks[0].reverse
     m = per_call // 2
@@ -304,6 +335,14 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                 == basis_error_direct(flat, variant).tobytes())
         assert (basis_error_expanded(gram, variant).tobytes()
                 == basis_error_expanded(f_gram(flat), variant).tobytes())
+    assert_statistics_equal_per_table_calls(p_table_from_attack(grid))
+
+
+def test_statistics_of_a_symmetric_table_grid_equal_per_table_calls():
+    # a (7, 5) grid of forward and reverse flip probabilities over [0, 3/8]
+    q_forward, q_reverse = np.linspace(0.0, 0.375, 7), np.linspace(0.0, 0.375, 5)
+    assert_statistics_equal_per_table_calls(
+        p_table_symmetric(q_forward[:, None], q_reverse[None, :]))
 
 
 def test_attack_keeps_its_families():
@@ -787,12 +826,10 @@ def test_scenario_validation_and_noise_values():
         ChannelScenario(q=0.5)
     with pytest.raises(ValueError):
         ChannelScenario(q=0.1, model="both")
-    s = ChannelScenario(q=0.1, model="dependent")
-    assert s.basis_error_value() == pytest.approx(0.1)
-    s = ChannelScenario(q=0.1, model="independent")
-    assert s.basis_error_value() == pytest.approx(2 * 0.1 * 1.7)
-    s = ChannelScenario(q=0.1, model="dependent", basis_noise_convention="total")
-    assert s.basis_error_value() == pytest.approx(0.05)
+    assert alternative_basis_error(0.1, "dependent", "per-pair") == pytest.approx(0.1)
+    assert alternative_basis_error(0.1, "independent", "per-pair") == \
+        pytest.approx(2 * 0.1 * 1.7)
+    assert alternative_basis_error(0.1, "dependent", "total") == pytest.approx(0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sqkd3.keyrate as keyrate
 import sqkd3.linalg as linalg
+import sqkd3.stats as stats
 from sqkd3.attack import AttackModel, ChannelScenario, \
     alternative_basis_error, pauli_twirl_attack, random_attack, \
     random_attack_stacks, vector_families
@@ -274,9 +275,7 @@ def test_h_b_given_a_values():
     assert h_b_given_a(joint_and_marginal(p_table_symmetric(0, 0))) == \
         pytest.approx(0.0, abs=1e-12)
 
-    from sqkd3.stats import JointDistribution
-    uniform = JointDistribution(np.full((3, 3), 1 / 9), np.full(3, 1 / 3),
-                                "as-printed")
+    uniform = (np.full((3, 3), 1 / 9), np.full(3, 1 / 3))
     assert h_b_given_a(uniform) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1017,19 +1016,27 @@ def test_conditional_entropies_traced_peak_on_the_twirl():
     assert peak < 3e6
 
 
+def stat_table_from_attack_phi1(attack):
+    return stat_table_from_attack(attack, "phi1")
+
+
 @pytest.mark.parametrize("fn", [no_error_overlap, conditional_entropies,
                                 rho_be, rho_bec,
                                 lambda stack: run_protocol(10, stack),
-                                AttackModel.to_json])
+                                AttackModel.to_json,
+                                stat_table_from_attack_phi1])
 def test_functions_of_one_attack_refuse_a_stack(fn, monkeypatch):
     # run_protocol once failed in a reshape, and to_json wrote a flat
-    # document that from_json rejects; neither draws nor writes first
+    # document that from_json rejects; stat_table_from_attack computed the
+    # whole stack's table before StatTable refused its shape.  None of
+    # them draws, writes or tabulates first
     fams = next(random_attack_stacks(3, 3, [1, 2, 3, 4]))
 
     def no_output(*args, **kwargs):
-        raise AssertionError("drew or wrote before refusing the stack")
+        raise AssertionError("drew, wrote or tabulated before refusing the stack")
     monkeypatch.setattr(np.random, "PCG64", no_output)
     monkeypatch.setattr(json, "dumps", no_output)
+    monkeypatch.setattr(stats, "p_table_from_attack", no_output)
     with pytest.raises(ValueError, match=r"one attack, got a stack of shape \(4,\)$"):
         fn(fams)
 

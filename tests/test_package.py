@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,11 @@ def test_every_export_resolves():
     assert missing == []
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
 def _digest_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    path = _ROOT / "scripts" / "output_digests.py"
     spec = importlib.util.spec_from_file_location("output_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -39,8 +43,6 @@ _RECORDS = {
     "AttackModel": lambda: sqkd3.random_attack(1, 1, 1),
     "StatTable": lambda: sqkd3.stat_table_from_attack(
         sqkd3.pauli_twirl_attack(0.1, 0.1), "phi1"),
-    "JointDistribution": lambda: sqkd3.joint_and_marginal(
-        sqkd3.p_table_symmetric(0.1, 0.1)),
     "SimulationResult": lambda: sqkd3.run_protocol(
         10, sqkd3.identity_attack(), seed=1),
 }
@@ -53,3 +55,19 @@ def test_array_records_compare_by_identity_and_hash(make):
     one, other = make(), make()
     assert one == one and one != other
     assert len({one, other, one}) == 2
+
+
+def test_benchmark_replay_reproduces_key_rate(monkeypatch):
+    # the benchmark's traced run recomposes key_rate from the public
+    # statistics functions; a change to one of their names or results
+    # would otherwise show only in a traced benchmark run.  The module's
+    # dataclasses need it in sys.modules while it loads.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ops", _ROOT / "perfbench" / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, ops)
+    spec.loader.exec_module(ops)
+    for conv in ops.CONVENTIONS:
+        for q in (0.0, 0.05, 0.1, 0.2, 1 / 3):
+            scn = ops.scenario(conv, q)
+            assert ops.replay_key_rate(ops.Tracer(), scn) == sqkd3.key_rate(scn).r

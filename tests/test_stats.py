@@ -15,6 +15,7 @@ from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
                          p_table_symmetric, stat_table_for_scenario,
                          stat_table_from_attack, t_values)
 from sqkd3.attack import ChannelScenario
+from sqkd3.keyrate import find_threshold, key_rate, key_rate_from_table
 from sqkd3.linalg import OMEGA
 
 
@@ -176,26 +177,26 @@ def test_t_values_total_mass(seed):
 
 
 def test_joint_distribution_noiseless():
-    jd = joint_and_marginal(p_table_symmetric(0.0, 0.0))
-    assert np.allclose(jd.joint, np.eye(3) / 3)
-    assert jd.joint.sum() == pytest.approx(1.0)
+    joint, _ = joint_and_marginal(p_table_symmetric(0.0, 0.0))
+    assert np.allclose(joint, np.eye(3) / 3)
+    assert joint.sum() == pytest.approx(1.0)
 
 
 def test_joint_distribution_mass_anomaly():
     # as-printed weights: matching cells 1/3, mismatched 2/3
     q = 0.1
     p = p_table_symmetric(q, q)
-    jd = joint_and_marginal(p, "as-printed")
+    joint, _ = joint_and_marginal(p, "as-printed")
     brute = 0.0
     for b in range(3):
         for a in range(3):
             w = 1 / 3 if b == a else 2 / 3
             brute += w * sum(p[i, b, a] for i in range(3))
-    assert jd.joint.sum() == pytest.approx(brute, abs=1e-15)
-    assert jd.joint.sum() == pytest.approx(1 + 2 * q, abs=1e-12)
-    normalized = joint_and_marginal(p, "normalized")
-    assert normalized.joint.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(normalized.marginal_a, normalized.joint.sum(axis=0))
+    assert joint.sum() == pytest.approx(brute, abs=1e-15)
+    assert joint.sum() == pytest.approx(1 + 2 * q, abs=1e-12)
+    joint, marginal = joint_and_marginal(p, "normalized")
+    assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(marginal, joint.sum(axis=0))
 
 
 def test_stat_table_validation_and_json():
@@ -259,6 +260,47 @@ def test_check_p_tables_verdicts(cells, error):
 def test_check_p_tables_rejects_nan_table():
     with pytest.raises(ValueError, match="outside"):
         check_p_tables(np.full((3, 3, 3), np.nan))
+
+
+def test_stat_table_keeps_read_only_copies():
+    # the table once stored the caller's arrays, so a write made after the
+    # checks reached the key rate: these two writes made r = nan
+    p = p_table_symmetric(0.1, 0.1)
+    err = np.full(6, 0.1)
+    table = StatTable(p, err, "phi1")
+    r = key_rate_from_table(table).r
+    p[0, 0, 0] = 5.0
+    err[0] = np.nan
+    assert key_rate_from_table(table).r == r
+    for kept in (table.p, table.basis_err):
+        with pytest.raises(ValueError, match="read-only"):
+            kept.flat[1] = 0.0
+    with pytest.raises(ValueError, match="outside"):
+        StatTable(p, err, "phi1")
+
+
+@pytest.mark.parametrize("p_mode", ["as-printed", "corrected"])
+@pytest.mark.parametrize("weighting", ["as-printed", "normalized"])
+@pytest.mark.parametrize("variant", ["phi1", "phi2"])
+def test_independent_per_pair_basis_errors_leave_the_simplex_above_one_sixth(
+        variant, weighting, p_mode):
+    # Known defect, pinned as it stands.  Each per-pair error is 2Q(2 - 3Q),
+    # so the two error cells of one sent value hold 4Q(2 - 3Q), which
+    # passes 1 at Q = 1/6; StatTable checks each entry alone and accepts the
+    # table, and the rate is printed for statistics no attack realises.
+    # The threshold lies below 1/6, so it does not move.
+    def scenario(q):
+        return ChannelScenario(q, "independent", variant, "per-pair",
+                               weighting, p_mode)
+
+    def error_mass(q):  # per sent value, in basis_err's order
+        return stat_table_for_scenario(scenario(q)).basis_err.reshape(3, 2).sum(axis=1)
+
+    assert (error_mass(0.16) <= 1.0).all()
+    assert error_mass(0.2) == pytest.approx([1.12] * 3, abs=1e-12)
+    assert np.isfinite(key_rate(scenario(0.2)).r)
+    assert find_threshold(variant, "independent", "per-pair", weighting,
+                          p_mode) < 1 / 6
 
 
 def test_scenario_table_uses_convention():

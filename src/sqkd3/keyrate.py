@@ -32,7 +32,7 @@ from .attack import (Q_MAX, AttackModel, ChannelScenario, _one_attack,
                      alternative_basis_error, check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
-from .stats import (_J, ERROR_PATTERN, StatTable, check_p_tables,
+from .stats import (_J, ERROR_PATTERN, StatTable, _one_table, check_p_tables,
                     joint_and_marginal, p_table_symmetric,
                     stat_table_for_scenario, t_values)
 
@@ -102,19 +102,22 @@ _X_LEFT, _X_RIGHT = np.ravel_multi_index(
 _N_POS = len(tables.X_SQRT_POS)
 
 
-def _x_stat(p: np.ndarray, basis_err: np.ndarray, variant: str) -> np.ndarray:
+def _per_table(x):
+    """x as a float if it holds one table's value, else as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def x_bound(table: StatTable):
+    """The observable statistic bounding the no-error block overlaps, of
+    one table (a float) or of each table of a stack (an array)."""
+    p = table.p
     cells = p.reshape(-1, 27).T
     terms = cells[_X_LEFT] * cells[_X_RIGHT]
     np.sqrt(terms, out=terms)
-    x = (3.0 - 1.5 * basis_err.sum(axis=-1)
-         + tables.X54_COEFFICIENT[variant] * sequential_sum(terms[:_N_POS])
+    x = (3.0 - 1.5 * table.basis_err.reshape(-1, 6).sum(axis=-1)
+         + tables.X54_COEFFICIENT[table.variant] * sequential_sum(terms[:_N_POS])
          - sequential_sum(terms[_N_POS:]))
-    return x.reshape(p.shape[:-3])
-
-
-def x_bound(table: StatTable) -> float:
-    """The observable statistic bounding the no-error block overlaps."""
-    return float(_x_stat(table.p, table.basis_err, table.variant))
+    return _per_table(x.reshape(p.shape[:-3]))
 
 
 def _square(x):
@@ -150,13 +153,10 @@ def _is_corrected(mode: str) -> bool:
     return mode == "corrected"
 
 
-def _p_lower(s_clamped, diag, corrected: bool) -> np.ndarray:
-    return np.minimum(s_clamped / 3.0, _ceiling(diag)) if corrected else s_clamped
-
-
-def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float:
+def p_lower_bound(x, table: StatTable, mode: str = "as-printed"):
     """The overlap quantity fed to the eigenvalue forms, as key_rate reports
-    it in p_lower.
+    it in p_lower: of one table (a float) or of each table of a stack (an
+    array), with x its x_bound.
 
     as-printed: max(x, 0)^2, uncapped; corrected: max(x, 0)^2 / 3 capped
     at the feasibility ceiling p000 p111 + p000 p222 + p111 p222.  Neither
@@ -164,8 +164,10 @@ def p_lower_bound(x: float, table: StatTable, mode: str = "as-printed") -> float
     the symmetric twirl the corrected value is 2.548 against an exact
     2.342 at Q = 0.02, and 1.968 against 1.566 at Q = 0.05.
     """
-    return float(_p_lower(_clamped_square(x), _no_error_diagonal(table.p),
-                          _is_corrected(mode)))
+    p_low = _clamped_square(x)
+    if _is_corrected(mode):
+        p_low = np.minimum(p_low / 3.0, _ceiling(_no_error_diagonal(table.p)))
+    return _per_table(p_low)
 
 
 def _h(lam):
@@ -207,13 +209,11 @@ def sigma1_eigenvalues(p000, p111, p222, p):
     return sigma1_entropy_terms(p000, p111, p222, p, "corrected")[:2]
 
 
-def _s_bec(p: np.ndarray) -> np.ndarray:
-    return entropy3(p.reshape(p.shape[:-3] + (27,)) / 3.0)
-
-
-def s_bec(table: StatTable) -> float:
-    """Entropy of the full record ensemble: H3 of the 27 entries over 3."""
-    return float(_s_bec(table.p))
+def s_bec(table: StatTable):
+    """Entropy of the full record ensemble: H3 of the 27 entries over 3, of
+    one table (a float) or of each table of a stack (an array)."""
+    p = table.p
+    return _per_table(entropy3(p.reshape(p.shape[:-3] + (27,)) / 3.0))
 
 
 def _s_ec_upper(t: np.ndarray, ent) -> np.ndarray:
@@ -291,25 +291,25 @@ def h_b_given_a(jd: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return entropy3(joint.reshape(joint.shape[:-2] + (9,))) - entropy3(marginal)
 
 
-def _evaluate(p: np.ndarray, basis_err: np.ndarray, variant: str,
-              weighting: str, p_mode: str) -> dict:
-    """The key-rate bound on tables p (N, 3, 3, 3) with errors (N, 6).
+def _evaluate(table: StatTable, weighting: str, p_mode: str) -> dict:
+    """The key-rate bound on one table or on each table of a stack.
 
-    Returns one length-N array per intermediate, keyed as the sweep columns
-    (t1..t4, X, p_lower, lambda1, lambda2, S_BEC, S_EC_upper, H_B_given_A,
-    r) plus S_clamped.
+    Returns one value per intermediate for one table, one array per
+    intermediate for a stack, keyed as the sweep columns (t1..t4, X,
+    p_lower, lambda1, lambda2, S_BEC, S_EC_upper, H_B_given_A, r) plus
+    S_clamped.
     """
-    t = t_values(p)
-    x = _x_stat(p, basis_err, variant)
+    t = t_values(table.p)
+    x = x_bound(table)
     s_clamped = _clamped_square(x)
-    diag = _no_error_diagonal(p)
-    p_low = _p_lower(s_clamped, diag, _is_corrected(p_mode))
-    lam1, lam2, ent = sigma1_entropy_terms(*diag, p_low, p_mode)
-    bec = _s_bec(p)
+    p_low = p_lower_bound(x, table, p_mode)
+    lam1, lam2, ent = sigma1_entropy_terms(*_no_error_diagonal(table.p),
+                                           p_low, p_mode)
+    bec = s_bec(table)
     ec_upper = _s_ec_upper(t, ent)
-    hba = h_b_given_a(joint_and_marginal(p, weighting))
-    return {"t1": t[:, 0], "t2": t[:, 1], "t3": t[:, 2], "t4": t[:, 3], "X": x,
-            "S_clamped": s_clamped, "p_lower": p_low, "lambda1": lam1,
+    hba = h_b_given_a(joint_and_marginal(table.p, weighting))
+    return {"t1": t[..., 0], "t2": t[..., 1], "t3": t[..., 2], "t4": t[..., 3],
+            "X": x, "S_clamped": s_clamped, "p_lower": p_low, "lambda1": lam1,
             "lambda2": lam2, "S_BEC": bec, "S_EC_upper": ec_upper,
             "H_B_given_A": hba, "r": bec - ec_upper - hba}
 
@@ -331,12 +331,13 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
     S_clamped, p_lower, lambda1, lambda2, S_BEC, S_EC_upper, H_B_given_A
     and r.
 
-    The kernel runs on consecutive slices of _CHUNK = 512 points, and the
-    columns of longer grids are concatenated at the end; rows do not
-    depend on each other, so every column keeps its bits.  A grid of at
-    most 512 points is one pass with no copy.  Beyond the outputs the call
-    holds O(512) rows of intermediates and one copy of each column, so its
-    peak memory stays below 2.5 times the bytes of its 14 columns.
+    The kernel runs on one stack StatTable per consecutive slice of _CHUNK
+    = 512 points, and the columns of longer grids are concatenated at the
+    end; rows do not depend on each other, so every column keeps its bits.
+    A grid of at most 512 points is one pass with no copy.  Beyond the
+    outputs the call holds O(512) rows of intermediates and one copy of
+    each column, so its peak memory stays below 2.5 times the bytes of its
+    14 columns.
     """
     check_conventions(model=model, variant=variant,
                       basis_noise_convention=basis_noise_convention,
@@ -347,10 +348,9 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
 
     def rows(q):
         p = p_table_symmetric(q, q)
-        check_p_tables(p)
         err = alternative_basis_error(q, model, basis_noise_convention)
-        return _evaluate(p, np.repeat(err[:, None], 6, axis=1), variant,
-                         joint_weighting, p_mode)
+        table = StatTable(p, np.repeat(err[:, None], 6, axis=1), variant)
+        return _evaluate(table, joint_weighting, p_mode)
 
     if len(q) <= _CHUNK:
         return {"Q": q, **rows(q)}
@@ -368,11 +368,10 @@ def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
     The report's convention flags are convention_flags plus the weighting,
     p-mode and table variant in use; a flag that names another value for
     one of those three, an unknown flag and an unknown value raise
-    ValueError.
+    ValueError, and so does a stack table.
     """
-    cols = {k: v.item() for k, v in _evaluate(
-        table.p[None], table.basis_err[None], table.variant, weighting,
-        p_mode).items()}
+    cols = {k: float(v)
+            for k, v in _evaluate(_one_table(table), weighting, p_mode).items()}
     flags = dict(convention_flags or {})
     for name, used in (("joint_weighting", weighting), ("p_mode", p_mode),
                        ("variant", table.variant)):

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, _json_document,
-                     _json_numbers, _one_attack, alternative_basis_error,
-                     check_conventions)
+                     _json_numbers, alternative_basis_error, check_conventions)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -23,24 +22,26 @@ ROW_SUM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class StatTable:
-    """27 canonical-basis probabilities plus six alternative-basis errors.
+    """27 canonical-basis probabilities plus six alternative-basis errors,
+    of one table or of each table of a stack.
 
+    p is (..., 3, 3, 3) and basis_err (..., 6), with equal leading axes;
     basis_err is ordered (0->1, 0->2, 1->0, 1->2, 2->0, 2->1).  Both are
     numpy arrays of probabilities, each in [0, 1] up to 1e-12.  The table
     keeps read-only copies of the arrays it is given, so no later write
     reaches a value that was not checked.  Equality is identity.
     """
 
-    p: np.ndarray          # (3, 3, 3) float
-    basis_err: np.ndarray  # (6,) float
+    p: np.ndarray          # (..., 3, 3, 3) float
+    basis_err: np.ndarray  # (..., 6) float
     variant: str
 
     def __post_init__(self):
-        p, err = self.p, self.basis_err
-        if not (isinstance(p, np.ndarray) and p.shape == (3, 3, 3)):
-            raise ValueError("p must be a 3x3x3 table")
-        if not (isinstance(err, np.ndarray) and err.shape == (6,)):
-            raise ValueError("basis_err must be an array of six entries")
+        p = _trailing("p", self.p, (3, 3, 3))
+        err = _trailing("basis_err", self.basis_err, (6,))
+        if p.shape[:-3] != err.shape[:-1]:
+            raise ValueError(f"p shape {p.shape} and basis_err shape "
+                             f"{err.shape} have different leading axes")
         p, err = p.copy(), err.copy()
         for name, array in (("p", p), ("basis_err", err)):
             array.flags.writeable = False
@@ -51,12 +52,10 @@ class StatTable:
             raise ValueError("basis errors outside [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "p": [float(self.p[i, j, k])
-                  for i in range(3) for j in range(3) for k in range(3)],
-            "basis_err": [float(v) for v in self.basis_err],
-            "variant": self.variant.capitalize(),
-        })
+        _one_table(self)
+        return json.dumps({"p": self.p.ravel().tolist(),
+                           "basis_err": self.basis_err.tolist(),
+                           "variant": self.variant.capitalize()})
 
     @classmethod
     def from_json(cls, text: str) -> "StatTable":
@@ -65,6 +64,23 @@ class StatTable:
             raise ValueError(f"variant must be a string, got {doc['variant']!r}")
         return cls(_json_numbers(doc, "p", (27,)).reshape(3, 3, 3),
                    _json_numbers(doc, "basis_err", (6,)), doc["variant"].lower())
+
+
+def _one_table(table: StatTable) -> StatTable:
+    """table, if it holds one table; a stack raises."""
+    if table.p.ndim > 3:
+        raise ValueError("expected one table, got a stack of shape "
+                         f"{table.p.shape[:-3]}")
+    return table
+
+
+def _trailing(name: str, x, axes: tuple) -> np.ndarray:
+    """x, if it is an array (..., *axes) of one table or a stack."""
+    if not (isinstance(x, np.ndarray) and x.shape[-len(axes):] == axes):
+        raise ValueError(f"{name} must be an array (..., "
+                         f"{', '.join(map(str, axes))}), got "
+                         f"{getattr(x, 'shape', type(x).__name__)}")
+    return x
 
 
 def _in_unit_interval(x: np.ndarray) -> bool:
@@ -211,7 +227,7 @@ def t_values(p: np.ndarray) -> np.ndarray:
     t1: no error either way; t2: outbound error only; t3: return error
     only; t4: errors both ways.  They sum to 3 (one per prepared state).
     """
-    p = np.asarray(p, dtype=float)
+    p = _trailing("p", np.asarray(p, dtype=float), (3, 3, 3))
     flat = p.reshape(-1, 27)
     cells = flat.T[_T_ORDER]
     t = np.empty((len(flat), 4))
@@ -235,15 +251,16 @@ def joint_and_marginal(p: np.ndarray, weighting: str = "as-printed"
     mass.  Both are exposed because the two disagree on H(B|A).
     """
     check_conventions(joint_weighting=weighting)
-    joint = _JOINT_WEIGHTS * np.asarray(p, dtype=float).sum(axis=-3)
+    p = _trailing("p", np.asarray(p, dtype=float), (3, 3, 3))
+    joint = _JOINT_WEIGHTS * p.sum(axis=-3)
     if weighting == "normalized":
         joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
     return joint, joint.sum(axis=-2)
 
 
 def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:
-    """Exact observed statistics of a concrete attack; a stack raises."""
-    _one_attack(attack)
+    """Exact observed statistics of a concrete attack, or the stack table of
+    a stack of attacks, whose table t has the bits of attack t's own."""
     return StatTable(p_table_from_attack(attack),
                      basis_error_direct(attack, variant), variant)
 

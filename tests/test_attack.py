@@ -17,7 +17,7 @@ from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
                           ternary_channel_apply, vector_families)
 from sqkd3.keyrate import (conditional_entropies, find_threshold, h_b_given_a,
                            key_rate_curve, key_rate_from_table, lemma1_check,
-                           p_lower_bound, sigma1_entropy_terms)
+                           p_lower_bound, s_bec, sigma1_entropy_terms, x_bound)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.sim import run_protocol
 from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
@@ -259,12 +259,14 @@ def test_random_attack_rejects_a_bad_stage(stage, corrupt, monkeypatch):
         random_attack(3, 3, 5)
 
 
-def assert_statistics_equal_per_table_calls(p):
-    """t_values, joint_and_marginal, h_b_given_a and sigma1_entropy_terms of
-    a stack of tables p (..., 3, 3, 3) against their calls on each table
-    alone, bit for bit.  The overlap quantities run from 0 to twice each
-    table's feasibility ceiling, so both signs of the discriminant and the
-    clamp of lambda1 are reached."""
+def assert_statistics_equal_per_table_calls(table):
+    """t_values, joint_and_marginal, h_b_given_a, sigma1_entropy_terms,
+    x_bound, s_bec and p_lower_bound of a stack table against their calls
+    on each table alone, bit for bit; on one table the last three return
+    floats.  The overlap quantities run from 0 to twice each table's
+    feasibility ceiling, so both signs of the discriminant and the clamp of
+    lambda1 are reached."""
+    p = table.p
     t = t_values(p)
     joints = {w: joint_and_marginal(p, w) for w in CONVENTIONS["joint_weighting"]}
     h = {w: h_b_given_a(jd) for w, jd in joints.items()}
@@ -273,8 +275,17 @@ def assert_statistics_equal_per_table_calls(p):
     overlap = 2.0 * ceiling * np.linspace(0.0, 1.0, ceiling.size).reshape(ceiling.shape)
     terms = {mode: sigma1_entropy_terms(p000, p111, p222, overlap, mode)
              for mode in CONVENTIONS["p_mode"]}
+    x, bec = x_bound(table), s_bec(table)
+    p_low = {mode: p_lower_bound(x, table, mode) for mode in CONVENTIONS["p_mode"]}
     for idx in np.ndindex(p.shape[:-3]):
         one = p[idx]
+        single = StatTable(one, table.basis_err[idx], table.variant)
+        one_x = x_bound(single)
+        pairs = [(x, one_x), (bec, s_bec(single))] + [
+            (p_low[mode], p_lower_bound(one_x, single, mode)) for mode in p_low]
+        for stacked, alone in pairs:
+            assert type(alone) is float
+            assert stacked[idx].tobytes() == np.float64(alone).tobytes()
         assert t[idx].tobytes() == t_values(one).tobytes()
         for w, jd in joints.items():
             one_jd = joint_and_marginal(one, w)
@@ -303,6 +314,8 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
         errors = {variant: (basis_error_direct(fams, variant),
                             basis_error_expanded(gram, variant))
                   for variant in ("phi1", "phi2")}
+        tables = {variant: stat_table_from_attack(fams, variant)
+                  for variant in ("phi1", "phi2")}
         for t in range(len(fams.forward)):
             one = random_attack(d_f, d_r, next(seed))
             for name in names:
@@ -315,7 +328,12 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                         == basis_error_direct(one, variant).tobytes())
                 assert (expanded[t].tobytes()
                         == basis_error_expanded(one_gram, variant).tobytes())
-        assert_statistics_equal_per_table_calls(p_table_from_attack(fams))
+                one_table = stat_table_from_attack(one, variant)
+                assert tables[variant].p[t].tobytes() == one_table.p.tobytes()
+                assert (tables[variant].basis_err[t].tobytes()
+                        == one_table.basis_err.tobytes())
+        for table in tables.values():
+            assert_statistics_equal_per_table_calls(table)
     # two leading axes: the first stack's attacks as a (2, m) grid
     fw, rv = stacks[0].forward, stacks[0].reverse
     m = per_call // 2
@@ -335,14 +353,22 @@ def test_stacked_families_and_statistics_equal_per_attack_calls(d_f, d_r):
                 == basis_error_direct(flat, variant).tobytes())
         assert (basis_error_expanded(gram, variant).tobytes()
                 == basis_error_expanded(f_gram(flat), variant).tobytes())
-    assert_statistics_equal_per_table_calls(p_table_from_attack(grid))
+        table, flat_table = (stat_table_from_attack(fams, variant)
+                             for fams in (grid, flat))
+        assert table.p.tobytes() == flat_table.p.tobytes()
+        assert table.p.shape == (2, m, 3, 3, 3)
+        assert table.basis_err.tobytes() == flat_table.basis_err.tobytes()
+        assert table.basis_err.shape == (2, m, 6)
+        assert_statistics_equal_per_table_calls(table)
 
 
 def test_statistics_of_a_symmetric_table_grid_equal_per_table_calls():
     # a (7, 5) grid of forward and reverse flip probabilities over [0, 3/8]
     q_forward, q_reverse = np.linspace(0.0, 0.375, 7), np.linspace(0.0, 0.375, 5)
-    assert_statistics_equal_per_table_calls(
-        p_table_symmetric(q_forward[:, None], q_reverse[None, :]))
+    p = p_table_symmetric(q_forward[:, None], q_reverse[None, :])
+    basis_err = np.linspace(0.0, 1.0, 7 * 5 * 6).reshape(7, 5, 6)
+    for variant in ("phi1", "phi2"):
+        assert_statistics_equal_per_table_calls(StatTable(p, basis_err, variant))
 
 
 def test_attack_keeps_its_families():

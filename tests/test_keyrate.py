@@ -27,7 +27,7 @@ from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
 from sqkd3.linalg import (LN3, entropy3, haar_isometry, shannon_entropy3,
                           von_neumann_entropy3)
 from sqkd3.sim import run_protocol
-from sqkd3.stats import (StatTable, check_p_tables, joint_and_marginal,
+from sqkd3.stats import (StatTable, joint_and_marginal,
                          p_table_from_attack, p_table_symmetric,
                          stat_table_for_scenario, stat_table_from_attack,
                          t_values)
@@ -495,11 +495,10 @@ def test_kernel_rejects_q_that_is_not_1d(q):
 
 def whole_grid_curve(q, model, variant, basis, weighting, p_mode) -> dict:
     """key_rate_curve as one _evaluate pass over the whole grid."""
-    p = p_table_symmetric(q, q)
-    check_p_tables(p)
     err = alternative_basis_error(q, model, basis)
-    return {"Q": q, **keyrate._evaluate(p, np.repeat(err[:, None], 6, axis=1),
-                                        variant, weighting, p_mode)}
+    table = StatTable(p_table_symmetric(q, q), np.repeat(err[:, None], 6, axis=1),
+                      variant)
+    return {"Q": q, **keyrate._evaluate(table, weighting, p_mode)}
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 5001])
@@ -1016,20 +1015,14 @@ def test_conditional_entropies_traced_peak_on_the_twirl():
     assert peak < 3e6
 
 
-def stat_table_from_attack_phi1(attack):
-    return stat_table_from_attack(attack, "phi1")
-
-
 @pytest.mark.parametrize("fn", [no_error_overlap, conditional_entropies,
                                 rho_be, rho_bec,
                                 lambda stack: run_protocol(10, stack),
-                                AttackModel.to_json,
-                                stat_table_from_attack_phi1])
+                                AttackModel.to_json])
 def test_functions_of_one_attack_refuse_a_stack(fn, monkeypatch):
     # run_protocol once failed in a reshape, and to_json wrote a flat
-    # document that from_json rejects; stat_table_from_attack computed the
-    # whole stack's table before StatTable refused its shape.  None of
-    # them draws, writes or tabulates first
+    # document that from_json rejects.  None of them draws, writes or
+    # tabulates first
     fams = next(random_attack_stacks(3, 3, [1, 2, 3, 4]))
 
     def no_output(*args, **kwargs):
@@ -1040,6 +1033,17 @@ def test_functions_of_one_attack_refuse_a_stack(fn, monkeypatch):
     with pytest.raises(ValueError, match=r"one attack, got a stack of shape \(4,\)$"):
         fn(fams)
 
+
+
+def test_key_rate_from_table_refuses_a_stack_before_evaluating(monkeypatch):
+    stack = stat_table_from_attack(next(random_attack_stacks(3, 3, [1, 2, 3])),
+                                   "phi1")
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before refusing the stack")
+    monkeypatch.setattr(keyrate, "_evaluate", no_evaluation)
+    with pytest.raises(ValueError, match=r"^expected one table, got a stack of shape \(3,\)$"):
+        key_rate_from_table(stack)
 
 # ---------------------------------------------------------------------------
 # Certified S(EC) bound against the exact conditioned states

@@ -57,17 +57,37 @@ def test_array_records_compare_by_identity_and_hash(make):
     assert len({one, other, one}) == 2
 
 
-def test_benchmark_replay_reproduces_key_rate(monkeypatch):
-    # the benchmark's traced run recomposes key_rate from the public
-    # statistics functions; a change to one of their names or results
-    # would otherwise show only in a traced benchmark run.  The module's
-    # dataclasses need it in sys.modules while it loads.
+def _benchmark_ops(monkeypatch):
+    # the module's dataclasses need it in sys.modules while it loads
     spec = importlib.util.spec_from_file_location(
         "perfbench_ops", _ROOT / "perfbench" / "ops.py")
     ops = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, ops)
     spec.loader.exec_module(ops)
+    return ops
+
+
+def test_benchmark_replay_reproduces_key_rate(monkeypatch):
+    # the benchmark's traced run recomposes key_rate from the public
+    # statistics functions; a change to one of their names or results
+    # would otherwise show only in a traced benchmark run
+    ops = _benchmark_ops(monkeypatch)
     for conv in ops.CONVENTIONS:
         for q in (0.0, 0.05, 0.1, 0.2, 1 / 3):
             scn = ops.scenario(conv, q)
             assert ops.replay_key_rate(ops.Tracer(), scn) == sqkd3.key_rate(scn).r
+
+
+def test_benchmark_replay_reproduces_attack_statistics(monkeypatch):
+    # the traced statistics pass rebuilds each table from its stages and
+    # raises ReplayMismatch when it differs from stat_table_from_attack
+    ops = _benchmark_ops(monkeypatch)
+    ctx = ops.Context(rng=None, tracer=ops.Tracer())
+    for d_f, d_r in ops.DIM_PAIRS:
+        attack = sqkd3.random_attack(d_f, d_r, 10 * d_f + d_r)
+        for variant in ops.VARIANTS:
+            replayed = ops._stat_table(ctx, attack, variant)
+            table = sqkd3.stat_table_from_attack(attack, variant)
+            assert replayed.p.tobytes() == table.p.tobytes()
+            assert replayed.basis_err.tobytes() == table.basis_err.tobytes()
+    assert "stats.p_table_from_attack" in ctx.tracer.values

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -320,14 +322,49 @@ def test_stat_table_accepts_basis_errors_at_rounding_distance_of_the_ends():
                                        np.full((6, 1), 0.05)],
                          ids=["list", "tuple", "five", "column"])
 def test_stat_table_basis_err_must_be_an_array_of_six(basis_err):
-    with pytest.raises(ValueError, match="six entries"):
+    with pytest.raises(ValueError, match=r"^basis_err must be an array \(\.\.\., 6\), got "):
         StatTable(p_table_symmetric(0.05, 0.05), basis_err, "phi1")
 
 
 def test_stat_table_p_must_be_an_array():
-    with pytest.raises(ValueError, match="3x3x3"):
+    with pytest.raises(ValueError, match=r"^p must be an array \(\.\.\., 3, 3, 3\), got list$"):
         StatTable(p_table_symmetric(0.05, 0.05).tolist(), np.full(6, 0.05),
                   "phi1")
+
+
+@pytest.mark.parametrize("fn", [t_values, joint_and_marginal])
+@pytest.mark.parametrize("p", [np.full((9, 3), 1 / 9), np.full((2, 3, 3), 1 / 9)],
+                         ids=["9x3", "2x3x3"])
+def test_table_statistics_refuse_arrays_that_are_not_3x3x3_tables(fn, p):
+    # both once returned numbers: t-values (0.333, 0.667, 0.667, 1.333) of
+    # the 9x3 array, and a 3x3 "joint" of the 2x3x3 array whose H(B|A)
+    # read 1.067
+    message = f"p must be an array (..., 3, 3, 3), got {p.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(p)
+
+
+def test_stack_table_keeps_its_axes_and_needs_equal_leading_axes():
+    p = p_table_symmetric(np.linspace(0.0, 0.3, 6).reshape(2, 3), 0.05)
+    table = StatTable(p, np.full((2, 3, 6), 0.05), "phi2")
+    assert table.p.shape == (2, 3, 3, 3, 3) and table.basis_err.shape == (2, 3, 6)
+    assert table.p.tobytes() == p.tobytes()
+    for err in (np.full(6, 0.05), np.full((3, 2, 6), 0.05), np.full((6, 6), 0.05)):
+        message = (f"p shape (2, 3, 3, 3, 3) and basis_err shape {err.shape} "
+                   "have different leading axes")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StatTable(p, err, "phi2")
+
+
+def test_stack_table_refuses_json_before_writing(monkeypatch):
+    table = StatTable(p_table_symmetric(np.array([0.0, 0.1]), 0.1),
+                      np.full((2, 6), 0.1), "phi1")
+
+    def no_output(*args, **kwargs):
+        raise AssertionError("wrote before refusing the stack")
+    monkeypatch.setattr(json, "dumps", no_output)
+    with pytest.raises(ValueError, match=r"^expected one table, got a stack of shape \(2,\)$"):
+        table.to_json()
 
 
 @pytest.mark.parametrize("n_attacks,seed", [(200, 1000), (100, 3000)])

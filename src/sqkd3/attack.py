@@ -129,14 +129,6 @@ class ChannelScenario:
         return {name: getattr(self, name) for name in CONVENTIONS}
 
 
-def alternative_basis_error(q, model: str, basis_noise_convention: str):
-    """Per-pair alternative-basis error probability at noise q (scalar or array)."""
-    value = q if model == "dependent" else 2.0 * q * (2.0 - 3.0 * q)
-    if basis_noise_convention == "total":
-        value = value / 2.0
-    return value
-
-
 def ternary_channel_apply(rho: np.ndarray, q: float) -> np.ndarray:
     """Ternary symmetric channel rho -> (1-3q) rho + q I, for q in [0, 3/8]."""
     if not 0.0 <= q <= Q_MAX:

@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, _one_attack,
-                     alternative_basis_error, check_conventions)
+                     check_conventions)
 from .linalg import (LN3, entropy3, sequential_sum, shannon_entropy3,
                      von_neumann_entropy3)
-from .stats import (_J, ERROR_PATTERN, StatTable, _one_table, check_p_tables,
-                    joint_and_marginal, p_table_symmetric,
-                    stat_table_for_scenario, t_values)
+from .stats import (_J, ERROR_PATTERN, StatTable, _one_table, _scenario_table,
+                    check_p_tables, joint_and_marginal, stat_table_for_scenario,
+                    t_values)
 
 
 @dataclass(frozen=True)
@@ -347,10 +347,8 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
         raise ValueError(f"q must be a 1-d array, got {q.ndim} dimensions")
 
     def rows(q):
-        p = p_table_symmetric(q, q)
-        err = alternative_basis_error(q, model, basis_noise_convention)
-        table = StatTable(p, np.repeat(err[:, None], 6, axis=1), variant)
-        return _evaluate(table, joint_weighting, p_mode)
+        return _evaluate(_scenario_table(q, model, basis_noise_convention, variant),
+                         joint_weighting, p_mode)
 
     if len(q) <= _CHUNK:
         return {"Q": q, **rows(q)}
@@ -361,33 +359,27 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
 
 
 def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
-                        p_mode: str = "as-printed",
-                        convention_flags: dict | None = None) -> KeyRateReport:
+                        p_mode: str = "as-printed") -> KeyRateReport:
     """Evaluate the key-rate bound on an explicit statistics table.
 
-    The report's convention flags are convention_flags plus the weighting,
-    p-mode and table variant in use; a flag that names another value for
-    one of those three, an unknown flag and an unknown value raise
-    ValueError, and so does a stack table.
+    The report's convention flags are the weighting, p-mode and table
+    variant in use.  An unknown weighting or p-mode raises ValueError, and
+    so does a stack table.
     """
     cols = {k: float(v)
             for k, v in _evaluate(_one_table(table), weighting, p_mode).items()}
-    flags = dict(convention_flags or {})
-    for name, used in (("joint_weighting", weighting), ("p_mode", p_mode),
-                       ("variant", table.variant)):
-        if flags.setdefault(name, used) != used:
-            raise ValueError(f"convention flag {name}={flags[name]!r} "
-                             f"contradicts the {used!r} in use")
-    check_conventions(**flags)
     return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
-                         convention_flags=flags, **cols)
+                         convention_flags={"joint_weighting": weighting,
+                                           "p_mode": p_mode,
+                                           "variant": table.variant}, **cols)
 
 
 def key_rate(scenario: ChannelScenario) -> KeyRateReport:
-    """Key-rate bound of a symmetric-noise scenario."""
-    table = stat_table_for_scenario(scenario)
-    return key_rate_from_table(table, scenario.joint_weighting,
-                               scenario.p_mode, scenario.flags())
+    """Key-rate bound of a symmetric-noise scenario, stamped with all of
+    the scenario's convention flags."""
+    report = key_rate_from_table(stat_table_for_scenario(scenario),
+                                 scenario.joint_weighting, scenario.p_mode)
+    return replace(report, convention_flags=scenario.flags())
 
 
 #: Bisection stops once the bracket is at most this wide.

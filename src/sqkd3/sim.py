@@ -57,18 +57,28 @@ class SimulationResult:
     (sent, bob, final) and empirical_p normalizes it per sent value.
     counts_basis_err counts the noise-estimation rounds (alternative basis,
     reflected) in BASIS_ERROR_ORDER, empirical_basis_err normalizes them by
-    noise_rounds_per_sent of their sent value.  n_sifted, sifted_fraction
-    and raw_key_error_rate (bob != final) are derived from counts_p; an
-    empty frequency row is all zeros.
+    noise_rounds_per_sent of their sent value.  The frequencies, n_sifted,
+    sifted_fraction and raw_key_error_rate (bob != final) are derived from
+    the counts on each read; an empty frequency row is all zeros.
     """
 
     n_rounds: int
     counts_p: np.ndarray          # (3,3,3) counts over (sent, bob, final)
-    empirical_p: np.ndarray       # (3,3,3)
     counts_basis_err: np.ndarray  # (6,)
-    empirical_basis_err: np.ndarray  # (6,)
     noise_rounds_per_sent: np.ndarray  # (3,)
     seed: int = 0
+
+    @property
+    def empirical_p(self) -> np.ndarray:
+        per_sent = self.counts_p.sum(axis=(1, 2))[:, None, None]
+        return np.divide(self.counts_p, per_sent, out=np.zeros((3, 3, 3)),
+                         where=per_sent > 0)
+
+    @property
+    def empirical_basis_err(self) -> np.ndarray:
+        rounds = self.noise_rounds_per_sent[_ERR_SENT]
+        return np.divide(self.counts_basis_err, rounds, out=np.zeros(6),
+                         where=rounds > 0)
 
     @property
     def n_sifted(self) -> int:
@@ -246,19 +256,10 @@ def run_protocol(n: int, attack: AttackModel, variant: str = "phi1",
         table, counts = reported[kind]
         counts[i] = _outcome_counts(stream, size, table[i])
 
-    counts_p = counts_p.reshape(3, 3, 3)
-    per_sent = counts_p.sum(axis=(1, 2))[:, None, None]
-    noise_rounds = alt_reflect.sum(axis=1)
-    counts_basis_err = alt_reflect[_ERROR_CELLS]
     return SimulationResult(
-        n_rounds=n, counts_p=counts_p,
-        empirical_p=np.divide(counts_p, per_sent, out=np.zeros((3, 3, 3)),
-                              where=per_sent > 0),
-        counts_basis_err=counts_basis_err,
-        empirical_basis_err=np.divide(
-            counts_basis_err, noise_rounds[_ERR_SENT], out=np.zeros(6),
-            where=noise_rounds[_ERR_SENT] > 0),
-        noise_rounds_per_sent=noise_rounds, seed=seed)
+        n_rounds=n, counts_p=counts_p.reshape(3, 3, 3),
+        counts_basis_err=alt_reflect[_ERROR_CELLS],
+        noise_rounds_per_sent=alt_reflect.sum(axis=1), seed=seed)
 
 
 def max_deviation_sigma(result: SimulationResult, table: StatTable) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import term_tables as tables
 from .attack import (Q_MAX, AttackModel, ChannelScenario, _json_document,
-                     _json_numbers, alternative_basis_error, check_conventions)
+                     _json_numbers, check_conventions)
 from .linalg import OMEGA, sequential_sum, sq_norms
 
 ROW_SUM_TOL = 1e-9
@@ -265,9 +265,21 @@ def stat_table_from_attack(attack: AttackModel, variant: str) -> StatTable:
                      basis_error_direct(attack, variant), variant)
 
 
+def _scenario_table(q, model: str, basis_noise_convention: str,
+                    variant: str) -> StatTable:
+    """Analytic statistics of the symmetric channel at flip probability q,
+    one table for a float q or a stack for a 1-d array: each basis error is
+    q (dependent model) or 2q(2 - 3q) (independent), halved under the
+    total basis-noise convention."""
+    q = np.asarray(q, dtype=float)
+    err = q if model == "dependent" else 2.0 * q * (2.0 - 3.0 * q)
+    if basis_noise_convention == "total":
+        err = err / 2.0
+    return StatTable(p_table_symmetric(q, q),
+                     np.repeat(err[..., None], 6, axis=-1), variant)
+
+
 def stat_table_for_scenario(scenario: ChannelScenario) -> StatTable:
     """Analytic statistics of a noise scenario (symmetric channel)."""
-    p = p_table_symmetric(scenario.q, scenario.q)
-    err = np.full(6, alternative_basis_error(
-        scenario.q, scenario.model, scenario.basis_noise_convention))
-    return StatTable(p, err, scenario.variant)
+    return _scenario_table(scenario.q, scenario.model,
+                           scenario.basis_noise_convention, scenario.variant)

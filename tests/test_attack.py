@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from sqkd3 import attack as attack_module
 from sqkd3 import linalg, verify
 from sqkd3.attack import (CONVENTIONS, AttackModel, ChannelScenario,
-                          alternative_basis_error, identity_attack,
-                          pauli_twirl_attack, pauli_twirl_isometry,
+                          identity_attack, pauli_twirl_attack, pauli_twirl_isometry,
                           random_attack, random_attack_stacks,
                           ternary_channel_apply, vector_families)
 from sqkd3.keyrate import (conditional_entropies, find_threshold, h_b_given_a,
@@ -20,10 +19,10 @@ from sqkd3.keyrate import (conditional_entropies, find_threshold, h_b_given_a,
                            p_lower_bound, s_bec, sigma1_entropy_terms, x_bound)
 from sqkd3.linalg import basis_vectors, haar_isometry, sq_norms
 from sqkd3.sim import run_protocol
-from sqkd3.stats import (StatTable, alt_basis_table, basis_error_direct,
-                         basis_error_expanded, f_gram, joint_and_marginal,
-                         p_table_from_attack, p_table_symmetric,
-                         stat_table_from_attack, t_values)
+from sqkd3.stats import (StatTable, _scenario_table, alt_basis_table,
+                         basis_error_direct, basis_error_expanded, f_gram,
+                         joint_and_marginal, p_table_from_attack,
+                         p_table_symmetric, stat_table_from_attack, t_values)
 from sqkd3.term_tables import BASIS_ERROR_ORDER
 
 DIMS = st.sampled_from([1, 3, 9])
@@ -852,10 +851,11 @@ def test_scenario_validation_and_noise_values():
         ChannelScenario(q=0.5)
     with pytest.raises(ValueError):
         ChannelScenario(q=0.1, model="both")
-    assert alternative_basis_error(0.1, "dependent", "per-pair") == pytest.approx(0.1)
-    assert alternative_basis_error(0.1, "independent", "per-pair") == \
-        pytest.approx(2 * 0.1 * 1.7)
-    assert alternative_basis_error(0.1, "dependent", "total") == pytest.approx(0.05)
+    for model, basis, err in [("dependent", "per-pair", 0.1),
+                              ("independent", "per-pair", 2 * 0.1 * 1.7),
+                              ("dependent", "total", 0.05)]:
+        table = _scenario_table(0.1, model, basis, "phi1")
+        assert table.basis_err == pytest.approx([err] * 6)
 
 
 # ---------------------------------------------------------------------------

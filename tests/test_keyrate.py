@@ -2,8 +2,8 @@ import functools
 import itertools
 import json
 import math
-import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import sqkd3.keyrate as keyrate
 import sqkd3.linalg as linalg
 import sqkd3.stats as stats
-from sqkd3.attack import AttackModel, ChannelScenario, \
-    alternative_basis_error, pauli_twirl_attack, random_attack, \
-    random_attack_stacks, vector_families
+from sqkd3.attack import AttackModel, ChannelScenario, pauli_twirl_attack, \
+    random_attack, random_attack_stacks, vector_families
 from sqkd3.keyrate import (Q_MAX, Sigma1Decomposition, conditional_entropies,
                            find_threshold, h_b_given_a,
                            key_rate, key_rate_curve, key_rate_from_table,
@@ -337,40 +336,22 @@ def test_report_from_table_names_the_variant():
         "variant": "phi2"}
 
 
-@pytest.mark.parametrize("flags,name", [
-    ({"p_mode": "corrected", "variant": "phi2"}, "p_mode"),
-    ({"variant": "phi2"}, "variant"),
-    ({"joint_weighting": "normalized"}, "joint_weighting"),
-])
-def test_report_from_table_rejects_flags_that_contradict_its_conventions(
-        flags, name):
-    # the as-printed rate of a phi1 table must not be labelled otherwise
-    table = stat_table_for_scenario(ChannelScenario(q=0.05))
-    with pytest.raises(ValueError, match=f"^convention flag {name}="):
-        key_rate_from_table(table, p_mode="as-printed", convention_flags=flags)
-
-
-def test_report_from_table_keeps_consistent_and_other_flags():
-    scenario = ChannelScenario(q=0.05, model="independent",
-                               p_mode="corrected")
-    report = key_rate_from_table(stat_table_for_scenario(scenario),
-                                 scenario.joint_weighting, scenario.p_mode,
-                                 scenario.flags())
-    assert report.convention_flags == scenario.flags()
-    assert report == key_rate(scenario)
-
-
-@pytest.mark.parametrize("flags,message", [
-    ({"model": "bogus"},
-     "unknown model 'bogus', expected one of dependent, independent"),
-    ({"foo": 1}, "unknown convention flag 'foo', expected one of variant, "
-                 "model, basis_noise_convention, joint_weighting, p_mode"),
-], ids=["unknown-value", "unknown-name"])
-def test_report_from_table_rejects_unknown_flags(flags, message):
-    # both were stamped on the report as given
-    table = stat_table_for_scenario(ChannelScenario(q=0.05))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        key_rate_from_table(table, convention_flags=flags)
+def test_key_rate_is_the_table_report_with_the_scenario_flags():
+    # key_rate_from_table stamps the three conventions it uses, key_rate
+    # all five of its scenario in flags() order; no other field differs
+    for variant, model, basis, weighting, p_mode in CONVENTIONS:
+        scn = ChannelScenario(q=0.05, model=model, variant=variant,
+                              basis_noise_convention=basis,
+                              joint_weighting=weighting, p_mode=p_mode)
+        report = key_rate(scn)
+        assert list(report.convention_flags.items()) == \
+            list(scn.flags().items())
+        from_table = key_rate_from_table(stat_table_for_scenario(scn),
+                                         weighting, p_mode)
+        assert list(from_table.convention_flags.items()) == [
+            ("joint_weighting", weighting), ("p_mode", p_mode),
+            ("variant", variant)]
+        assert replace(from_table, convention_flags=scn.flags()) == report
 
 
 def test_find_threshold_reports_absence(monkeypatch):
@@ -495,9 +476,7 @@ def test_kernel_rejects_q_that_is_not_1d(q):
 
 def whole_grid_curve(q, model, variant, basis, weighting, p_mode) -> dict:
     """key_rate_curve as one _evaluate pass over the whole grid."""
-    err = alternative_basis_error(q, model, basis)
-    table = StatTable(p_table_symmetric(q, q), np.repeat(err[:, None], 6, axis=1),
-                      variant)
+    table = stats._scenario_table(q, model, basis, variant)
     return {"Q": q, **keyrate._evaluate(table, weighting, p_mode)}
 
 

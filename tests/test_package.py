@@ -1,7 +1,9 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqkd3
@@ -76,6 +78,27 @@ def test_benchmark_replay_reproduces_key_rate(monkeypatch):
         for q in (0.0, 0.05, 0.1, 0.2, 1 / 3):
             scn = ops.scenario(conv, q)
             assert ops.replay_key_rate(ops.Tracer(), scn) == sqkd3.key_rate(scn).r
+
+
+def test_benchmark_traced_operations_replay_without_mismatch(monkeypatch):
+    # a traced benchmark run compares key_rate, key_rate_from_table and
+    # SimulationResult with their stage-by-stage replays bit for bit; the
+    # statistical sigma checks of the simulate and short operations are
+    # left out, as they can fail faithful draws
+    ops = _benchmark_ops(monkeypatch)
+    sizes = ops.Sizes(sweep_steps=31, sim_rounds=20_000, short_rounds=2_000,
+                      stats_repeats=1)
+    for seed, name in enumerate(["sweep", "threshold", "stats", "entropies",
+                                 "verify"]):
+        ctx = ops.Context(rng=np.random.default_rng(seed), sizes=sizes,
+                          tracer=ops.Tracer())
+        ops.OPS[name](ctx)  # a replay that differs raises ReplayMismatch
+        assert ctx.failed == 0, (name, ctx.failures)
+    q, variant, seed, n = 0.12, "phi2", 5, 20_000
+    rc, text = ops.run_cli(["simulate", "--n", str(n), "--q", repr(q),
+                            "--variant", variant, "--seed", str(seed)])
+    assert rc == 0
+    ops.replay_simulate(ops.Tracer(), q, variant, seed, n, json.loads(text), 0.0)
 
 
 def test_benchmark_replay_reproduces_attack_statistics(monkeypatch):

@@ -358,15 +358,14 @@ def test_max_deviation_sigma_matches_per_cell_loop():
         table = stat_table_from_attack(attack, "phi2")
         assert max_deviation_sigma(res, table) == _reference_max_sigma(res, table)
     # no rounds for sent value 0, zero-variance cells that match (0) and
-    # miss (inf), and a NaN cell from a probability just above 1
+    # miss (inf), an exact match of nonzero variance (0), and a NaN cell
+    # from a probability just above 1
     counts_p = np.zeros((3, 3, 3), dtype=np.int64)
     counts_p[1, 1, 1] = counts_p[2, 2, 2] = counts_p[2, 2, 0] = 4
-    empirical_p = np.zeros((3, 3, 3))
-    empirical_p[1, 1, 1], empirical_p[2, 2, 2] = 1.0, 0.5
-    res = SimulationResult(4, counts_p, empirical_p, np.zeros(6, np.int64),
-                           np.zeros(6), np.array([0, 3, 5]))
+    res = SimulationResult(4, counts_p, np.zeros(6, np.int64), np.array([0, 3, 5]))
     table = SimpleNamespace(p=np.zeros((3, 3, 3)), basis_err=np.full(6, 0.25))
     table.p[1, 1, 1] = table.p[2, 2, 2] = 1.0
+    table.p[2, 2, 0] = 0.5
     assert max_deviation_sigma(res, table) == _reference_max_sigma(res, table) \
         == float("inf")
     table.p[2, 2, 2] = 1.0 + 2**-52
@@ -374,3 +373,21 @@ def test_max_deviation_sigma_matches_per_cell_loop():
         expected = _reference_max_sigma(res, table)
     assert max_deviation_sigma(res, table) == expected == \
         max(0.25 / np.sqrt(0.25 * 0.75 / n) for n in (3, 5))
+
+
+def test_frequencies_are_derived_from_the_counts():
+    # 12 rounds at seed 7 hold no raw-key and no noise-estimation round of
+    # sent value 0
+    res = run_protocol(12, pauli_twirl_attack(0.1, 0.1), "phi1", 7)
+    assert res.counts_p[0].sum() == res.noise_rounds_per_sent[0] == 0
+    rebuilt = SimulationResult(12, res.counts_p.copy(), res.counts_basis_err.copy(),
+                               res.noise_rounds_per_sent.copy(), 7)
+    assert rebuilt.empirical_p.tobytes() == res.empirical_p.tobytes()
+    assert rebuilt.empirical_basis_err.tobytes() == res.empirical_basis_err.tobytes()
+    assert rebuilt.to_json() == res.to_json()
+    assert not rebuilt.empirical_p[0].any()
+    assert not rebuilt.empirical_basis_err[:2].any()
+    # an in-place edit of the counts moves the frequencies with it
+    rebuilt.counts_p[0, 1, 2] += 4
+    per_sent = rebuilt.counts_p.sum(axis=(1, 2))[:, None, None]
+    assert rebuilt.empirical_p.tobytes() == (rebuilt.counts_p / per_sent).tobytes()

@@ -11,7 +11,7 @@ import sqkd3.term_tables as tables
 from sqkd3 import verify
 from sqkd3.attack import (AttackModel, identity_attack, pauli_twirl_attack,
                           random_attack, vector_families)
-from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS,
+from sqkd3.stats import (ERROR_PATTERN, StatTable, _T_CELLS, _scenario_table,
                          basis_error_direct, check_p_tables, basis_error_expanded, f_gram,
                          joint_and_marginal, p_table_from_attack,
                          p_table_symmetric, stat_table_for_scenario,
@@ -311,6 +311,29 @@ def test_scenario_table_uses_convention():
     assert table.variant == "phi2"
     assert np.allclose(table.basis_err, 2 * 0.05 * (2 - 0.15))
     assert np.allclose(table.p, p_table_symmetric(0.05, 0.05))
+
+
+@pytest.mark.parametrize("model,basis,variant", itertools.product(
+    ("dependent", "independent"), ("per-pair", "total"), ("phi1", "phi2")))
+def test_scenario_table_on_a_grid_stacks_the_tables_of_its_points(
+        model, basis, variant):
+    # key_rate_curve's passes and stat_table_for_scenario share _scenario_table
+    q = np.linspace(0.0, 3 / 8, 41)
+    stack = _scenario_table(q, model, basis, variant)
+    assert stack.p.shape == (41, 3, 3, 3) and stack.basis_err.shape == (41, 6)
+    assert stack.variant == variant
+    for t, q_t in enumerate(q.tolist()):
+        one = stat_table_for_scenario(ChannelScenario(q_t, model, variant, basis))
+        assert stack.p[t].tobytes() == one.p.tobytes()
+        assert stack.basis_err[t].tobytes() == one.basis_err.tobytes()
+
+
+def test_scenario_with_an_integer_q_gets_the_float_table():
+    # an int q once gave an integer basis_err array, whose range check
+    # raised OverflowError instead of evaluating
+    table = stat_table_for_scenario(ChannelScenario(0))
+    assert table.basis_err.tobytes() == np.zeros(6).tobytes()
+    assert key_rate(ChannelScenario(0)) == key_rate(ChannelScenario(0.0))
 
 
 def test_stat_table_accepts_basis_errors_at_rounding_distance_of_the_ends():

@@ -62,7 +62,7 @@ import numpy as np
 
 from sqkd3 import verify
 from sqkd3.attack import (identity_attack, pauli_twirl_attack, random_attack,
-                          random_attack_stacks, vector_families)
+                          random_attack_stacks)
 from sqkd3.cli import main
 from sqkd3.keyrate import (Q_MAX, conditional_entropies, find_threshold,
                            key_rate_curve, key_rate_from_table, rho_be,
@@ -144,27 +144,26 @@ def outputs():
     yield "verify", "\n".join(lines)
     for q in (0.0, 0.1, 0.375):
         attack = pauli_twirl_attack(q, q)
-        fams = vector_families(attack)
         yield f"pauli_twirl_attack({q}, {q})", "".join(
             arr.tobytes().hex() for arr in (attack.forward, attack.reverse,
-                                            fams.e, fams.ekij, fams.f, fams.g,
-                                            fams.h))
+                                            attack.e, attack.ekij, attack.f,
+                                            attack.g, attack.h))
         # the labels keep the name of the function that once read them
         yield (f"measure_records pauli_twirl_attack({q}, {q})",
-               fams.records.tobytes().hex())
+               attack.records.tobytes().hex())
     for q in (0.02, 0.1, 0.3):
-        fams = vector_families(pauli_twirl_attack(q, q))
+        attack = pauli_twirl_attack(q, q)
         # rho_bec is 15 MB: hash its bytes, not their hex
-        yield f"rho_be twirl {q}", rho_be(fams).tobytes()
-        yield f"rho_bec twirl {q}", rho_bec(fams).tobytes()
+        yield f"rho_be twirl {q}", rho_be(attack).tobytes()
+        yield f"rho_bec twirl {q}", rho_bec(attack).tobytes()
         yield (f"conditional_entropies twirl {q}",
-               repr(conditional_entropies(fams)))
+               repr(conditional_entropies(attack)))
     for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
         attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
         yield (f"conditional_entropies random_attack({d_f}, {d_r})",
-               repr(conditional_entropies(vector_families(attack))))
+               repr(conditional_entropies(attack)))
         yield (f"measure_records random_attack({d_f}, {d_r})",
-               vector_families(attack).records.tobytes().hex())
+               attack.records.tobytes().hex())
         for variant in ("phi1", "phi2"):
             table = stat_table_from_attack(attack, variant)
             yield (f"stat_table random_attack({d_f}, {d_r}) {variant}",
@@ -209,15 +208,15 @@ def outputs():
     for values in itertools.product(*CONVENTIONS.values()):
         yield from sweep_outputs(values, 5001, " --steps 5001")
     for d_f, d_r in itertools.product((1, 3, 9), repeat=2):
-        fams = vector_families(random_attack(d_f, d_r, seed=10 * d_f + d_r))
-        yield f"rho_be random_attack({d_f}, {d_r})", rho_be(fams).tobytes()
-        yield f"rho_bec random_attack({d_f}, {d_r})", rho_bec(fams).tobytes()
+        attack = random_attack(d_f, d_r, seed=10 * d_f + d_r)
+        yield f"rho_be random_attack({d_f}, {d_r})", rho_be(attack).tobytes()
+        yield f"rho_bec random_attack({d_f}, {d_r})", rho_bec(attack).tobytes()
     for q in (0.0, Q_MAX):
-        fams = vector_families(pauli_twirl_attack(q, q))
-        yield f"rho_be twirl {q}", rho_be(fams).tobytes()
-        yield f"rho_bec twirl {q}", rho_bec(fams).tobytes()
+        attack = pauli_twirl_attack(q, q)
+        yield f"rho_be twirl {q}", rho_be(attack).tobytes()
+        yield f"rho_bec twirl {q}", rho_bec(attack).tobytes()
         yield (f"conditional_entropies twirl {q}",
-               repr(conditional_entropies(fams)))
+               repr(conditional_entropies(attack)))
     zero_cells = {"identity": identity_attack(),
                   "twirl 0.0": pauli_twirl_attack(0.0, 0.0),
                   f"twirl {Q_MAX}": pauli_twirl_attack(Q_MAX, Q_MAX)}

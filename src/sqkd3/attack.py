@@ -46,15 +46,12 @@ def _integer_at_least(name: str, value, least: int) -> int:
     return number
 
 
-def _check_isometries(name: str, m: np.ndarray) -> None:
-    """Reject a stack (..., rows, cols) of stages unless every m^H m is the
-    identity within ISOMETRY_TOL."""
-    # a non-finite entry gives a NaN deviation, which fails the test
+def _isometry_deviation(m: np.ndarray) -> float:
+    """max |m^H m - I| over a stack (..., rows, cols) of matrices; NaN when
+    an entry is not finite."""
     with np.errstate(invalid="ignore"):
-        dev = np.max(np.abs(m.conj().swapaxes(-1, -2) @ m
-                            - np.eye(m.shape[-1])))
-    if not dev <= ISOMETRY_TOL:
-        raise ValueError(f"{name} stage is not an isometry")
+        return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m
+                                   - np.eye(m.shape[-1]))))
 
 
 def _json_document(text: str, names: tuple) -> dict:
@@ -299,9 +296,10 @@ class AttackModel:
                 or rv.shape[-1] != cols or rv.shape[-2] % cols):
             raise ValueError(f"reverse shape {rv.shape} is not (..., 3*d_f*d_r, "
                              f"3*d_f) with forward shape {fw.shape}")
-        _check_isometries("forward", fw)
-        _check_isometries("reverse", rv)
         for name, stage in (("forward", fw), ("reverse", rv)):
+            # a NaN deviation fails the test
+            if not _isometry_deviation(stage) <= ISOMETRY_TOL:
+                raise ValueError(f"{name} stage is not an isometry")
             stage = stage.copy(order="K")
             stage.flags.writeable = False
             object.__setattr__(self, name, stage)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,6 +358,15 @@ def key_rate_curve(q, model: str = "dependent", variant: str = "phi1",
                        for name in parts[0]}}
 
 
+def _report(table: StatTable, weighting: str, p_mode: str,
+            flags: dict) -> KeyRateReport:
+    """The key-rate report of one table, stamped with flags."""
+    cols = {k: float(v)
+            for k, v in _evaluate(_one_table(table), weighting, p_mode).items()}
+    return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
+                         convention_flags=flags, **cols)
+
+
 def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
                         p_mode: str = "as-printed") -> KeyRateReport:
     """Evaluate the key-rate bound on an explicit statistics table.
@@ -366,20 +375,16 @@ def key_rate_from_table(table: StatTable, weighting: str = "as-printed",
     variant in use.  An unknown weighting or p-mode raises ValueError, and
     so does a stack table.
     """
-    cols = {k: float(v)
-            for k, v in _evaluate(_one_table(table), weighting, p_mode).items()}
-    return KeyRateReport(t=tuple(cols.pop(k) for k in ("t1", "t2", "t3", "t4")),
-                         convention_flags={"joint_weighting": weighting,
-                                           "p_mode": p_mode,
-                                           "variant": table.variant}, **cols)
+    return _report(table, weighting, p_mode, {"joint_weighting": weighting,
+                                               "p_mode": p_mode,
+                                               "variant": table.variant})
 
 
 def key_rate(scenario: ChannelScenario) -> KeyRateReport:
     """Key-rate bound of a symmetric-noise scenario, stamped with all of
     the scenario's convention flags."""
-    report = key_rate_from_table(stat_table_for_scenario(scenario),
-                                 scenario.joint_weighting, scenario.p_mode)
-    return replace(report, convention_flags=scenario.flags())
+    return _report(stat_table_for_scenario(scenario), scenario.joint_weighting,
+                   scenario.p_mode, scenario.flags())
 
 
 #: Bisection stops once the bracket is at most this wide.

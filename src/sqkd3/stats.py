@@ -27,9 +27,10 @@ class StatTable:
 
     p is (..., 3, 3, 3) and basis_err (..., 6), with equal leading axes;
     basis_err is ordered (0->1, 0->2, 1->0, 1->2, 2->0, 2->1).  Both are
-    numpy arrays of probabilities, each in [0, 1] up to 1e-12.  The table
-    keeps read-only copies of the arrays it is given, so no later write
-    reaches a value that was not checked.  Equality is identity.
+    numpy arrays of real probabilities, each in [0, 1] up to 1e-12.  The
+    table keeps read-only float64 copies of the arrays it is given and
+    checks those, so no later write reaches a value that was not checked.
+    Equality is identity.
     """
 
     p: np.ndarray          # (..., 3, 3, 3) float
@@ -37,15 +38,18 @@ class StatTable:
     variant: str
 
     def __post_init__(self):
-        p = _trailing("p", self.p, (3, 3, 3))
-        err = _trailing("basis_err", self.basis_err, (6,))
+        for name, axes in (("p", (3, 3, 3)), ("basis_err", (6,))):
+            x = _trailing(name, getattr(self, name), axes)
+            if x.dtype.kind not in "biuf":  # bool, integer or float
+                raise ValueError(f"{name} must hold real numbers, got dtype "
+                                 f"{x.dtype}")
+            x = x.astype(np.float64, order="C")
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+        p, err = self.p, self.basis_err
         if p.shape[:-3] != err.shape[:-1]:
             raise ValueError(f"p shape {p.shape} and basis_err shape "
                              f"{err.shape} have different leading axes")
-        p, err = p.copy(), err.copy()
-        for name, array in (("p", p), ("basis_err", err)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
         check_conventions(variant=self.variant)
         check_p_tables(p)  # NaN and infinite entries included
         if not _in_unit_interval(err):

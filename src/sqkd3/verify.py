@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import term_tables as tables
-from .attack import (CONVENTIONS, pauli_twirl_attack, random_attack_stacks,
+from .attack import (CONVENTIONS, _isometry_deviation, pauli_twirl_attack,
+                     pauli_twirl_isometry, random_attack_stacks,
                      ternary_channel_apply)
 from .keyrate import (Sigma1Decomposition, _no_error_diagonal,
                       conditional_entropies, lemma1_check, no_error_overlap,
                       s_ec_bound, s_ec_upper, sigma1_eigenvalues)
 from .linalg import (basis_vectors, gaussian_matrix, haar_isometry,
-                     isometries_from_gaussian, sq_norms)
+                     isometries_from_gaussian)
 from .stats import (basis_error_direct, basis_error_expanded, f_gram,
                     p_table_from_attack, t_values)
 
@@ -25,11 +26,8 @@ _DIMS = (1, 3, 9)
 
 
 def check_mub() -> tuple[bool, str]:
-    worst = 0.0
     a = basis_vectors("A")
-    for bid in ("A", "T", "K"):
-        v = basis_vectors(bid)
-        worst = max(worst, float(np.max(np.abs(v.conj().T @ v - np.eye(3)))))
+    worst = max(_isometry_deviation(basis_vectors(bid)) for bid in ("A", "T", "K"))
     for bid in ("T", "K"):
         v = basis_vectors(bid)
         overlaps = np.abs(a.conj().T @ v) ** 2
@@ -55,20 +53,11 @@ def _random_families(n_attacks: int, seed: int):
 def check_sum_rules() -> tuple[bool, str]:
     n_attacks = 200
     worst = 0.0
-    eye = np.eye(3)
+    # row i of e (of f) is column i of the forward stage (of the round
+    # trip); AttackModel has checked that the reverse stage keeps norms
     for fams in _random_families(n_attacks, 1000):
-        for vecs in (fams.e, fams.f):
-            # row i holds the records 3i+j end to end: the Gram sums over j
-            rows = vecs.reshape(*vecs.shape[:-2], 3, -1)
-            gram = rows.conj() @ rows.swapaxes(-1, -2)
-            worst = max(worst, float(np.max(np.abs(gram - eye))))
-        # reverse stage preserves each forward record's norm; the norms are
-        # taken one output k at a time to bound the copies of ekij
-        kept = sq_norms(fams.ekij[..., 0, :, :, :])
-        for k in (1, 2):
-            kept += sq_norms(fams.ekij[..., k, :, :, :])
-        kept -= sq_norms(fams.e)[..., None, :]
-        worst = max(worst, float(np.max(np.abs(kept))))
+        worst = max(worst, _isometry_deviation(fams.forward),
+                    _isometry_deviation(fams.reverse @ fams.forward))
     return worst < 1e-10, f"{n_attacks} attacks, max violation {worst:.3e}"
 
 
@@ -80,7 +69,7 @@ def check_channel_dilation() -> tuple[bool, str]:
                     for b in basis_vectors(bid).T]
     worst = 0.0
     for q in (0.0, 0.05, 0.1, 0.3):
-        fw = pauli_twirl_attack(q, q).forward
+        fw = pauli_twirl_isometry(q)
         states = []
         for _ in range(4):
             u = haar_isometry(3, 3, rng)

@@ -641,6 +641,24 @@ def test_sum_rules_group_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+def test_isometry_deviation_is_the_stack_maximum_and_nan_on_non_finite():
+    stack = np.array([np.eye(6, 3), 1.5 * np.eye(6, 3)], dtype=complex)
+    assert attack_module._isometry_deviation(stack) == pytest.approx(1.25)
+    assert attack_module._isometry_deviation(stack[:1]) == 0.0
+    for value in (np.nan, np.inf, complex(0, -np.inf)):
+        stack[0, 4, 1] = value
+        assert math.isnan(attack_module._isometry_deviation(stack))
+
+
+def test_unitarity_and_dilation_groups_build_no_attack_model(monkeypatch):
+    # the dilation group once built a whole twirl attack to read its
+    # forward stage
+    def refused(self):
+        raise AssertionError("built an AttackModel")
+    monkeypatch.setattr(AttackModel, "__post_init__", refused)
+    assert verify.check_mub()[0] and verify.check_channel_dilation()[0]
+
+
 def test_ternary_channel_basics():
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[0, 0] = 1.0

@@ -354,6 +354,21 @@ def test_key_rate_is_the_table_report_with_the_scenario_flags():
         assert replace(from_table, convention_flags=scn.flags()) == report
 
 
+def test_key_rate_builds_its_report_once(monkeypatch):
+    # key_rate once built the table's report and then a copy with the
+    # scenario's flags
+    built, init = [], keyrate.KeyRateReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["convention_flags"])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(keyrate.KeyRateReport, "__init__", counting)
+    scn = ChannelScenario(0.05, "independent", "phi2", "total", "normalized",
+                          "corrected")
+    key_rate(scn)
+    assert built == [scn.flags()]
+
+
 def test_find_threshold_reports_absence(monkeypatch):
     monkeypatch.setattr(keyrate, "key_rate_curve",
                         lambda q, *conventions: {"r": np.ones(len(q))})

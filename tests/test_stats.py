@@ -355,6 +355,33 @@ def test_stat_table_p_must_be_an_array():
                   "phi1")
 
 
+@pytest.mark.parametrize("field,dtype", [("p", np.int64), ("basis_err", np.int64),
+                                         ("basis_err", bool)])
+def test_stat_table_keeps_float64_copies_of_integer_and_bool_arrays(field, dtype):
+    # an integer array once raised OverflowError in the range check, and a
+    # bool basis_err was kept as bool
+    args = {"p": p_table_symmetric(0.0, 0.0), "basis_err": np.zeros(6),
+            "variant": "phi1"}
+    args[field] = args[field].astype(dtype)
+    table = StatTable(**args)
+    for kept in (table.p, table.basis_err):
+        assert kept.dtype == np.float64 and not kept.flags.writeable
+    assert getattr(table, field).tobytes() == args[field].astype(float).tobytes()
+    assert key_rate_from_table(table).r == key_rate_from_table(
+        StatTable(p_table_symmetric(0.0, 0.0), np.zeros(6), "phi1")).r
+
+
+@pytest.mark.parametrize("field", ["p", "basis_err"])
+def test_stat_table_refuses_complex_arrays(field):
+    # a complex p was once accepted and kept as complex128
+    args = {"p": p_table_symmetric(0.05, 0.05), "basis_err": np.full(6, 0.05),
+            "variant": "phi1"}
+    args[field] = args[field] + 0j
+    with pytest.raises(ValueError,
+                       match=f"^{field} must hold real numbers, got dtype complex128$"):
+        StatTable(**args)
+
+
 @pytest.mark.parametrize("fn", [t_values, joint_and_marginal])
 @pytest.mark.parametrize("p", [np.full((9, 3), 1 / 9), np.full((2, 3, 3), 1 / 9)],
                          ids=["9x3", "2x3x3"])
